@@ -5,17 +5,16 @@
 //! four** lane-parallel filters — GateKeeper, MAGNET, Shouji, SneakySnake —
 //! once on the lane-parallel SIMD path (`SimdMode::Lanes`, blocks of pairs
 //! transposed into the struct-of-arrays layout and filtered four lanes at a
-//! time) and once on the scalar reference (`SimdMode::Scalar`, the per-bit /
-//! per-byte historical baselines). Each filter's run **hard-asserts** that the
+//! time) and once on the scalar reference (`SimdMode::Scalar`, each filter's
+//! per-bit `*_reference` twin). Each filter's run **hard-asserts** that the
 //! two decision streams are FNV-digest-identical and that the lane path clears
 //! the 4x end-to-end speedup bar on the single-core row, then prints a
 //! Markdown comparison table between `<!-- simd-vs-scalar:begin/end -->`
 //! markers so CI can lift it straight into the job summary.
 //!
-//! The three non-GateKeeper filters run on a quarter-size set: their scalar
-//! baselines walk bases one at a time (MAGNET's differential leg runs per-bit
-//! reference primitives), so a full-size scalar leg would dominate the bench's
-//! wall clock without sharpening the comparison.
+//! The three non-GateKeeper filters run on a quarter-size set: their per-bit
+//! references walk bases one at a time, so a full-size scalar leg would
+//! dominate the bench's wall clock without sharpening the comparison.
 //!
 //! Usage: `cargo run --release -p gk-bench --bin simd_speedup
 //!         [--pairs N] [--full] [--help]`
@@ -134,7 +133,7 @@ fn main() {
         "SIMD-vs-scalar comparison across all four filters ({read_len} bp, e = {threshold}, \
          {pairs} pairs for GateKeeper, {widened_pairs} for MAGNET/Shouji/SneakySnake)"
     );
-    println!("Lane path: 4-lane struct-of-arrays blocks over 64-bit words; scalar path: per-bit / per-byte reference kernels.\n");
+    println!("Lane path: 4-lane struct-of-arrays blocks over 64-bit words; scalar path: per-bit reference kernels.\n");
 
     // Throwaway warmup so neither measured mode pays first-touch costs
     // (worker spawn-up, allocator warm-up).

@@ -32,7 +32,7 @@ use crate::config::FilterConfig;
 use crate::gpu::GateKeeperGpu;
 use crate::multi_gpu::MultiGpuGateKeeper;
 use gk_filters::gatekeeper::GateKeeperConfig;
-use gk_filters::simd::SimdMode;
+use gk_filters::simd::{SimdMode, LANE_BLOCK_PAIRS};
 use gk_filters::traits::FilterDecision;
 use gk_filters::{
     gatekeeper_filter_block, magnet_filter_block, shouji_filter_block, sneaky_snake_filter_block,
@@ -43,11 +43,6 @@ use gk_seq::pairs::{PairSet, SequencePair};
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Pairs handed to one lane-parallel block task on the CPU backend — matches
-/// the block size of the `filter_batch` paths so batched service decisions
-/// stay bit-identical to the offline harness.
-const BACKEND_BLOCK_PAIRS: usize = 256;
 
 /// Which pre-alignment filter a request wants.
 ///
@@ -244,7 +239,7 @@ impl FilterBackend for CpuSimdBackend {
         let mode = self.mode;
         let filter = || {
             job.pairs
-                .par_chunks(BACKEND_BLOCK_PAIRS)
+                .par_chunks(LANE_BLOCK_PAIRS)
                 .flat_map(|block| run_cpu_block(job, block, mode))
                 .collect()
         };

@@ -10,17 +10,13 @@
 
 use crate::timing::TimingBreakdown;
 use gk_filters::gatekeeper::{gatekeeper_kernel_reference, GateKeeperConfig};
-use gk_filters::simd::{gatekeeper_filter_block, SimdMode};
+use gk_filters::simd::{gatekeeper_filter_block, SimdMode, LANE_BLOCK_PAIRS};
 use gk_filters::traits::FilterDecision;
 use gk_seq::pairs::{encode_pair_batch, PairSet};
 use gk_seq::PackedSeq;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Pairs handed to one lane-parallel block task: large enough to amortise the
-/// struct-of-arrays transpose, small enough to keep the Rayon work queue full.
-const LANE_BLOCK_PAIRS: usize = 256;
 
 /// Result of a CPU filtering run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

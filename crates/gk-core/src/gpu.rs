@@ -51,8 +51,10 @@ use crate::pipeline::{
     PREFETCH_IN_FLIGHT,
 };
 use crate::timing::TimingBreakdown;
-use gk_filters::gatekeeper::{gatekeeper_kernel, gatekeeper_kernel_reference, GateKeeperConfig};
-use gk_filters::simd::{gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode};
+use gk_filters::gatekeeper::GateKeeperConfig;
+use gk_filters::simd::{
+    gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode, LANE_BLOCK_PAIRS,
+};
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::executor::{launch_kernel, KernelResources, ThreadReport};
@@ -86,10 +88,6 @@ pub(crate) const CYCLES_PER_MASK_WORD: u64 = 1_000;
 const CYCLES_UNDEFINED: u64 = 300;
 /// Extra data-dependent cycles per estimated edit (amendment/counting divergence).
 const CYCLES_PER_EDIT: u64 = 120;
-
-/// Pairs handed to one lane-parallel kernel task in SIMD mode (mirrors the
-/// CPU baseline's block size so both paths amortise the SoA transpose alike).
-const LANE_BLOCK_PAIRS: usize = 256;
 
 /// Result of filtering a pair set on the (simulated) GPU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -296,35 +294,25 @@ impl GateKeeperGpu {
             prefetch_seconds = t_reads + t_refs;
         }
 
-        // Stage 2 (device): kernel launch, one filtration per thread (scalar
-        // mode) or one warp-like lane group of four per task (lane mode). In
-        // host-encoded mode the threads consume pre-packed words; in
-        // device-encoded mode they run the fused kernel — pack the raw bases
-        // they were handed, then filter — which is what makes the two paths
-        // byte-identical: both end up filtering the same 2-bit sequences.
-        let use_lanes = self.simd == SimdMode::Lanes;
+        // Stage 2 (device): kernel launch, one warp-like lane group of four
+        // per task (lane mode) or one per-bit filtration per pair (scalar
+        // mode), over blocks of pairs. In host-encoded mode the threads
+        // consume pre-packed words; in device-encoded mode they run the fused
+        // kernel — pack the raw bases they were handed, then filter — which
+        // is what makes the two paths byte-identical: both end up filtering
+        // the same 2-bit sequences.
         let decisions: Vec<FilterDecision> = match input {
-            ChunkInput::Encoded(encoded) if use_lanes => encoded
+            ChunkInput::Encoded(encoded) => encoded
                 .par_chunks(LANE_BLOCK_PAIRS)
                 .flat_map(|block| {
                     let refs: Vec<(&PackedSeq, &PackedSeq)> = block
                         .iter()
                         .map(|(read, reference)| (read, reference))
                         .collect();
-                    gatekeeper_filter_block_packed(&refs, &self.kernel_config, SimdMode::Lanes)
+                    gatekeeper_filter_block_packed(&refs, &self.kernel_config, self.simd)
                 })
                 .collect(),
-            ChunkInput::Encoded(encoded) => encoded
-                .par_iter()
-                .map(|(read, reference)| {
-                    if read.is_undefined() || reference.is_undefined() {
-                        FilterDecision::undefined_pass()
-                    } else {
-                        gatekeeper_kernel_reference(read, reference, &self.kernel_config)
-                    }
-                })
-                .collect(),
-            ChunkInput::Raw(raw) if use_lanes => {
+            ChunkInput::Raw(raw) => {
                 let starts: Vec<usize> = (0..raw.len()).step_by(LANE_BLOCK_PAIRS).collect();
                 starts
                     .into_par_iter()
@@ -333,26 +321,10 @@ impl GateKeeperGpu {
                         let slices: Vec<(&[u8], &[u8])> = (start..end)
                             .map(|i| (raw.read(i), raw.reference(i)))
                             .collect();
-                        gatekeeper_filter_block_slices(
-                            &slices,
-                            &self.kernel_config,
-                            SimdMode::Lanes,
-                        )
+                        gatekeeper_filter_block_slices(&slices, &self.kernel_config, self.simd)
                     })
                     .collect()
             }
-            ChunkInput::Raw(raw) => (0..raw.len())
-                .into_par_iter()
-                .map(|i| {
-                    let read = PackedSeq::from_ascii(raw.read(i));
-                    let reference = PackedSeq::from_ascii(raw.reference(i));
-                    if read.is_undefined() || reference.is_undefined() {
-                        FilterDecision::undefined_pass()
-                    } else {
-                        gatekeeper_kernel_reference(&read, &reference, &self.kernel_config)
-                    }
-                })
-                .collect(),
         };
 
         // On devices without prefetch support the kernel's first touch of each page
@@ -855,12 +827,7 @@ impl PreAlignmentFilter for GateKeeperGpu {
     }
 
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        let read_packed = PackedSeq::from_ascii(read);
-        let ref_packed = PackedSeq::from_ascii(reference);
-        if read_packed.is_undefined() || ref_packed.is_undefined() {
-            return FilterDecision::undefined_pass();
-        }
-        gatekeeper_kernel(&read_packed, &ref_packed, &self.kernel_config)
+        gatekeeper_filter_block_slices(&[(read, reference)], &self.kernel_config, self.simd)[0]
     }
 }
 

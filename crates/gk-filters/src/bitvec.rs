@@ -13,41 +13,30 @@
 //! * the two edit-counting schemes (distinct 1-runs, as the SHD/GateKeeper
 //!   hardware effectively counts, or raw popcount for ablation).
 //!
-//! Every mask-walking operation ships in two implementations. The default
-//! methods are **word-parallel**: amendment is a morphological closing built
-//! from carry-propagating 1-bit shifts, run/edit counting uses
-//! popcount-of-run-starts and `trailing_ones` scans, and range sets write
-//! whole-word masks. The `*_reference` twins keep the original per-bit loops;
-//! they are the runtime scalar fallback (`GK_SIMD=scalar`) and the oracle the
-//! differential property suite checks the widened code against.
+//! [`BaseMask`] is the mask type of the per-bit reference kernels: its
+//! `*_reference` walks are per-bit loops, the oracle the differential property
+//! suite checks the lane kernels against and the runtime scalar path
+//! (`GK_SIMD=scalar`). The lane kernels keep their masks in `[u64; 4]` rows
+//! (see `simd`) and share only two whole-word walks from here —
+//! [`count_edits_windowed_in_words`] and [`zero_runs_in_words`] — each
+//! differentially tested against its per-bit twin.
 //!
 //! Invariant: the bits beyond `len` in the last storage word are always zero
-//! (every constructor and mutator restores this), so the word-parallel paths
-//! can trust the padding.
+//! (every constructor and mutator restores this), so the word-level walks can
+//! trust the padding.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
 
-/// Number of maximal runs of 1s across LSB-first words with clean padding:
-/// a run starts at every 1 bit whose predecessor (LSB-wards, carrying across
-/// words) is 0.
-pub(crate) fn count_runs_in_words(words: &[u64]) -> u32 {
-    let mut runs = 0u32;
-    let mut carry = 0u64; // MSB of the previous word, shifted into bit 0
-    for &w in words {
-        runs += (w & !((w << 1) | carry)).count_ones();
-        carry = w >> 63;
-    }
-    runs
-}
-
 /// Windowed edit count across LSB-first words with clean padding: every
 /// maximal streak of `L` ones contributes `⌈L / window⌉`. Scans streak by
 /// streak with `trailing_zeros`/`trailing_ones`, carrying runs across word
 /// boundaries, so the cost scales with the number of runs, not the length.
-pub(crate) fn count_edits_windowed_in_words(words: &[u64], window: usize) -> u32 {
+/// The lane kernels' counting epilogue; its per-bit twin is
+/// [`BaseMask::count_edits_windowed_reference`].
+pub fn count_edits_windowed_in_words(words: &[u64], window: usize) -> u32 {
     let window = window.max(1);
     let mut edits = 0u32;
     let mut run = 0usize; // length of the streak continuing from the last word
@@ -78,51 +67,9 @@ pub(crate) fn count_edits_windowed_in_words(words: &[u64], window: usize) -> u32
 }
 
 /// Longest run of consecutive 0 bits within `[start, end)` of LSB-first
-/// words; returns `(run_start, run_len)` or `None` if every bit is 1.
-///
-/// Word-parallel twin of the per-bit walk MAGNET's extraction loop was built
-/// on: runs of 1s are skipped with `trailing_ones`, zero runs are measured
-/// with `trailing_zeros`, whole-zero words are crossed in one step. The
-/// strict `>` comparison keeps the leftmost run on equal lengths, matching
-/// the reference bit for bit.
-pub fn longest_zero_run_in_words(
-    words: &[u64],
-    start: usize,
-    end: usize,
-) -> Option<(usize, usize)> {
-    let end = end.min(words.len() * WORD_BITS);
-    let mut best: Option<(usize, usize)> = None;
-    let mut i = start;
-    while i < end {
-        let chunk = words[i / WORD_BITS] >> (i % WORD_BITS);
-        let ones = chunk.trailing_ones() as usize;
-        if ones > 0 {
-            // Skip the streak of 1s (clipped to this word; the loop re-reads).
-            i += ones.min(WORD_BITS - i % WORD_BITS);
-            continue;
-        }
-        let run_start = i;
-        loop {
-            if i >= end {
-                break;
-            }
-            let chunk = words[i / WORD_BITS] >> (i % WORD_BITS);
-            if chunk == 0 {
-                i = (i / WORD_BITS + 1) * WORD_BITS;
-            } else {
-                i += chunk.trailing_zeros() as usize;
-                break;
-            }
-        }
-        let run_len = i.min(end) - run_start;
-        if best.map(|(_, l)| run_len > l).unwrap_or(true) {
-            best = Some((run_start, run_len));
-        }
-    }
-    best
-}
-
-/// Per-bit reference for [`longest_zero_run_in_words`].
+/// words, one bit at a time; returns `(run_start, run_len)` or `None` if
+/// every bit is 1. The strict `>` comparison keeps the leftmost run on equal
+/// lengths — MAGNET's tie-break.
 pub fn longest_zero_run_in_words_reference(
     words: &[u64],
     start: usize,
@@ -150,24 +97,8 @@ pub fn longest_zero_run_in_words_reference(
 }
 
 /// Length of the run of consecutive 0 bits starting exactly at `pos`, bounded
-/// by `end` — equivalently, the distance from `pos` to the next 1 bit. The
-/// word-parallel step SneakySnake's traversal takes per diagonal probe.
-pub fn zero_run_length_in_words(words: &[u64], pos: usize, end: usize) -> usize {
-    let end = end.min(words.len() * WORD_BITS);
-    let mut i = pos;
-    while i < end {
-        let chunk = words[i / WORD_BITS] >> (i % WORD_BITS);
-        if chunk == 0 {
-            i = (i / WORD_BITS + 1) * WORD_BITS;
-        } else {
-            i += chunk.trailing_zeros() as usize;
-            break;
-        }
-    }
-    i.min(end) - pos.min(end)
-}
-
-/// Per-bit reference for [`zero_run_length_in_words`].
+/// by `end` — equivalently, the distance from `pos` to the next 1 bit — one
+/// bit at a time. SneakySnake's per-bit free-run probe.
 pub fn zero_run_length_in_words_reference(words: &[u64], pos: usize, end: usize) -> usize {
     let end = end.min(words.len() * WORD_BITS);
     let mut i = pos;
@@ -367,13 +298,7 @@ impl BaseMask {
         self.bits.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Number of maximal runs of consecutive 1 bits. Word-parallel:
-    /// popcount of run-start bits with carry between words.
-    pub fn count_runs(&self) -> u32 {
-        count_runs_in_words(&self.bits)
-    }
-
-    /// Per-bit reference implementation of [`BaseMask::count_runs`].
+    /// Number of maximal runs of consecutive 1 bits, counted bit by bit.
     pub fn count_runs_reference(&self) -> u32 {
         let mut runs = 0u32;
         let mut in_run = false;
@@ -390,8 +315,8 @@ impl BaseMask {
         runs
     }
 
-    /// Windowed edit counting over the final bitvector: every maximal streak of 1s
-    /// of length `L` contributes `⌈L / window⌉` edits.
+    /// Windowed edit counting over the final bitvector, bit by bit: every
+    /// maximal streak of 1s of length `L` contributes `⌈L / window⌉` edits.
     ///
     /// This models the window/LUT error counting of the GateKeeper hardware (§2.1:
     /// "the errors are counted by following a window approach with a look-up
@@ -401,14 +326,6 @@ impl BaseMask {
     /// `d` edits — the property behind the paper's zero-false-reject observation —
     /// while a fully mismatching pair still counts ~`len / window` edits and is
     /// rejected. `window = 1` degenerates to a plain popcount.
-    ///
-    /// Word-parallel: streak-at-a-time `trailing_ones` scan over the storage
-    /// words instead of a per-bit walk.
-    pub fn count_edits_windowed(&self, window: usize) -> u32 {
-        count_edits_windowed_in_words(&self.bits, window)
-    }
-
-    /// Per-bit reference implementation of [`BaseMask::count_edits_windowed`].
     pub fn count_edits_windowed_reference(&self, window: usize) -> u32 {
         let window = window.max(1);
         let mut edits = 0u32;
@@ -433,53 +350,8 @@ impl BaseMask {
     /// amended before AND to turn short streaks of 0s into 1s considering these 0s
     /// are useless and do not represent an informative part").
     ///
-    /// Word-parallel: the flanked-short-run flip is a morphological closing.
-    /// Dilate with `m` iterations of `d |= d << 1` (so `d = OR of x << j` for
-    /// `j = 0..=m`), erode with `m` iterations of `d &= d >> 1`, and OR the
-    /// result back into the mask. A zero run of length `L ≤ m` flanked by 1s
-    /// is fully covered by the dilation of its left flank and survives the
-    /// erosion thanks to its right flank; longer runs keep a dead zone, and
-    /// unflanked leading/trailing runs never dilate from the missing side. The
-    /// scratch carries one spare word so dilation past a word-aligned `len`
-    /// is not truncated, and the clean padding guarantees zeros beyond `len`.
-    pub fn amend_short_zero_runs(&mut self, max_run: usize) {
-        if self.len == 0 || max_run == 0 {
-            return;
-        }
-        let m = max_run.min(self.len);
-        if m > WORD_BITS {
-            // The closing needs `len + m` bits of dilation head-room and `m`
-            // shift passes; for amendment widths beyond a word (never reached
-            // by the paper's configs) the per-bit walk is both simpler and
-            // faster.
-            return self.amend_short_zero_runs_reference(max_run);
-        }
-        let mut d: Vec<u64> = Vec::with_capacity(self.bits.len() + 2);
-        d.extend_from_slice(&self.bits);
-        d.push(0);
-        d.push(0);
-        for _ in 0..m {
-            // d |= d << 1 across words, high row first so carries read the
-            // not-yet-updated lower neighbour.
-            for r in (0..d.len()).rev() {
-                let carry = if r > 0 { d[r - 1] >> 63 } else { 0 };
-                d[r] |= (d[r] << 1) | carry;
-            }
-        }
-        for _ in 0..m {
-            // d &= d >> 1 across words, low row first for the same reason.
-            for r in 0..d.len() {
-                let carry = if r + 1 < d.len() { d[r + 1] << 63 } else { 0 };
-                d[r] &= (d[r] >> 1) | carry;
-            }
-        }
-        for (bits, closed) in self.bits.iter_mut().zip(&d) {
-            *bits |= closed;
-        }
-        self.clear_padding();
-    }
-
-    /// Per-bit reference implementation of [`BaseMask::amend_short_zero_runs`].
+    /// Bit by bit; the lane kernels run the same flip as a morphological
+    /// closing over their mask rows.
     pub fn amend_short_zero_runs_reference(&mut self, max_run: usize) {
         if self.len == 0 || max_run == 0 {
             return;
@@ -505,30 +377,15 @@ impl BaseMask {
         }
     }
 
-    /// Longest run of consecutive 0 bits within `[start, end)`; returns
-    /// `(run_start, run_len)` or `None` if every bit is 1. Word-parallel, with
-    /// the leftmost run winning ties exactly like the per-bit reference.
-    pub fn longest_zero_run_in(&self, start: usize, end: usize) -> Option<(usize, usize)> {
-        longest_zero_run_in_words(&self.bits, start, end.min(self.len))
-    }
-
-    /// Per-bit reference implementation of [`BaseMask::longest_zero_run_in`].
+    /// Longest run of consecutive 0 bits within `[start, end)`, bit by bit;
+    /// returns `(run_start, run_len)` or `None` if every bit is 1. The
+    /// leftmost run wins ties.
     pub fn longest_zero_run_in_reference(
         &self,
         start: usize,
         end: usize,
     ) -> Option<(usize, usize)> {
         longest_zero_run_in_words_reference(&self.bits, start, end.min(self.len))
-    }
-
-    /// Length of the run of consecutive 0 bits starting exactly at `pos`.
-    pub fn zero_run_length_at(&self, pos: usize) -> usize {
-        zero_run_length_in_words(&self.bits, pos, self.len)
-    }
-
-    /// Per-bit reference implementation of [`BaseMask::zero_run_length_at`].
-    pub fn zero_run_length_at_reference(&self, pos: usize) -> usize {
-        zero_run_length_in_words_reference(&self.bits, pos, self.len)
     }
 
     fn clear_padding(&mut self) {
@@ -611,27 +468,34 @@ mod tests {
     #[test]
     fn count_runs_counts_maximal_streaks() {
         let m = BaseMask::from_bools([true, true, false, true, false, false, true, true, true]);
-        assert_eq!(m.count_runs(), 3);
-        assert_eq!(BaseMask::zeros(10).count_runs(), 0);
-        assert_eq!(BaseMask::ones(10).count_runs(), 1);
+        assert_eq!(m.count_runs_reference(), 3);
+        assert_eq!(BaseMask::zeros(10).count_runs_reference(), 0);
+        assert_eq!(BaseMask::ones(10).count_runs_reference(), 1);
     }
 
     #[test]
     fn windowed_counting_rounds_runs_up() {
         let m = BaseMask::from_bools([true, true, false, true, false, false, true, true, true]);
         // Runs of length 2, 1, 3 with window 3 → 1 + 1 + 1.
-        assert_eq!(m.count_edits_windowed(3), 3);
+        assert_eq!(m.count_edits_windowed_reference(3), 3);
         // With window 1 it is a plain popcount.
-        assert_eq!(m.count_edits_windowed(1), m.count_ones());
+        assert_eq!(m.count_edits_windowed_reference(1), m.count_ones());
         // A long streak is charged proportionally.
-        assert_eq!(BaseMask::ones(100).count_edits_windowed(3), 34);
-        assert_eq!(BaseMask::zeros(50).count_edits_windowed(3), 0);
+        assert_eq!(BaseMask::ones(100).count_edits_windowed_reference(3), 34);
+        assert_eq!(BaseMask::zeros(50).count_edits_windowed_reference(3), 0);
+        // The lane kernels' whole-word counter agrees.
+        assert_eq!(count_edits_windowed_in_words(m.words(), 3), 3);
+        assert_eq!(
+            count_edits_windowed_in_words(BaseMask::ones(100).words(), 3),
+            34
+        );
     }
 
     #[test]
     fn windowed_counting_with_zero_window_is_popcount() {
         let m = BaseMask::from_bools([true, false, true, true]);
-        assert_eq!(m.count_edits_windowed(0), m.count_ones());
+        assert_eq!(m.count_edits_windowed_reference(0), m.count_ones());
+        assert_eq!(count_edits_windowed_in_words(m.words(), 0), m.count_ones());
     }
 
     #[test]
@@ -640,7 +504,7 @@ mod tests {
         let mut m = BaseMask::from_bools([
             true, false, true, false, false, true, false, false, false, true,
         ]);
-        m.amend_short_zero_runs(2);
+        m.amend_short_zero_runs_reference(2);
         assert_eq!(
             m,
             BaseMask::from_bools([true, true, true, true, true, true, false, false, false, true])
@@ -651,7 +515,7 @@ mod tests {
     fn amendment_does_not_touch_unflanked_runs() {
         // Leading and trailing zero runs are not flanked on both sides.
         let mut m = BaseMask::from_bools([false, true, false, true, false]);
-        m.amend_short_zero_runs(2);
+        m.amend_short_zero_runs_reference(2);
         assert_eq!(m, BaseMask::from_bools([false, true, true, true, false]));
     }
 
@@ -659,7 +523,7 @@ mod tests {
     fn amendment_zero_window_is_a_noop() {
         let mut m = BaseMask::from_bools([true, false, true]);
         let before = m.clone();
-        m.amend_short_zero_runs(0);
+        m.amend_short_zero_runs_reference(0);
         assert_eq!(m, before);
     }
 
@@ -674,17 +538,18 @@ mod tests {
     #[test]
     fn longest_zero_run_finds_the_longest() {
         let m = BaseMask::from_bools([true, false, false, true, false, false, false, true]);
-        assert_eq!(m.longest_zero_run_in(0, 8), Some((4, 3)));
-        assert_eq!(m.longest_zero_run_in(0, 4), Some((1, 2)));
-        assert_eq!(BaseMask::ones(5).longest_zero_run_in(0, 5), None);
+        assert_eq!(m.longest_zero_run_in_reference(0, 8), Some((4, 3)));
+        assert_eq!(m.longest_zero_run_in_reference(0, 4), Some((1, 2)));
+        assert_eq!(BaseMask::ones(5).longest_zero_run_in_reference(0, 5), None);
     }
 
     #[test]
     fn zero_run_length_at_position() {
         let m = BaseMask::from_bools([false, false, true, false]);
-        assert_eq!(m.zero_run_length_at(0), 2);
-        assert_eq!(m.zero_run_length_at(2), 0);
-        assert_eq!(m.zero_run_length_at(3), 1);
+        let at = |pos| zero_run_length_in_words_reference(m.words(), pos, m.len());
+        assert_eq!(at(0), 2);
+        assert_eq!(at(2), 0);
+        assert_eq!(at(3), 1);
     }
 
     #[test]
@@ -706,18 +571,7 @@ mod tests {
                 })
                 .collect();
             let total = words.len() * 64;
-            let start = rng.gen_range(0..=total + 3);
             let end = rng.gen_range(0..=total + 3);
-            assert_eq!(
-                longest_zero_run_in_words(&words, start, end),
-                longest_zero_run_in_words_reference(&words, start, end),
-                "case {case}: words {words:?}, range [{start}, {end})"
-            );
-            assert_eq!(
-                zero_run_length_in_words(&words, start, end),
-                zero_run_length_in_words_reference(&words, start, end),
-                "case {case}: words {words:?}, pos {start}, end {end}"
-            );
             let len = end.min(total);
             let mut runs = Vec::new();
             let mut runs_ref = Vec::new();
@@ -725,8 +579,9 @@ mod tests {
             zero_runs_in_words_reference(&words, len, &mut runs_ref);
             assert_eq!(runs, runs_ref, "case {case}: words {words:?}, len {len}");
             // The collected list is consistent with the single-run scanners:
-            // position-ordered, disjoint, and its longest entry is the one
-            // `longest_zero_run_in_words` reports over the same range.
+            // position-ordered, disjoint, its longest entry is the one
+            // `longest_zero_run_in_words_reference` reports over the same
+            // range, and every run is as long as the probe from its start.
             for pair in runs.windows(2) {
                 assert!(pair[0].0 + pair[0].1 < pair[1].0, "overlapping runs");
             }
@@ -735,31 +590,11 @@ mod tests {
                 .copied()
                 .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
                 .map(|(s, l)| (s as usize, l as usize));
-            assert_eq!(longest, longest_zero_run_in_words(&words, 0, len));
-        }
-    }
-
-    #[test]
-    fn mask_run_scans_match_their_reference_methods() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(32);
-        for _ in 0..2_000 {
-            let len = rng.gen_range(0usize..160);
-            let m = BaseMask::from_bools((0..len).map(|_| rng.gen_bool(0.5)));
-            let start = rng.gen_range(0..=len + 2);
-            let end = rng.gen_range(0..=len + 2);
-            assert_eq!(
-                m.longest_zero_run_in(start, end),
-                m.longest_zero_run_in_reference(start, end),
-                "{m:?} [{start}, {end})"
-            );
-            if len > 0 {
-                let pos = rng.gen_range(0..len);
+            assert_eq!(longest, longest_zero_run_in_words_reference(&words, 0, len));
+            for &(start, run) in &runs {
                 assert_eq!(
-                    m.zero_run_length_at(pos),
-                    m.zero_run_length_at_reference(pos),
-                    "{m:?} at {pos}"
+                    zero_run_length_in_words_reference(&words, start as usize, len),
+                    run as usize
                 );
             }
         }
@@ -769,6 +604,7 @@ mod tests {
     fn padding_bits_never_leak_into_counts() {
         let m = BaseMask::ones(100);
         assert_eq!(m.count_ones(), 100);
-        assert_eq!(m.count_runs(), 1);
+        assert_eq!(m.count_runs_reference(), 1);
+        assert_eq!(count_edits_windowed_in_words(m.words(), 1), 100);
     }
 }

@@ -34,12 +34,14 @@
 //! errors and are rejected. The raw popcount is available as
 //! [`EditCounting::Popcount`] for ablation studies.
 
-use crate::bitvec::BaseMask;
-use crate::traits::{FilterDecision, PreAlignmentFilter};
-use crate::words::{
-    shift_left_bases, shift_right_bases, xor_to_base_mask, xor_to_base_mask_reference,
+use crate::simd::{
+    gatekeeper_filter_block, gatekeeper_filter_block_slices, SimdMode, LANE_BLOCK_PAIRS,
 };
+use crate::traits::{FilterDecision, PreAlignmentFilter};
+use crate::words::{shift_left_bases, shift_right_bases, xor_to_base_mask_reference};
+use gk_seq::pairs::SequencePair;
 use gk_seq::PackedSeq;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How the errors remaining in the final bitvector are counted.
@@ -95,60 +97,22 @@ impl GateKeeperConfig {
     }
 }
 
-/// Runs the GateKeeper kernel on a pre-encoded pair.
+/// Runs the GateKeeper algorithm on a pre-encoded pair, one bit at a time.
 ///
 /// This is the per-thread device function of GateKeeper-GPU: one call is one
-/// *filtration* (§3.1). The caller is responsible for the undefined-pair check when
-/// [`GateKeeperConfig::pass_undefined`] is in effect.
-pub fn gatekeeper_kernel(
-    read: &PackedSeq,
-    reference: &PackedSeq,
-    config: &GateKeeperConfig,
-) -> FilterDecision {
-    kernel_impl(read, reference, config, false)
-}
-
-/// Per-bit reference twin of [`gatekeeper_kernel`].
+/// *filtration* (§3.1). The caller is responsible for the undefined-pair check
+/// when [`GateKeeperConfig::pass_undefined`] is in effect.
 ///
-/// Routes every mask operation through the `*_reference` primitives (per-bit
-/// loops instead of word-parallel rewrites). This is the measured "scalar"
-/// baseline of the SIMD layer and the oracle of the differential test suite —
-/// its decisions must be byte-identical to the widened kernel's.
+/// Per-bit reference twin of [`crate::simd::gatekeeper_kernel_x4`]: every mask
+/// operation is a per-bit loop, so this is the measured "scalar" baseline of
+/// the SIMD layer, the path of every pair the lanes cannot take, and the
+/// oracle of the differential test suite — its decisions must be
+/// byte-identical to the lane kernel's.
 pub fn gatekeeper_kernel_reference(
     read: &PackedSeq,
     reference: &PackedSeq,
     config: &GateKeeperConfig,
 ) -> FilterDecision {
-    kernel_impl(read, reference, config, true)
-}
-
-fn kernel_impl(
-    read: &PackedSeq,
-    reference: &PackedSeq,
-    config: &GateKeeperConfig,
-    use_reference: bool,
-) -> FilterDecision {
-    let xor_mask = if use_reference {
-        xor_to_base_mask_reference
-    } else {
-        xor_to_base_mask
-    };
-    let amend = if use_reference {
-        BaseMask::amend_short_zero_runs_reference
-    } else {
-        BaseMask::amend_short_zero_runs
-    };
-    let count_windowed = if use_reference {
-        BaseMask::count_edits_windowed_reference
-    } else {
-        BaseMask::count_edits_windowed
-    };
-    let set_range = if use_reference {
-        BaseMask::set_range_reference
-    } else {
-        BaseMask::set_range
-    };
-
     let len = read.len().min(reference.len());
     if len == 0 {
         return FilterDecision::accept(0);
@@ -157,12 +121,12 @@ fn kernel_impl(
     let window = config.amend_run_len + 1;
 
     // Hamming mask: exact-match detection.
-    let mut hamming = xor_mask(read.words(), reference.words(), len);
+    let mut hamming = xor_to_base_mask_reference(read.words(), reference.words(), len);
 
     if e == 0 {
         // Exact matching: any difference rejects the pair.
         let errors = match config.counting {
-            EditCounting::WindowedRuns => count_windowed(&hamming, window),
+            EditCounting::WindowedRuns => hamming.count_edits_windowed_reference(window),
             EditCounting::Popcount => hamming.count_ones(),
         };
         return if hamming.count_ones() == 0 {
@@ -181,7 +145,7 @@ fn kernel_impl(
     // beyond the read length, which for huge thresholds aborted on allocation;
     // `e ≥ len` now degrades to the full set of meaningful shifts.
     let max_shift = (e as usize).min(len.saturating_sub(1));
-    amend(&mut hamming, config.amend_run_len);
+    hamming.amend_short_zero_runs_reference(config.amend_run_len);
     // The Hamming mask seeds the running AND; each shifted mask is folded in
     // as soon as it is built, so no `2e + 1` mask vector is ever held.
     let mut combined = hamming;
@@ -189,28 +153,28 @@ fn kernel_impl(
     for k in 1..=max_shift {
         // Deletion mask: read shifted towards higher positions by k bases.
         let shifted = shift_right_bases(read.words(), k);
-        let mut del_mask = xor_mask(&shifted, reference.words(), len);
-        amend(&mut del_mask, config.amend_run_len);
+        let mut del_mask = xor_to_base_mask_reference(&shifted, reference.words(), len);
+        del_mask.amend_short_zero_runs_reference(config.amend_run_len);
         if config.improved_boundaries {
             // The first k positions were vacated by the shift; the comparison there
             // is against bases outside the read and must signal a potential error.
-            set_range(&mut del_mask, 0, k.min(len));
+            del_mask.set_range_reference(0, k.min(len));
         }
         combined.and_assign(&del_mask);
 
         // Insertion mask: read shifted towards lower positions by k bases.
         let shifted = shift_left_bases(read.words(), k);
-        let mut ins_mask = xor_mask(&shifted, reference.words(), len);
-        amend(&mut ins_mask, config.amend_run_len);
+        let mut ins_mask = xor_to_base_mask_reference(&shifted, reference.words(), len);
+        ins_mask.amend_short_zero_runs_reference(config.amend_run_len);
         if config.improved_boundaries {
             // The last k positions were vacated by the shift.
-            set_range(&mut ins_mask, len.saturating_sub(k), len);
+            ins_mask.set_range_reference(len.saturating_sub(k), len);
         }
         combined.and_assign(&ins_mask);
     }
 
     let errors = match config.counting {
-        EditCounting::WindowedRuns => count_windowed(&combined, window),
+        EditCounting::WindowedRuns => combined.count_edits_windowed_reference(window),
         EditCounting::Popcount => combined.count_ones(),
     };
     if errors <= e {
@@ -225,16 +189,28 @@ fn kernel_impl(
 struct GateKeeperFamily {
     name: &'static str,
     config: GateKeeperConfig,
+    /// Resolved against `GK_SIMD` once, at construction — not per pair.
+    simd: SimdMode,
 }
 
 impl GateKeeperFamily {
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        let read_packed = PackedSeq::from_ascii(read);
-        let ref_packed = PackedSeq::from_ascii(reference);
-        if self.config.pass_undefined && (read_packed.is_undefined() || ref_packed.is_undefined()) {
-            return FilterDecision::undefined_pass();
+    fn new(name: &'static str, config: GateKeeperConfig) -> GateKeeperFamily {
+        GateKeeperFamily {
+            name,
+            config,
+            simd: SimdMode::Auto.resolve(),
         }
-        gatekeeper_kernel(&read_packed, &ref_packed, &self.config)
+    }
+
+    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
+        gatekeeper_filter_block_slices(&[(read, reference)], &self.config, self.simd)[0]
+    }
+
+    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
+        pairs
+            .par_chunks(LANE_BLOCK_PAIRS)
+            .flat_map(|block| gatekeeper_filter_block(block, &self.config, self.simd))
+            .collect()
     }
 }
 
@@ -242,7 +218,9 @@ impl GateKeeperFamily {
 ///
 /// This type implements the *algorithm* on the host; the batched, device-simulated
 /// system (configuration, unified-memory buffers, kernel launches, multi-GPU) lives
-/// in the `gk-core` crate and reuses [`gatekeeper_kernel`] as its per-thread body.
+/// in the `gk-core` crate and runs the same block drivers
+/// ([`crate::simd::gatekeeper_filter_block_packed`] and
+/// [`crate::simd::gatekeeper_filter_block_slices`]).
 #[derive(Debug, Clone)]
 pub struct GateKeeperGpuFilter {
     inner: GateKeeperFamily,
@@ -252,20 +230,14 @@ impl GateKeeperGpuFilter {
     /// Creates a GateKeeper-GPU filter for error threshold `e`.
     pub fn new(threshold: u32) -> GateKeeperGpuFilter {
         GateKeeperGpuFilter {
-            inner: GateKeeperFamily {
-                name: "GateKeeper-GPU",
-                config: GateKeeperConfig::gpu(threshold),
-            },
+            inner: GateKeeperFamily::new("GateKeeper-GPU", GateKeeperConfig::gpu(threshold)),
         }
     }
 
     /// Creates a filter with a fully custom configuration (for ablation).
     pub fn with_config(config: GateKeeperConfig) -> GateKeeperGpuFilter {
         GateKeeperGpuFilter {
-            inner: GateKeeperFamily {
-                name: "GateKeeper-GPU",
-                config,
-            },
+            inner: GateKeeperFamily::new("GateKeeper-GPU", config),
         }
     }
 
@@ -285,6 +257,9 @@ impl PreAlignmentFilter for GateKeeperGpuFilter {
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
         self.inner.filter_pair(read, reference)
     }
+    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
+        self.inner.filter_batch(pairs)
+    }
 }
 
 /// The original FPGA GateKeeper filter (no leading/trailing fix, no `N` handling).
@@ -297,10 +272,7 @@ impl GateKeeperFpgaFilter {
     /// Creates a GateKeeper-FPGA-semantics filter for error threshold `e`.
     pub fn new(threshold: u32) -> GateKeeperFpgaFilter {
         GateKeeperFpgaFilter {
-            inner: GateKeeperFamily {
-                name: "GateKeeper-FPGA",
-                config: GateKeeperConfig::fpga(threshold),
-            },
+            inner: GateKeeperFamily::new("GateKeeper-FPGA", GateKeeperConfig::fpga(threshold)),
         }
     }
 }
@@ -314,6 +286,9 @@ impl PreAlignmentFilter for GateKeeperFpgaFilter {
     }
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
         self.inner.filter_pair(read, reference)
+    }
+    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
+        self.inner.filter_batch(pairs)
     }
 }
 
@@ -329,10 +304,7 @@ impl ShdFilter {
     /// Creates an SHD filter for error threshold `e`.
     pub fn new(threshold: u32) -> ShdFilter {
         ShdFilter {
-            inner: GateKeeperFamily {
-                name: "SHD",
-                config: GateKeeperConfig::fpga(threshold),
-            },
+            inner: GateKeeperFamily::new("SHD", GateKeeperConfig::fpga(threshold)),
         }
     }
 }
@@ -346,6 +318,9 @@ impl PreAlignmentFilter for ShdFilter {
     }
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
         self.inner.filter_pair(read, reference)
+    }
+    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
+        self.inner.filter_batch(pairs)
     }
 }
 

@@ -39,15 +39,15 @@ pub mod words;
 pub use accuracy::{evaluate_filter, evaluate_with_truth, ground_truth_distances, AccuracyReport};
 pub use bitvec::BaseMask;
 pub use gatekeeper::{
-    gatekeeper_kernel, gatekeeper_kernel_reference, EditCounting, GateKeeperConfig,
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, ShdFilter,
+    gatekeeper_kernel_reference, EditCounting, GateKeeperConfig, GateKeeperFpgaFilter,
+    GateKeeperGpuFilter, ShdFilter,
 };
 pub use magnet::{
-    magnet_filter_block, magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision,
+    magnet_filter_block, magnet_filter_block_slices, magnet_kernel_x4,
     magnet_pair_decision_reference, MagnetFilter,
 };
 pub use shouji::{
-    shouji_filter_block, shouji_filter_block_slices, shouji_kernel_x4, shouji_pair_decision,
+    shouji_filter_block, shouji_filter_block_slices, shouji_kernel_x4,
     shouji_pair_decision_reference, ShoujiFilter,
 };
 pub use simd::{
@@ -56,6 +56,6 @@ pub use simd::{
 };
 pub use sneaky_snake::{
     sneaky_snake_filter_block, sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4,
-    sneaky_snake_pair_decision, sneaky_snake_pair_decision_reference, SneakySnakeFilter,
+    sneaky_snake_pair_decision_reference, SneakySnakeFilter,
 };
 pub use traits::{decision_digest, FilterDecision, PreAlignmentFilter};

@@ -25,9 +25,7 @@ use crate::simd::{
     shr_rows, LaneMask, LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
-use crate::words::{
-    shift_left_bases, shift_right_bases, xor_to_base_mask, xor_to_base_mask_reference,
-};
+use crate::words::{shift_left_bases, shift_right_bases, xor_to_base_mask_reference};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
 use rayon::prelude::*;
@@ -50,31 +48,20 @@ impl MagnetFilter {
         }
     }
 
-    /// Selects the SIMD mode for `filter_batch` (resolved immediately; `Auto`
-    /// consults `GK_SIMD` now, not on the hot path). Decisions are
+    /// Selects the SIMD mode for `filter_pair` and `filter_batch` (resolved
+    /// immediately; `Auto` consults `GK_SIMD` now, not on the hot path). Decisions are
     /// byte-identical across modes; only throughput changes.
     pub fn with_simd_mode(mut self, simd: SimdMode) -> MagnetFilter {
         self.simd = simd.resolve();
         self
     }
 
-    /// The resolved SIMD mode this instance runs batches with.
+    /// The resolved SIMD mode this instance filters with.
     pub fn simd_mode(&self) -> SimdMode {
         self.simd
     }
 
-    fn build_masks(
-        read: &PackedSeq,
-        reference: &PackedSeq,
-        e: u32,
-        len: usize,
-        use_reference: bool,
-    ) -> Vec<BaseMask> {
-        let xor = if use_reference {
-            xor_to_base_mask_reference
-        } else {
-            xor_to_base_mask
-        };
+    fn build_masks(read: &PackedSeq, reference: &PackedSeq, e: u32, len: usize) -> Vec<BaseMask> {
         // Same shift clamp as the GateKeeper kernel: a shift by `k ≥ len`
         // vacates every position and MAGNET pads vacated positions with 1s, so
         // those masks are all 1s and contribute no zero runs — building them
@@ -82,17 +69,21 @@ impl MagnetFilter {
         // huge thresholds aborted on allocation.
         let max_shift = (e as usize).min(len.saturating_sub(1));
         let mut masks = Vec::with_capacity(2 * max_shift + 1);
-        masks.push(xor(read.words(), reference.words(), len));
+        masks.push(xor_to_base_mask_reference(
+            read.words(),
+            reference.words(),
+            len,
+        ));
         for k in 1..=max_shift {
             let shifted = shift_right_bases(read.words(), k);
-            let mut del_mask = xor(&shifted, reference.words(), len);
+            let mut del_mask = xor_to_base_mask_reference(&shifted, reference.words(), len);
             // MAGNET explicitly pads the vacated positions with 1s (this is the very
             // behaviour GateKeeper-GPU later adopted).
             del_mask.set_range(0, k.min(len));
             masks.push(del_mask);
 
             let shifted = shift_left_bases(read.words(), k);
-            let mut ins_mask = xor(&shifted, reference.words(), len);
+            let mut ins_mask = xor_to_base_mask_reference(&shifted, reference.words(), len);
             ins_mask.set_range(len.saturating_sub(k), len);
             masks.push(ins_mask);
         }
@@ -101,17 +92,16 @@ impl MagnetFilter {
 
     /// Greedy divide-and-conquer extraction of the longest zero runs, as a
     /// pure function of `masks` via [`Extraction`] (kept as a mask-level entry
-    /// point for the extraction regression tests; the production paths go
-    /// through [`magnet_pair_decision`] / [`magnet_kernel_x4`]).
+    /// point for the extraction regression tests; the decision paths go
+    /// through [`magnet_pair_decision_reference`] / [`magnet_kernel_x4`]).
     #[cfg(test)]
     fn estimate_edits(masks: &[BaseMask], len: usize, e: u32) -> u32 {
-        Self::estimate_edits_with(len, e, |start, end| best_mask_run(masks, start, end, false))
+        Self::estimate_edits_with(len, e, |start, end| best_mask_run(masks, start, end))
     }
 
     /// The extraction loop over an abstract run finder: `best_run(start, end)`
     /// returns the longest (leftmost on ties) zero run across all masks inside
-    /// `[start, end)`. Shared by the word-at-a-time scalar path, its per-bit
-    /// reference twin and (per lane) the SoA kernel.
+    /// `[start, end)`. Drives the per-bit reference twin.
     fn estimate_edits_with<F>(len: usize, e: u32, mut best_run: F) -> u32
     where
         F: FnMut(usize, usize) -> Option<(usize, usize)>,
@@ -131,20 +121,10 @@ impl MagnetFilter {
 
 /// The longest (leftmost on ties) zero run across all masks inside
 /// `[start, end)`.
-fn best_mask_run(
-    masks: &[BaseMask],
-    start: usize,
-    end: usize,
-    use_reference: bool,
-) -> Option<(usize, usize)> {
+fn best_mask_run(masks: &[BaseMask], start: usize, end: usize) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize)> = None;
     for mask in masks {
-        let run = if use_reference {
-            mask.longest_zero_run_in_reference(start, end)
-        } else {
-            mask.longest_zero_run_in(start, end)
-        };
-        if let Some((run_start, run_len)) = run {
+        if let Some((run_start, run_len)) = mask.longest_zero_run_in_reference(start, end) {
             let better = match best {
                 None => true,
                 Some((best_start, best_len)) => {
@@ -266,9 +246,8 @@ struct Interval {
 }
 
 /// One sequence's extraction state (pending intervals in position order plus
-/// the covered-position count). The scalar path drives one of these to
-/// completion; the lane kernel steps four of them round-major, retiring
-/// finished lanes from a [`LaneMask`] while the group keeps stepping.
+/// the covered-position count). The per-bit reference drives one of these to
+/// completion; the lane kernel steps a [`RunHeap`] per lane instead.
 ///
 /// Ties between equal-length runs are broken towards the **leftmost** start
 /// position, and the pending intervals are kept in position order, so the
@@ -354,15 +333,14 @@ impl Extraction {
     }
 }
 
-/// Decision for one pair on the per-sequence path; `use_reference` selects
-/// the per-bit primitive twins for every mask build and run scan (the scalar
-/// differential leg).
-pub fn magnet_pair_decision(
-    read: &[u8],
-    reference: &[u8],
-    e: u32,
-    use_reference: bool,
-) -> FilterDecision {
+/// Per-bit reference twin of [`magnet_kernel_x4`]: the reference XOR mask
+/// build, per-bit run scans and per-bit extraction probes for one pair, of
+/// any lengths. Decisions are byte-identical to the lane kernel; only
+/// throughput differs. This is the `SimdMode::Scalar` leg, the path of every
+/// pair the lanes cannot take, and the function the differential property
+/// suite pins the lane kernel against (the `kernel-twin` invariant in
+/// `gk-analyze` checks it stays that way).
+pub fn magnet_pair_decision_reference(read: &[u8], reference: &[u8], e: u32) -> FilterDecision {
     let read_packed = PackedSeq::from_ascii(read);
     let ref_packed = PackedSeq::from_ascii(reference);
     let len = read_packed.len().min(ref_packed.len());
@@ -370,38 +348,22 @@ pub fn magnet_pair_decision(
         return FilterDecision::accept(0);
     }
     if e == 0 {
-        let mask = if use_reference {
-            xor_to_base_mask_reference(read_packed.words(), ref_packed.words(), len)
-        } else {
-            xor_to_base_mask(read_packed.words(), ref_packed.words(), len)
-        };
-        let ones = mask.count_ones();
+        let ones =
+            xor_to_base_mask_reference(read_packed.words(), ref_packed.words(), len).count_ones();
         return if ones == 0 {
             FilterDecision::accept(0)
         } else {
             FilterDecision::reject(ones)
         };
     }
-    let masks = MagnetFilter::build_masks(&read_packed, &ref_packed, e, len, use_reference);
-    let edits = MagnetFilter::estimate_edits_with(len, e, |start, end| {
-        best_mask_run(&masks, start, end, use_reference)
-    });
+    let masks = MagnetFilter::build_masks(&read_packed, &ref_packed, e, len);
+    let edits =
+        MagnetFilter::estimate_edits_with(len, e, |start, end| best_mask_run(&masks, start, end));
     if edits <= e {
         FilterDecision::accept(edits)
     } else {
         FilterDecision::reject(edits)
     }
-}
-
-/// Per-bit reference twin of [`magnet_kernel_x4`] (and of the widened
-/// per-pair path): [`magnet_pair_decision`] with every word-parallel
-/// primitive swapped for its scalar `_reference` twin — reference XOR mask
-/// build, per-bit run scans, per-bit extraction probes. Decisions are
-/// byte-identical to the lane kernel; only throughput differs. This is the
-/// function the differential property suite pins the lane kernel against,
-/// and the `kernel-twin` invariant in `gk-analyze` checks it stays that way.
-pub fn magnet_pair_decision_reference(read: &[u8], reference: &[u8], e: u32) -> FilterDecision {
-    magnet_pair_decision(read, reference, e, true)
 }
 
 /// Runs MAGNET on all lanes of a struct-of-arrays group at once. Decisions of
@@ -438,7 +400,7 @@ pub fn magnet_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES]
         return out;
     }
 
-    // Same shift clamp as the scalar path: shifts ≥ len yield all-ones masks
+    // Same shift clamp as the reference: shifts ≥ len yield all-ones masks
     // with no zero runs to extract.
     let max_shift = (e as usize).min(len - 1);
     let mut masks: Vec<Vec<LaneRow>> = Vec::with_capacity(2 * max_shift + 1);
@@ -513,9 +475,9 @@ pub fn magnet_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES]
 /// Filters a block of raw ASCII pairs through MAGNET, lane-parallel where
 /// possible. In lane mode, consecutive runs of lane-eligible pairs (defined
 /// bases, equal nonzero lengths) are transposed into [`SoaGroup`]s and run
-/// through [`magnet_kernel_x4`]; everything else falls back to the
-/// word-at-a-time per-pair path. In scalar mode every pair runs the per-bit
-/// reference primitives. Output order matches input order.
+/// through [`magnet_kernel_x4`]; everything else runs
+/// [`magnet_pair_decision_reference`], as does every pair in scalar mode.
+/// Output order matches input order.
 pub fn magnet_filter_block_slices(
     pairs: &[(&[u8], &[u8])],
     threshold: u32,
@@ -526,8 +488,7 @@ pub fn magnet_filter_block_slices(
         mode,
         |read, reference| lane_alphabet(read) && lane_alphabet(reference),
         |group| magnet_kernel_x4(group, threshold),
-        |read, reference| magnet_pair_decision(read, reference, threshold, false),
-        |read, reference| magnet_pair_decision(read, reference, threshold, true),
+        |read, reference| magnet_pair_decision_reference(read, reference, threshold),
     )
 }
 
@@ -554,7 +515,7 @@ impl PreAlignmentFilter for MagnetFilter {
     }
 
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        magnet_pair_decision(read, reference, self.threshold, false)
+        magnet_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
@@ -866,7 +827,7 @@ mod tests {
             let group = SoaGroup::encode_slices(&slices).expect("lane-eligible group");
             let lane_decisions = magnet_kernel_x4(&group, e);
             for (lane, (read, reference)) in pairs.iter().enumerate() {
-                let expected = magnet_pair_decision(read, reference, e, false);
+                let expected = magnet_pair_decision_reference(read, reference, e);
                 assert_eq!(
                     lane_decisions[lane], expected,
                     "len = {len}, e = {e}, lane = {lane}"
@@ -895,28 +856,35 @@ mod tests {
                 let group = SoaGroup::encode_slices(&slices).unwrap();
                 let lane_decisions = magnet_kernel_x4(&group, e);
                 for (lane, (read, reference)) in pairs.iter().enumerate() {
-                    let expected = magnet_pair_decision(read, reference, e, false);
+                    let expected = magnet_pair_decision_reference(read, reference, e);
                     assert_eq!(lane_decisions[lane], expected, "len = {len}, e = {e}");
                 }
             }
         }
     }
 
+    /// `filter_pair` is a one-pair block: one lane of the x4 kernel for an
+    /// eligible pair, the reference for a ragged, empty or undefined one.
     #[test]
     fn per_pair_path_matches_its_per_bit_reference_twin() {
         let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..300 {
+        for case in 0..300 {
             let len = rng.gen_range(0usize..=96);
             let e = rng.gen_range(0u32..=8);
             let reference = random_seq(len, &mut rng);
-            let read = if len == 0 {
+            let mut read = if len == 0 {
                 Vec::new()
             } else {
                 mutate_with_edits(&reference, rng.gen_range(0..=8), 0.3, &mut rng)
             };
+            if case % 5 == 0 && !read.is_empty() {
+                let mid = read.len() / 2;
+                read[mid] = b'N';
+            }
+            let filter = MagnetFilter::new(e).with_simd_mode(SimdMode::Lanes);
             assert_eq!(
-                magnet_pair_decision(&read, &reference, e, false),
-                magnet_pair_decision(&read, &reference, e, true),
+                filter.filter_pair(&read, &reference),
+                magnet_pair_decision_reference(&read, &reference, e),
                 "len = {len}, e = {e}"
             );
         }
@@ -951,7 +919,7 @@ mod tests {
             .collect();
         let expected: Vec<FilterDecision> = pairs
             .iter()
-            .map(|(read, reference)| magnet_pair_decision(read, reference, e, false))
+            .map(|(read, reference)| magnet_pair_decision_reference(read, reference, e))
             .collect();
         let lanes = magnet_filter_block_slices(&slices, e, SimdMode::Lanes);
         assert_eq!(lanes, expected);
@@ -978,7 +946,7 @@ mod tests {
         assert_eq!(lanes, scalar);
         let per_pair: Vec<FilterDecision> = batch
             .iter()
-            .map(|p| magnet_pair_decision(&p.read, &p.reference, 5, false))
+            .map(|p| magnet_pair_decision_reference(&p.read, &p.reference, 5))
             .collect();
         assert_eq!(lanes, per_pair);
     }

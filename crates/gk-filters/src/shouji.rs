@@ -44,106 +44,46 @@ impl ShoujiFilter {
         }
     }
 
-    /// Selects the SIMD mode for `filter_batch` (resolved immediately; `Auto`
-    /// consults `GK_SIMD` now, not on the hot path). Decisions are
+    /// Selects the SIMD mode for `filter_pair` and `filter_batch` (resolved
+    /// immediately; `Auto` consults `GK_SIMD` now, not on the hot path). Decisions are
     /// byte-identical across modes; only throughput changes.
     pub fn with_simd_mode(mut self, simd: SimdMode) -> ShoujiFilter {
         self.simd = simd.resolve();
         self
     }
 
-    /// The resolved SIMD mode this instance runs batches with.
+    /// The resolved SIMD mode this instance filters with.
     pub fn simd_mode(&self) -> SimdMode {
         self.simd
     }
-
-    /// Neighborhood-map entry for column `col` and diagonal `diag`: `false` (0)
-    /// when the bases agree.
-    #[inline]
-    fn mismatch(read: &[u8], reference: &[u8], col: usize, diag: isize) -> bool {
-        let t = col as isize + diag;
-        if t < 0 || t as usize >= reference.len() {
-            return true;
-        }
-        read[col] != reference[t as usize]
-    }
-
-    /// Builds the Shouji bit-vector and returns the number of 1s in it.
-    ///
-    /// The windows are non-overlapping: each four-column window independently picks
-    /// the diagonal segment with the most matches and copies its bits into the
-    /// Shouji bit-vector. (The original Shouji additionally searches overlapping
-    /// window placements to stitch segments that straddle a window border; the
-    /// non-overlapping approximation keeps the qualitative accuracy ordering of the
-    /// paper — tighter than GateKeeper, looser than SneakySnake — at the cost of a
-    /// rare over-estimate around indel junctions, noted in DESIGN.md.)
-    fn estimate_edits(read: &[u8], reference: &[u8], e: u32) -> u32 {
-        let len = read.len().min(reference.len());
-        if len == 0 {
-            return 0;
-        }
-        // Diagonals outside the reachable band (`col + diag` out of reference
-        // range for every column) are all-mismatch and can never beat the seeded
-        // window width, so clamp the sweep instead of walking up to ~2^33 no-op
-        // diagonals per window when a caller passes a huge threshold.
-        let lo = -((e as usize).min(len - 1) as isize);
-        let hi = (e as usize).min(reference.len() - 1) as isize;
-        let mut edits = 0u32;
-
-        let mut col = 0usize;
-        while col < len {
-            let end = (col + WINDOW).min(len);
-            // Find the diagonal whose segment over [col, end) has the most matches,
-            // i.e. the fewest 1s to contribute to the Shouji bit-vector. The seed is
-            // the all-mismatch score of the (possibly tail-truncated) window, which
-            // every in-band diagonal can only improve on.
-            let mut best_mismatches = (end - col) as u32;
-            for diag in lo..=hi {
-                let mismatches = (col..end)
-                    .filter(|&c| Self::mismatch(read, reference, c, diag))
-                    .count() as u32;
-                if mismatches < best_mismatches {
-                    best_mismatches = mismatches;
-                    if best_mismatches == 0 {
-                        break;
-                    }
-                }
-            }
-            edits += best_mismatches;
-            col = end;
-        }
-
-        edits
-    }
 }
 
-/// Decision for one pair on the per-byte scalar path.
-pub fn shouji_pair_decision(read: &[u8], reference: &[u8], e: u32) -> FilterDecision {
-    let edits = ShoujiFilter::estimate_edits(read, reference, e);
-    if edits <= e {
-        FilterDecision::accept(edits)
-    } else {
-        FilterDecision::reject(edits)
-    }
-}
-
-/// Per-bit reference twin of [`shouji_pair_decision`] — the
-/// `SimdMode::Scalar` differential leg, mirroring the GateKeeper and MAGNET
-/// reference paths.
+/// Per-bit reference twin of [`shouji_kernel_x4`] — the `SimdMode::Scalar`
+/// leg and the path of every pair the lanes cannot take, mirroring the
+/// GateKeeper and MAGNET reference paths.
 ///
 /// Materialises the full neighborhood map the paper describes (one mismatch
-/// [`BaseMask`] per in-band diagonal, built from the same raw ASCII
-/// comparisons as the per-byte sweep, with out-of-range columns as
+/// [`BaseMask`] per in-band diagonal, built from raw ASCII comparisons —
+/// `'a' ≠ 'A'`, `'N'` mismatches everything — with out-of-range columns as
 /// mismatches) and scores every window on every diagonal one bit at a time
-/// with no early exits. Decisions are byte-identical to the per-byte sweep
-/// and the lane kernel; only throughput differs.
+/// with no early exits.
+///
+/// The windows are non-overlapping: each four-column window independently
+/// picks the diagonal segment with the most matches and copies its bits into
+/// the Shouji bit-vector. (The original Shouji additionally searches
+/// overlapping window placements to stitch segments that straddle a window
+/// border; the non-overlapping approximation keeps the qualitative accuracy
+/// ordering of the paper — tighter than GateKeeper, looser than SneakySnake —
+/// at the cost of a rare over-estimate around indel junctions.)
 pub fn shouji_pair_decision_reference(read: &[u8], reference: &[u8], e: u32) -> FilterDecision {
     let len = read.len().min(reference.len());
     if len == 0 {
         return FilterDecision::accept(0);
     }
-    // Same band clamp as the per-byte sweep: out-of-band diagonals are
-    // all-mismatch and can never beat the seeded window width.
+    // Diagonals outside the reachable band (`col + diag` out of reference
+    // range for every column) are all-mismatch and can never beat the seeded
+    // window width, so clamp the band instead of building up to ~2^33 no-op
+    // diagonals when a caller passes a huge threshold.
     let lo = -((e as usize).min(len - 1) as isize);
     let hi = (e as usize).min(reference.len() - 1) as isize;
     let map: Vec<BaseMask> = (lo..=hi)
@@ -158,6 +98,8 @@ pub fn shouji_pair_decision_reference(read: &[u8], reference: &[u8], e: u32) -> 
     let mut col = 0usize;
     while col < len {
         let end = (col + WINDOW).min(len);
+        // The seed is the all-mismatch score of the (possibly tail-truncated)
+        // window, which every in-band diagonal can only improve on.
         let mut best_mismatches = (end - col) as u32;
         for mask in &map {
             let mismatches = (col..end).filter(|&c| mask.get(c)).count() as u32;
@@ -208,7 +150,7 @@ pub fn shouji_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES]
     debug_assert!(len > 0, "SoaGroup guarantees a nonzero length");
     let mask_rows = len.div_ceil(WORD_BITS);
 
-    // Equal-length lanes make the scalar path's asymmetric band clamps
+    // Equal-length lanes make the reference's asymmetric band clamps
     // coincide: lo = −min(e, len−1), hi = +min(e, len−1).
     let maxd = (e as usize).min(len - 1);
 
@@ -262,12 +204,11 @@ pub fn shouji_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES]
 }
 
 /// Filters a block of raw ASCII pairs through Shouji, lane-parallel where
-/// possible. The scalar sweep compares raw ASCII bytes (`'a' ≠ 'A'`) while
-/// the lane kernel compares 2-bit codes, so lane eligibility is restricted to
+/// possible. The reference compares raw ASCII bytes (`'a' ≠ 'A'`) while the
+/// lane kernel compares 2-bit codes, so lane eligibility is restricted to
 /// uppercase `ACGT` pairs where the two comparisons provably agree; everything
-/// else falls back to the per-byte path. In scalar mode every pair runs the
-/// per-bit reference twin ([`shouji_pair_decision_reference`]), mirroring the
-/// GateKeeper and MAGNET scalar legs. Output order matches input order.
+/// else runs [`shouji_pair_decision_reference`], as does every pair in scalar
+/// mode. Output order matches input order.
 pub fn shouji_filter_block_slices(
     pairs: &[(&[u8], &[u8])],
     threshold: u32,
@@ -278,7 +219,6 @@ pub fn shouji_filter_block_slices(
         mode,
         |read, reference| canonical_acgt(read) && canonical_acgt(reference),
         |group| shouji_kernel_x4(group, threshold),
-        |read, reference| shouji_pair_decision(read, reference, threshold),
         |read, reference| shouji_pair_decision_reference(read, reference, threshold),
     )
 }
@@ -306,7 +246,7 @@ impl PreAlignmentFilter for ShoujiFilter {
     }
 
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        shouji_pair_decision(read, reference, self.threshold)
+        shouji_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
@@ -332,8 +272,8 @@ mod tests {
 
     /// Brute-force window scorer: enumerates the full `[-e, e]` band with naive
     /// indexing and seeds each window from `u32::MAX` rather than the window
-    /// width, so it shares no shortcut with the production code — in particular
-    /// not the truncated-width seed of the final, tail-overhanging window.
+    /// width, so it shares no shortcut with the reference — in particular not
+    /// the truncated-width seed of the final, tail-overhanging window.
     fn brute_force_estimate(read: &[u8], reference: &[u8], e: u32) -> u32 {
         let len = read.len().min(reference.len());
         let mut edits = 0u32;
@@ -355,6 +295,11 @@ mod tests {
             col = end;
         }
         edits
+    }
+
+    /// Edit estimate of the reference twin.
+    fn estimate(read: &[u8], reference: &[u8], e: u32) -> u32 {
+        shouji_pair_decision_reference(read, reference, e).estimated_edits
     }
 
     #[test]
@@ -487,7 +432,7 @@ mod tests {
             };
             let e = rng.gen_range(0u32..=12);
             assert_eq!(
-                ShoujiFilter::estimate_edits(&read, &reference, e),
+                estimate(&read, &reference, e),
                 brute_force_estimate(&read, &reference, e),
                 "read {} bp vs reference {} bp at e = {e}",
                 read.len(),
@@ -507,7 +452,7 @@ mod tests {
             let read = mutate_with_edits(&reference, 3, 0.5, &mut rng);
             for e in [0u32, 1, 3, 5] {
                 assert_eq!(
-                    ShoujiFilter::estimate_edits(&read, &reference, e),
+                    estimate(&read, &reference, e),
                     brute_force_estimate(&read, &reference, e),
                     "len {len}, e = {e}"
                 );
@@ -524,7 +469,7 @@ mod tests {
         let d = ShoujiFilter::new(u32::MAX).filter_pair(&a, &b);
         assert!(d.accepted);
         assert_eq!(
-            ShoujiFilter::estimate_edits(&a, &b, u32::MAX),
+            estimate(&a, &b, u32::MAX),
             brute_force_estimate(&a, &b, 150),
         );
     }
@@ -553,7 +498,7 @@ mod tests {
                 let read = mutate_with_edits(&reference, rng.gen_range(0..=len), 0.5, &mut rng);
                 for e in [0u32, 1, len.saturating_sub(1) as u32, len as u32] {
                     assert_eq!(
-                        ShoujiFilter::estimate_edits(&read, &reference, e),
+                        estimate(&read, &reference, e),
                         brute_force_estimate(&read, &reference, e),
                         "len {len}, e = {e}"
                     );
@@ -584,7 +529,7 @@ mod tests {
             let group = SoaGroup::encode_slices(&slices).expect("lane-eligible group");
             let lane_decisions = shouji_kernel_x4(&group, e);
             for (lane, (read, reference)) in pairs.iter().enumerate() {
-                let expected = shouji_pair_decision(read, reference, e);
+                let expected = shouji_pair_decision_reference(read, reference, e);
                 assert_eq!(
                     lane_decisions[lane], expected,
                     "len = {len}, e = {e}, lane = {lane}"
@@ -613,53 +558,18 @@ mod tests {
                 let group = SoaGroup::encode_slices(&slices).unwrap();
                 let lane_decisions = shouji_kernel_x4(&group, e);
                 for (lane, (read, reference)) in pairs.iter().enumerate() {
-                    let expected = shouji_pair_decision(read, reference, e);
+                    let expected = shouji_pair_decision_reference(read, reference, e);
                     assert_eq!(lane_decisions[lane], expected, "len = {len}, e = {e}");
                 }
             }
         }
     }
 
-    /// The per-bit reference twin must match the per-byte production sweep
-    /// byte-for-byte, including ragged lengths, non-canonical bytes (raw
-    /// ASCII semantics: `'a' ≠ 'A'`, `'N'` mismatches everything) and huge
-    /// thresholds that exercise the band clamp.
-    #[test]
-    fn per_byte_path_matches_its_per_bit_reference_twin() {
-        let mut rng = StdRng::seed_from_u64(33);
-        for case in 0..400 {
-            let len = rng.gen_range(0usize..=96);
-            let e = if case % 17 == 0 {
-                u32::MAX
-            } else {
-                rng.gen_range(0u32..=8)
-            };
-            let reference = random_seq(len, &mut rng);
-            let mut read = if len == 0 {
-                Vec::new()
-            } else {
-                mutate_with_edits(&reference, rng.gen_range(0..=8), 0.3, &mut rng)
-            };
-            if case % 5 == 0 && !read.is_empty() {
-                let mid = read.len() / 2;
-                read[mid] = if case % 10 == 0 { b'N' } else { b'a' };
-            }
-            if case % 7 == 0 {
-                read.pop();
-            }
-            assert_eq!(
-                shouji_pair_decision(&read, &reference, e),
-                shouji_pair_decision_reference(&read, &reference, e),
-                "case {case}: len = {len}, e = {e}"
-            );
-        }
-    }
-
     #[test]
     fn block_driver_matches_per_pair_decisions_with_mixed_pairs() {
         // Mixed lengths, ragged pairs, empty pairs, and lowercase/N bases —
-        // the latter two must take the per-byte fallback because Shouji's
-        // scalar sweep is case-sensitive while the 2-bit lanes are not.
+        // the latter two must leave the lanes because Shouji's reference is
+        // case-sensitive while the 2-bit lanes are not.
         let mut rng = StdRng::seed_from_u64(33);
         let e = 4u32;
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
@@ -690,7 +600,7 @@ mod tests {
             .collect();
         let expected: Vec<FilterDecision> = pairs
             .iter()
-            .map(|(read, reference)| shouji_pair_decision(read, reference, e))
+            .map(|(read, reference)| shouji_pair_decision_reference(read, reference, e))
             .collect();
         let lanes = shouji_filter_block_slices(&slices, e, SimdMode::Lanes);
         assert_eq!(lanes, expected);
@@ -717,7 +627,7 @@ mod tests {
         assert_eq!(lanes, scalar);
         let per_pair: Vec<FilterDecision> = batch
             .iter()
-            .map(|p| shouji_pair_decision(&p.read, &p.reference, 5))
+            .map(|p| shouji_pair_decision_reference(&p.read, &p.reference, 5))
             .collect();
         assert_eq!(lanes, per_pair);
     }

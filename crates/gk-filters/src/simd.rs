@@ -3,25 +3,23 @@
 //!
 //! The paper's pipeline is pure bit algebra — XOR, shifts with carry transfer,
 //! OR-reduction, a `2e + 1`-way AND (§3.4) — which makes it embarrassingly
-//! wide: the same operation applies to every pair independently. This module
-//! exploits that in two stacked ways:
+//! wide: the same operation applies to every pair independently. Four pairs
+//! are transposed into the [`SoaGroup`] struct-of-arrays layout (`[u64; 4]`
+//! rows ≙ one 256-bit vector) and filtered together, every mask walk a
+//! whole-word bit trick — the shims world has no `std::simd`, so the lanes
+//! are portable `[u64; 4]` arrays the compiler auto-vectorizes.
 //!
-//! 1. **Word-parallel primitives** (in [`crate::bitvec`] / [`crate::words`]):
-//!    every mask walk is a whole-word bit trick instead of a per-bit loop.
-//! 2. **Lane-parallel batches** (here): four pairs are transposed into the
-//!    [`SoaGroup`] struct-of-arrays layout (`[u64; 4]` rows ≙ one 256-bit
-//!    vector) and filtered together — the shims world has no `std::simd`, so
-//!    the lanes are portable `[u64; 4]` arrays the compiler auto-vectorizes.
-//!
-//! [`SimdMode`] selects between the lane path and the per-bit scalar reference
-//! at runtime (`GK_SIMD=scalar` forces the fallback; the CI matrix keeps both
-//! paths green). Decisions are byte-identical across all modes: the
-//! differential property suite and the `simd_speedup` bench assert it.
+//! Every filter has exactly two decision paths: its `*_kernel_x4` lane kernel
+//! and its per-bit `*_reference` twin. The block drivers put lane-eligible
+//! pairs on the lanes and run the reference for everything else (ragged,
+//! empty or undefined pairs); a single pair is a one-pair block. [`SimdMode`]
+//! selects between the lane path and the all-reference path at runtime
+//! (`GK_SIMD=scalar` forces the latter; the CI matrix keeps both green).
+//! Decisions are byte-identical across modes: the differential property
+//! suite and the `simd_speedup` bench assert it.
 
 use crate::bitvec::count_edits_windowed_in_words;
-use crate::gatekeeper::{
-    gatekeeper_kernel, gatekeeper_kernel_reference, EditCounting, GateKeeperConfig,
-};
+use crate::gatekeeper::{gatekeeper_kernel_reference, EditCounting, GateKeeperConfig};
 use crate::traits::FilterDecision;
 use gk_seq::alphabet::has_undefined;
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
@@ -131,11 +129,11 @@ pub(crate) type LaneRow = [u64; SOA_LANES];
 pub(crate) const WORD_BITS: usize = 64;
 const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
-/// Pairs handed to one lane-parallel block task by the filters'
-/// `filter_batch` overrides: large enough to amortise the struct-of-arrays
-/// transpose, small enough to keep the work-stealing queue full (mirrors the
-/// `GateKeeperCpu` block size).
-pub(crate) const LANE_BLOCK_PAIRS: usize = 256;
+/// Pairs handed to one lane-parallel block task — by the filters'
+/// `filter_batch` overrides and by every `gk-core` path that splits a batch
+/// into blocks: large enough to amortise the struct-of-arrays transpose,
+/// small enough to keep the work-stealing queue full.
+pub const LANE_BLOCK_PAIRS: usize = 256;
 
 /// Per-lane active mask for divergent lane-parallel loops.
 ///
@@ -238,8 +236,8 @@ pub(crate) fn build_mask_rows(
 
 /// Lane-wise shift of the SoA bit rows towards *higher* bit positions by
 /// `bits` (sequence shift towards higher base positions when `bits = 2k`);
-/// vacated low bits become zero, exactly the `A` the word-at-a-time path
-/// shifts in.
+/// vacated low bits become zero, exactly the `A` the reference kernels
+/// shift in.
 pub(crate) fn shl_rows(src: &[LaneRow], bits: usize, out: &mut [LaneRow]) {
     let word_shift = bits / WORD_BITS;
     let bit_shift = bits % WORD_BITS;
@@ -291,10 +289,19 @@ pub(crate) fn shr_rows(src: &[LaneRow], bits: usize, out: &mut [LaneRow]) {
     }
 }
 
-/// Lane-wise amendment: morphological closing with `max_run` one-bit
-/// dilate/erode passes (see [`crate::bitvec::BaseMask::amend_short_zero_runs`]
-/// for the correctness argument). `scratch` is reused across calls; it grows
-/// to `mask.len() + max_run/64 + 2` rows of dilation head-room.
+/// Lane-wise amendment: flips every zero run of length at most `max_run`
+/// flanked by 1s on both sides, like
+/// [`crate::bitvec::BaseMask::amend_short_zero_runs_reference`].
+///
+/// The flip is a morphological closing: dilate with `m` iterations of
+/// `d |= d << 1` (so `d = OR of x << j` for `j = 0..=m`), erode with `m`
+/// iterations of `d &= d >> 1`, and OR the result back into the mask. A zero
+/// run of length `L ≤ m` flanked by 1s is fully covered by the dilation of its
+/// left flank and survives the erosion thanks to its right flank; longer runs
+/// keep a dead zone, and unflanked leading/trailing runs never dilate from the
+/// missing side. `scratch` is reused across calls; it grows to
+/// `mask.len() + max_run/64 + 2` rows of dilation head-room, so dilation past
+/// a word-aligned `len` is not truncated.
 pub(crate) fn amend_rows(
     mask: &mut [LaneRow],
     len: usize,
@@ -390,10 +397,10 @@ pub(crate) fn lane_words(mask: &[LaneRow], lane: usize, out: &mut Vec<u64>) {
 /// Runs the GateKeeper kernel on all lanes of a struct-of-arrays group at
 /// once. Decisions of inactive lanes (`lane >= group.lanes`) are meaningless.
 ///
-/// The mask algebra is identical to [`gatekeeper_kernel`] — same shift clamp,
-/// same amend-before-boundary-fix ordering, same windowed counting — so the
-/// per-lane decisions are byte-identical to running the word-at-a-time kernel
-/// on each pair individually.
+/// The mask algebra is identical to [`gatekeeper_kernel_reference`] — same
+/// shift clamp, same amend-before-boundary-fix ordering, same windowed
+/// counting — so the per-lane decisions are byte-identical to running the
+/// per-bit reference on each pair individually.
 pub fn gatekeeper_kernel_x4(
     group: &SoaGroup,
     config: &GateKeeperConfig,
@@ -469,24 +476,30 @@ pub fn gatekeeper_kernel_x4(
     out
 }
 
-/// Decision for one pair outside the lane path, matching the undefined-pair
-/// semantics of `GateKeeperCpu` / the device kernels exactly.
+/// Per-bit reference decision for one packed pair, with the undefined-pair
+/// pass of `GateKeeperCpu` / the device kernels.
+fn packed_pair_decision(
+    read: &PackedSeq,
+    reference: &PackedSeq,
+    config: &GateKeeperConfig,
+) -> FilterDecision {
+    if config.pass_undefined && (read.is_undefined() || reference.is_undefined()) {
+        return FilterDecision::undefined_pass();
+    }
+    gatekeeper_kernel_reference(read, reference, config)
+}
+
+/// [`packed_pair_decision`] for one raw ASCII pair.
 fn scalar_pair_decision(
     read: &[u8],
     reference: &[u8],
     config: &GateKeeperConfig,
-    use_reference: bool,
 ) -> FilterDecision {
-    let read_packed = PackedSeq::from_ascii(read);
-    let ref_packed = PackedSeq::from_ascii(reference);
-    if config.pass_undefined && (read_packed.is_undefined() || ref_packed.is_undefined()) {
-        return FilterDecision::undefined_pass();
-    }
-    if use_reference {
-        gatekeeper_kernel_reference(&read_packed, &ref_packed, config)
-    } else {
-        gatekeeper_kernel(&read_packed, &ref_packed, config)
-    }
+    packed_pair_decision(
+        &PackedSeq::from_ascii(read),
+        &PackedSeq::from_ascii(reference),
+        config,
+    )
 }
 
 /// Generic lane-parallel block driver over raw ASCII pairs, shared by the
@@ -495,20 +508,19 @@ fn scalar_pair_decision(
 /// In lane mode, consecutive runs of lane-eligible pairs (nonzero equal
 /// lengths plus the filter's own `eligible_pair` predicate) are transposed
 /// into [`SoaGroup`]s of up to four and handed to `kernel`; everything else
-/// falls back to `fallback` per pair. In scalar (or unresolved-to-scalar)
-/// mode every pair runs `scalar`. Output order matches input order.
-pub(crate) fn filter_block_slices_with<E, K, F, S>(
+/// runs `scalar` (the filter's per-bit reference) per pair. In scalar (or
+/// unresolved-to-scalar) mode every pair runs `scalar`. Output order matches
+/// input order.
+pub(crate) fn filter_block_slices_with<E, K, S>(
     pairs: &[(&[u8], &[u8])],
     mode: SimdMode,
     eligible_pair: E,
     mut kernel: K,
-    mut fallback: F,
     mut scalar: S,
 ) -> Vec<FilterDecision>
 where
     E: Fn(&[u8], &[u8]) -> bool,
     K: FnMut(&SoaGroup) -> [FilterDecision; SOA_LANES],
-    F: FnMut(&[u8], &[u8]) -> FilterDecision,
     S: FnMut(&[u8], &[u8]) -> FilterDecision,
 {
     if !mode.use_lanes() {
@@ -526,7 +538,7 @@ where
         if lane_ok {
             eligible.push(i);
         } else {
-            decisions[i] = fallback(read, reference);
+            decisions[i] = scalar(read, reference);
         }
     }
 
@@ -555,7 +567,7 @@ where
         } else {
             for &i in &eligible[start..end] {
                 let (read, reference) = pairs[i];
-                decisions[i] = fallback(read, reference);
+                decisions[i] = scalar(read, reference);
             }
         }
         start = end;
@@ -570,7 +582,7 @@ pub(crate) fn lane_alphabet(seq: &[u8]) -> bool {
 }
 
 /// True when every byte is an *uppercase* `A`/`C`/`G`/`T`. Shouji and
-/// SneakySnake compare raw ASCII bytes in their scalar sweeps ("`a` ≠ `A`"),
+/// SneakySnake compare raw ASCII bytes in their references ("`a` ≠ `A`"),
 /// so their lane kernels — which compare 2-bit codes and would equate the
 /// cases — only take pairs where the two comparisons provably agree.
 pub(crate) fn canonical_acgt(seq: &[u8]) -> bool {
@@ -582,9 +594,9 @@ pub(crate) fn canonical_acgt(seq: &[u8]) -> bool {
 /// In lane mode, consecutive runs of lane-eligible pairs (defined, equal
 /// nonzero lengths) are transposed into [`SoaGroup`]s of up to four and run
 /// through [`gatekeeper_kernel_x4`]; everything else — undefined pairs,
-/// ragged or empty lengths — falls back to the word-at-a-time kernel with the
-/// exact undefined-pass semantics of the per-pair paths. In scalar mode every
-/// pair runs the per-bit reference kernel. Output order matches input order.
+/// ragged or empty lengths — runs [`gatekeeper_kernel_reference`] with the
+/// undefined-pass semantics of the device kernels. In scalar mode every pair
+/// runs the reference. Output order matches input order.
 pub fn gatekeeper_filter_block_slices(
     pairs: &[(&[u8], &[u8])],
     config: &GateKeeperConfig,
@@ -595,8 +607,7 @@ pub fn gatekeeper_filter_block_slices(
         mode,
         |read, reference| lane_alphabet(read) && lane_alphabet(reference),
         |group| gatekeeper_kernel_x4(group, config),
-        |read, reference| scalar_pair_decision(read, reference, config, false),
-        |read, reference| scalar_pair_decision(read, reference, config, true),
+        |read, reference| scalar_pair_decision(read, reference, config),
     )
 }
 
@@ -615,28 +626,17 @@ pub fn gatekeeper_filter_block(
 
 /// Filters a block of already-encoded pairs, lane-parallel where possible —
 /// the device-side counterpart of [`gatekeeper_filter_block_slices`] used by
-/// the simulated GPU's encoded chunk path. Fallback pairs run the
-/// word-at-a-time kernel directly on the packed words (no re-encoding).
+/// the simulated GPU's encoded chunk path. Pairs off the lanes run the
+/// per-bit reference directly on the packed words (no re-encoding).
 pub fn gatekeeper_filter_block_packed(
     pairs: &[(&PackedSeq, &PackedSeq)],
     config: &GateKeeperConfig,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    let packed_decision = |read: &PackedSeq, reference: &PackedSeq, use_reference: bool| {
-        if config.pass_undefined && (read.is_undefined() || reference.is_undefined()) {
-            return FilterDecision::undefined_pass();
-        }
-        if use_reference {
-            gatekeeper_kernel_reference(read, reference, config)
-        } else {
-            gatekeeper_kernel(read, reference, config)
-        }
-    };
-
     if !mode.use_lanes() {
         return pairs
             .iter()
-            .map(|(read, reference)| packed_decision(read, reference, true))
+            .map(|(read, reference)| packed_pair_decision(read, reference, config))
             .collect();
     }
 
@@ -650,7 +650,7 @@ pub fn gatekeeper_filter_block_packed(
         if lane_ok {
             eligible.push(i);
         } else {
-            decisions[i] = packed_decision(read, reference, false);
+            decisions[i] = packed_pair_decision(read, reference, config);
         }
     }
 
@@ -676,7 +676,7 @@ pub fn gatekeeper_filter_block_packed(
             None => {
                 for &i in &eligible[start..end] {
                     let (read, reference) = pairs[i];
-                    decisions[i] = packed_decision(read, reference, false);
+                    decisions[i] = packed_pair_decision(read, reference, config);
                 }
             }
         }
@@ -705,7 +705,7 @@ mod tests {
     ) -> Vec<FilterDecision> {
         pairs
             .iter()
-            .map(|(read, reference)| scalar_pair_decision(read, reference, config, false))
+            .map(|(read, reference)| scalar_pair_decision(read, reference, config))
             .collect()
     }
 
@@ -784,6 +784,82 @@ mod tests {
         assert_eq!(compress_even_u64(x), 0b1011);
     }
 
+    /// The lane XOR-reduce builds, in every lane, exactly the per-bit
+    /// reference mask of that lane's pair — at word-boundary lengths, for
+    /// partial groups, with dense and sparse mismatches.
+    #[test]
+    fn lane_xor_reduce_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut words = Vec::new();
+        for len in [
+            1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 200,
+        ] {
+            for _ in 0..20 {
+                let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..rng.gen_range(1..=SOA_LANES))
+                    .map(|_| {
+                        let reference = random_seq(len, &mut rng);
+                        let read = if rng.gen_bool(0.5) {
+                            random_seq(len, &mut rng)
+                        } else {
+                            let mut read = reference.clone();
+                            read[rng.gen_range(0..len)] = b"ACGT"[rng.gen_range(0..4)];
+                            read
+                        };
+                        (read, reference)
+                    })
+                    .collect();
+                let slices: Vec<(&[u8], &[u8])> = pairs
+                    .iter()
+                    .map(|(r, s)| (r.as_slice(), s.as_slice()))
+                    .collect();
+                let group = SoaGroup::encode_slices(&slices).expect("lane-eligible group");
+                let mut rows = vec![[0u64; SOA_LANES]; len.div_ceil(WORD_BITS)];
+                build_mask_rows(&group.read_words, &group.ref_words, len, &mut rows);
+                for (lane, (read, reference)) in pairs.iter().enumerate() {
+                    lane_words(&rows, lane, &mut words);
+                    let expected = crate::words::xor_to_base_mask_reference(
+                        PackedSeq::from_ascii(read).words(),
+                        PackedSeq::from_ascii(reference).words(),
+                        len,
+                    );
+                    assert_eq!(words, expected.words(), "len = {len}, lane = {lane}");
+                }
+            }
+        }
+    }
+
+    /// The lane morphological closing equals the per-bit amendment for any
+    /// `max_run` — including 0, runs straddling word boundaries and widths
+    /// beyond one word — with a different mask in every lane.
+    #[test]
+    fn lane_amend_matches_reference() {
+        use crate::bitvec::BaseMask;
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut scratch = Vec::new();
+        for case in 0..2_000 {
+            let len = rng.gen_range(1usize..=200);
+            let max_run = rng.gen_range(0usize..=130);
+            let density = [0.1, 0.5, 0.9][case % 3];
+            let masks: Vec<BaseMask> = (0..SOA_LANES)
+                .map(|_| BaseMask::from_bools((0..len).map(|_| rng.gen_bool(density))))
+                .collect();
+            let mut rows: Vec<LaneRow> = (0..len.div_ceil(WORD_BITS))
+                .map(|row| std::array::from_fn(|lane| masks[lane].words()[row]))
+                .collect();
+            amend_rows(&mut rows, len, max_run, &mut scratch);
+            for (lane, mask) in masks.iter().enumerate() {
+                let mut expected = mask.clone();
+                expected.amend_short_zero_runs_reference(max_run);
+                let lane_mask: Vec<u64> = rows.iter().map(|row| row[lane]).collect();
+                assert_eq!(
+                    lane_mask,
+                    expected.words(),
+                    "case {case}: len {len}, max_run {max_run}, lane {lane}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn kernel_x4_matches_scalar_kernel_on_random_groups() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -811,7 +887,7 @@ mod tests {
             let group = SoaGroup::encode_slices(&slices).expect("lane-eligible group");
             let lane_decisions = gatekeeper_kernel_x4(&group, &config);
             for (lane, (read, reference)) in pairs.iter().enumerate() {
-                let expected = gatekeeper_kernel(
+                let expected = gatekeeper_kernel_reference(
                     &PackedSeq::from_ascii(read),
                     &PackedSeq::from_ascii(reference),
                     &config,
@@ -844,7 +920,7 @@ mod tests {
                 let group = SoaGroup::encode_slices(&slices).unwrap();
                 let lane_decisions = gatekeeper_kernel_x4(&group, &config);
                 for (lane, (read, reference)) in pairs.iter().enumerate() {
-                    let expected = gatekeeper_kernel(
+                    let expected = gatekeeper_kernel_reference(
                         &PackedSeq::from_ascii(read),
                         &PackedSeq::from_ascii(reference),
                         &config,

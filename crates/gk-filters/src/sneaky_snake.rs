@@ -37,93 +37,30 @@ impl SneakySnakeFilter {
         }
     }
 
-    /// Selects the SIMD mode for `filter_batch` (resolved immediately; `Auto`
-    /// consults `GK_SIMD` now, not on the hot path). Decisions are
+    /// Selects the SIMD mode for `filter_pair` and `filter_batch` (resolved
+    /// immediately; `Auto` consults `GK_SIMD` now, not on the hot path). Decisions are
     /// byte-identical across modes; only throughput changes.
     pub fn with_simd_mode(mut self, simd: SimdMode) -> SneakySnakeFilter {
         self.simd = simd.resolve();
         self
     }
 
-    /// The resolved SIMD mode this instance runs batches with.
+    /// The resolved SIMD mode this instance filters with.
     pub fn simd_mode(&self) -> SimdMode {
         self.simd
     }
-
-    /// Length of the obstacle-free run starting at column `col` on diagonal `diag`
-    /// (`diag` is the reference offset relative to the read, in `[-e, e]`).
-    fn free_run(read: &[u8], reference: &[u8], diag: isize, col: usize, max_len: usize) -> usize {
-        let mut len = 0usize;
-        while col + len < max_len {
-            let r_idx = col + len;
-            let t_idx = r_idx as isize + diag;
-            if t_idx < 0 || t_idx as usize >= reference.len() {
-                break;
-            }
-            if read[r_idx] != reference[t_idx as usize] {
-                break;
-            }
-            len += 1;
-        }
-        len
-    }
-
-    /// The greedy snake traversal: returns the number of edits (obstacles crossed).
-    fn count_obstacles(read: &[u8], reference: &[u8], e: u32) -> u32 {
-        let len = read.len().min(reference.len());
-        if len == 0 {
-            return 0;
-        }
-        // Diagonals whose offset lands outside the reference for every column
-        // yield empty runs; clamp the sweep to the reachable band so a huge
-        // threshold does not turn each column advance into ~2^33 no-op probes.
-        let lo = -((e as usize).min(len - 1) as isize);
-        let hi = (e as usize).min(reference.len() - 1) as isize;
-        let mut col = 0usize;
-        let mut edits = 0u32;
-        while col < len {
-            let mut best = 0usize;
-            for diag in lo..=hi {
-                let run = Self::free_run(read, reference, diag, col, len);
-                if run > best {
-                    best = run;
-                }
-                if col + best >= len {
-                    break;
-                }
-            }
-            col += best;
-            if col < len {
-                // Crossing the obstacle in the next column costs one edit.
-                edits += 1;
-                col += 1;
-            }
-        }
-        edits
-    }
 }
 
-/// Decision for one pair on the per-byte scalar path.
-pub fn sneaky_snake_pair_decision(read: &[u8], reference: &[u8], e: u32) -> FilterDecision {
-    let edits = SneakySnakeFilter::count_obstacles(read, reference, e);
-    if edits <= e {
-        FilterDecision::accept(edits)
-    } else {
-        FilterDecision::reject(edits)
-    }
-}
-
-/// Per-bit reference twin of [`sneaky_snake_pair_decision`] — the
-/// `SimdMode::Scalar` differential leg, mirroring the GateKeeper and MAGNET
-/// reference paths.
+/// Per-bit reference twin of [`sneaky_snake_kernel_x4`] — the
+/// `SimdMode::Scalar` leg and the path of every pair the lanes cannot take,
+/// mirroring the GateKeeper and MAGNET reference paths.
 ///
 /// Materialises the full chip maze the paper describes (one obstacle
-/// [`BaseMask`] per in-band diagonal, built from the same raw ASCII
-/// comparisons as the per-byte walker, with out-of-range columns as
-/// obstacles) and runs the same greedy traversal probing every free run one
-/// bit at a time through [`zero_run_length_in_words_reference`]. Decisions
-/// are byte-identical to the per-byte walker and the lane kernel; only
-/// throughput differs.
+/// [`BaseMask`] per in-band diagonal, built from raw ASCII comparisons —
+/// `'a' ≠ 'A'`, `'N'` mismatches everything — with out-of-range columns as
+/// obstacles) and runs the greedy traversal, probing every free run one bit
+/// at a time through [`zero_run_length_in_words_reference`]. Decisions are
+/// byte-identical to the lane kernel; only throughput differs.
 pub fn sneaky_snake_pair_decision_reference(
     read: &[u8],
     reference: &[u8],
@@ -133,8 +70,9 @@ pub fn sneaky_snake_pair_decision_reference(
     if len == 0 {
         return FilterDecision::accept(0);
     }
-    // Same band clamp as the per-byte walker: out-of-band diagonals are
-    // all-obstacle and contribute no runs.
+    // Diagonals whose offset lands outside the reference for every column are
+    // all-obstacle and contribute no runs; clamp the band so a huge threshold
+    // does not build ~2^33 no-op diagonals.
     let lo = -((e as usize).min(len - 1) as isize);
     let hi = (e as usize).min(reference.len() - 1) as isize;
     let maze: Vec<BaseMask> = (lo..=hi)
@@ -157,6 +95,7 @@ pub fn sneaky_snake_pair_decision_reference(
         }
         col += best;
         if col < len {
+            // Crossing the obstacle in the next column costs one edit.
             edits += 1;
             col += 1;
         }
@@ -169,10 +108,9 @@ pub fn sneaky_snake_pair_decision_reference(
 }
 
 /// The length of the zero run starting at `start` (clipped to `len`) in one
-/// lane's column of a row-major `[LaneRow]` mask — the strided twin of
-/// [`crate::bitvec::zero_run_length_in_words`], reading `rows[row][lane]` in
-/// place so the
-/// kernel never materialises per-lane word vectors.
+/// lane's column of a row-major `[LaneRow]` mask — the whole-word twin of
+/// [`zero_run_length_in_words_reference`], reading `rows[row][lane]` in place
+/// so the kernel never materialises per-lane word vectors.
 fn strided_zero_run(rows: &[LaneRow], lane: usize, start: usize, len: usize) -> usize {
     let mut pos = start;
     while pos < len {
@@ -191,7 +129,7 @@ fn strided_zero_run(rows: &[LaneRow], lane: usize, start: usize, len: usize) -> 
 ///
 /// The `2·min(e, len−1) + 1` diagonal obstacle masks are built lane-parallel
 /// with the same row primitives as the other kernels; each free-run probe is
-/// then a whole-word trailing-zeros scan instead of a per-byte walk. The
+/// then a whole-word trailing-zeros scan instead of a per-bit walk. The
 /// traversal itself is where lanes diverge — each snake reaches the last
 /// column after a different number of greedy steps — so the group steps
 /// round-major and retires finished lanes from a [`LaneMask`] while the rest
@@ -201,7 +139,7 @@ pub fn sneaky_snake_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_
     debug_assert!(len > 0, "SoaGroup guarantees a nonzero length");
     let mask_rows = len.div_ceil(WORD_BITS);
 
-    // Equal-length lanes make the scalar path's asymmetric band clamps
+    // Equal-length lanes make the reference's asymmetric band clamps
     // coincide: lo = −min(e, len−1), hi = +min(e, len−1).
     let maxd = (e as usize).min(len - 1);
 
@@ -289,13 +227,11 @@ pub fn sneaky_snake_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_
 }
 
 /// Filters a block of raw ASCII pairs through SneakySnake, lane-parallel
-/// where possible. The scalar traversal compares raw ASCII bytes
-/// (`'a' ≠ 'A'`) while the lane kernel compares 2-bit codes, so lane
-/// eligibility is restricted to uppercase `ACGT` pairs where the two
-/// comparisons provably agree; everything else falls back to the per-byte
-/// path. In scalar mode every pair runs the per-bit reference twin
-/// ([`sneaky_snake_pair_decision_reference`]), mirroring the GateKeeper and
-/// MAGNET scalar legs. Output order matches input order.
+/// where possible. The reference compares raw ASCII bytes (`'a' ≠ 'A'`)
+/// while the lane kernel compares 2-bit codes, so lane eligibility is
+/// restricted to uppercase `ACGT` pairs where the two comparisons provably
+/// agree; everything else runs [`sneaky_snake_pair_decision_reference`], as
+/// does every pair in scalar mode. Output order matches input order.
 pub fn sneaky_snake_filter_block_slices(
     pairs: &[(&[u8], &[u8])],
     threshold: u32,
@@ -306,7 +242,6 @@ pub fn sneaky_snake_filter_block_slices(
         mode,
         |read, reference| canonical_acgt(read) && canonical_acgt(reference),
         |group| sneaky_snake_kernel_x4(group, threshold),
-        |read, reference| sneaky_snake_pair_decision(read, reference, threshold),
         |read, reference| sneaky_snake_pair_decision_reference(read, reference, threshold),
     )
 }
@@ -334,7 +269,7 @@ impl PreAlignmentFilter for SneakySnakeFilter {
     }
 
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        sneaky_snake_pair_decision(read, reference, self.threshold)
+        sneaky_snake_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
@@ -358,8 +293,8 @@ mod tests {
     }
 
     /// Brute-force greedy traversal: enumerates the full `[-e, e]` band with
-    /// naive per-byte runs, no band clamp and no early break, so it shares no
-    /// shortcut with the production code. Callers keep `e` small enough for
+    /// naive per-byte runs and no band clamp, so it shares no shortcut with the
+    /// reference. Callers keep `e` small enough for
     /// the unclamped band to stay cheap.
     fn brute_force_obstacles(read: &[u8], reference: &[u8], e: u32) -> u32 {
         let len = read.len().min(reference.len());
@@ -388,6 +323,11 @@ mod tests {
             }
         }
         edits
+    }
+
+    /// Obstacle count of the reference twin.
+    fn count_obstacles(read: &[u8], reference: &[u8], e: u32) -> u32 {
+        sneaky_snake_pair_decision_reference(read, reference, e).estimated_edits
     }
 
     #[test]
@@ -424,7 +364,7 @@ mod tests {
             if truth > e {
                 continue;
             }
-            let estimate = SneakySnakeFilter::count_obstacles(&read, &reference, e);
+            let estimate = count_obstacles(&read, &reference, e);
             assert!(
                 estimate <= truth,
                 "estimate {estimate} exceeds true distance {truth} (e = {e})"
@@ -489,10 +429,7 @@ mod tests {
         assert!(d.accepted);
         // The clamped band covers every reachable diagonal, so the count matches
         // a band that is merely "large enough".
-        assert_eq!(
-            d.estimated_edits,
-            SneakySnakeFilter::count_obstacles(&a, &b, 150)
-        );
+        assert_eq!(d.estimated_edits, count_obstacles(&a, &b, 150));
     }
 
     #[test]
@@ -522,7 +459,7 @@ mod tests {
             };
             let e = rng.gen_range(0u32..=12);
             assert_eq!(
-                SneakySnakeFilter::count_obstacles(&read, &reference, e),
+                count_obstacles(&read, &reference, e),
                 brute_force_obstacles(&read, &reference, e),
                 "read {} bp vs reference {} bp at e = {e}",
                 read.len(),
@@ -544,7 +481,7 @@ mod tests {
                 let read = mutate_with_edits(&reference, rng.gen_range(0..=len), 0.5, &mut rng);
                 for e in [0u32, 1, len.saturating_sub(1) as u32, len as u32] {
                     assert_eq!(
-                        SneakySnakeFilter::count_obstacles(&read, &reference, e),
+                        count_obstacles(&read, &reference, e),
                         brute_force_obstacles(&read, &reference, e),
                         "len {len}, e = {e}"
                     );
@@ -575,7 +512,7 @@ mod tests {
             let group = SoaGroup::encode_slices(&slices).expect("lane-eligible group");
             let lane_decisions = sneaky_snake_kernel_x4(&group, e);
             for (lane, (read, reference)) in pairs.iter().enumerate() {
-                let expected = sneaky_snake_pair_decision(read, reference, e);
+                let expected = sneaky_snake_pair_decision_reference(read, reference, e);
                 assert_eq!(
                     lane_decisions[lane], expected,
                     "len = {len}, e = {e}, lane = {lane}"
@@ -604,53 +541,18 @@ mod tests {
                 let group = SoaGroup::encode_slices(&slices).unwrap();
                 let lane_decisions = sneaky_snake_kernel_x4(&group, e);
                 for (lane, (read, reference)) in pairs.iter().enumerate() {
-                    let expected = sneaky_snake_pair_decision(read, reference, e);
+                    let expected = sneaky_snake_pair_decision_reference(read, reference, e);
                     assert_eq!(lane_decisions[lane], expected, "len = {len}, e = {e}");
                 }
             }
         }
     }
 
-    /// The per-bit reference twin must match the per-byte production walker
-    /// byte-for-byte, including ragged lengths, non-canonical bytes (raw
-    /// ASCII semantics: `'a' ≠ 'A'`, `'N'` mismatches everything) and huge
-    /// thresholds that exercise the band clamp.
-    #[test]
-    fn per_byte_path_matches_its_per_bit_reference_twin() {
-        let mut rng = StdRng::seed_from_u64(44);
-        for case in 0..400 {
-            let len = rng.gen_range(0usize..=96);
-            let e = if case % 17 == 0 {
-                u32::MAX
-            } else {
-                rng.gen_range(0u32..=8)
-            };
-            let reference = random_seq(len, &mut rng);
-            let mut read = if len == 0 {
-                Vec::new()
-            } else {
-                mutate_with_edits(&reference, rng.gen_range(0..=8), 0.3, &mut rng)
-            };
-            if case % 5 == 0 && !read.is_empty() {
-                let mid = read.len() / 2;
-                read[mid] = if case % 10 == 0 { b'N' } else { b'a' };
-            }
-            if case % 7 == 0 {
-                read.pop();
-            }
-            assert_eq!(
-                sneaky_snake_pair_decision(&read, &reference, e),
-                sneaky_snake_pair_decision_reference(&read, &reference, e),
-                "case {case}: len = {len}, e = {e}"
-            );
-        }
-    }
-
     #[test]
     fn block_driver_matches_per_pair_decisions_with_mixed_pairs() {
         // Mixed lengths, ragged pairs, empty pairs, and lowercase/N bases —
-        // the latter two must take the per-byte fallback because the scalar
-        // traversal is case-sensitive while the 2-bit lanes are not.
+        // the latter two must leave the lanes because the reference is
+        // case-sensitive while the 2-bit lanes are not.
         let mut rng = StdRng::seed_from_u64(43);
         let e = 4u32;
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
@@ -681,7 +583,7 @@ mod tests {
             .collect();
         let expected: Vec<FilterDecision> = pairs
             .iter()
-            .map(|(read, reference)| sneaky_snake_pair_decision(read, reference, e))
+            .map(|(read, reference)| sneaky_snake_pair_decision_reference(read, reference, e))
             .collect();
         let lanes = sneaky_snake_filter_block_slices(&slices, e, SimdMode::Lanes);
         assert_eq!(lanes, expected);
@@ -708,7 +610,7 @@ mod tests {
         assert_eq!(lanes, scalar);
         let per_pair: Vec<FilterDecision> = batch
             .iter()
-            .map(|p| sneaky_snake_pair_decision(&p.read, &p.reference, 5))
+            .map(|p| sneaky_snake_pair_decision_reference(&p.read, &p.reference, 5))
             .collect();
         assert_eq!(lanes, per_pair);
     }

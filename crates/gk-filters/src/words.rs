@@ -11,8 +11,10 @@
 //!   whole sequence with explicit carry transfer between adjacent words (one shift
 //!   and one carry per word per `k`, matching the 2e shift + 2e carry operation
 //!   count the paper states);
-//! * [`xor_to_base_mask`] — XOR of two packed sequences followed by the per-base
-//!   OR reduction, producing the Hamming-style [`BaseMask`].
+//! * [`xor_to_base_mask_reference`] — XOR of two packed sequences followed by
+//!   the per-base OR reduction, producing the Hamming-style [`BaseMask`] of
+//!   the per-bit reference kernels;
+//! * the nibble operations Shouji's lane kernel scores its windows with.
 
 use crate::bitvec::BaseMask;
 use gk_seq::packed::{BASES_PER_WORD, BITS_PER_BASE};
@@ -72,50 +74,12 @@ pub fn shift_left_bases(words: &[u32], bases: usize) -> Vec<u32> {
     out
 }
 
-/// Packs the even-indexed bits of `x` (bits 0, 2, …, 30) into the low 16 bits.
+/// XORs two packed word arrays and reduces each 2-bit base difference to a
+/// single mask bit (1 = mismatching base), truncated to `len` bases, one base
+/// at a time. Missing words act as all-`A`, exactly like shifted-in padding.
 ///
-/// Standard log-step bit compression: after each round the surviving bits sit
-/// twice as densely, so four rounds collapse the 2-bit base stride to 1 bit.
-#[inline]
-fn compress_even_u32(x: u32) -> u32 {
-    let x = x & 0x5555_5555;
-    let x = (x | (x >> 1)) & 0x3333_3333;
-    let x = (x | (x >> 2)) & 0x0F0F_0F0F;
-    let x = (x | (x >> 4)) & 0x00FF_00FF;
-    (x | (x >> 8)) & 0x0000_FFFF
-}
-
-/// XORs two packed word arrays and reduces each 2-bit base difference to a single
-/// mask bit (1 = mismatching base), truncated to `len` bases.
-///
-/// Word-parallel: each 16-base `u32` is reduced with an OR of its odd/even bit
-/// planes and a log-step compression instead of a per-base loop, then the 16-bit
-/// chunks are spliced straight into the mask's `u64` backing words. Shifted
-/// inputs may carry garbage beyond `len` bases; [`BaseMask::from_words`] clears
-/// that padding.
-pub fn xor_to_base_mask(a: &[u32], b: &[u32], len: usize) -> BaseMask {
-    let words = len.div_ceil(BASES_PER_WORD);
-    let mut bits = vec![0u64; len.div_ceil(64)];
-    for w in 0..words {
-        let xa = a.get(w).copied().unwrap_or(0);
-        let xb = b.get(w).copied().unwrap_or(0);
-        let diff = xa ^ xb;
-        if diff == 0 {
-            continue;
-        }
-        // OR the two bits of every base: bit pair (2s+1, 2s) → one per-base bit
-        // at even position 2·(15 − slot) (slot 0 is the MSB pair).
-        let per_base = ((diff >> 1) | diff) & 0x5555_5555;
-        // Compress even bits: bit j of `chunk` = base (15 − j); reverse to get
-        // bit s = base s, matching the mask's LSB-first bit order.
-        let chunk = u64::from((compress_even_u32(per_base) as u16).reverse_bits());
-        bits[w / 4] |= chunk << (16 * (w % 4));
-    }
-    BaseMask::from_words(bits, len)
-}
-
-/// Per-bit reference for [`xor_to_base_mask`]; kept as the scalar-equivalence
-/// oracle for the differential suite and the measured scalar baseline.
+/// The mask builder of the per-bit reference kernels; the lane kernels build
+/// the same masks row-parallel in `simd`.
 pub fn xor_to_base_mask_reference(a: &[u32], b: &[u32], len: usize) -> BaseMask {
     let mut mask = BaseMask::zeros(len);
     let words = len.div_ceil(BASES_PER_WORD);
@@ -277,7 +241,7 @@ mod tests {
     fn xor_mask_marks_exactly_the_mismatching_bases() {
         let a = packed(b"ACGTACGTACGTACGTACGTA");
         let b = packed(b"ACGTACGAACGTACGTACGTC");
-        let mask = xor_to_base_mask(a.words(), b.words(), 21);
+        let mask = xor_to_base_mask_reference(a.words(), b.words(), 21);
         let expected: Vec<bool> = (0..21).map(|i| i == 7 || i == 20).collect();
         assert_eq!(mask, BaseMask::from_bools(expected));
     }
@@ -285,7 +249,7 @@ mod tests {
     #[test]
     fn xor_mask_of_identical_sequences_is_zero() {
         let a = packed(b"TTTTGGGGCCCCAAAATTTTGGGG");
-        let mask = xor_to_base_mask(a.words(), a.words(), 24);
+        let mask = xor_to_base_mask_reference(a.words(), a.words(), 24);
         assert_eq!(mask.count_ones(), 0);
     }
 
@@ -293,7 +257,7 @@ mod tests {
     fn xor_mask_counts_match_hamming_distance() {
         let a = packed(b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT");
         let b = packed(b"ACGAACGTACGTACCTACGTACGTAAGTACGTACGTACGA");
-        let mask = xor_to_base_mask(a.words(), b.words(), 40);
+        let mask = xor_to_base_mask_reference(a.words(), b.words(), 40);
         assert_eq!(Some(mask.count_ones()), a.hamming_distance(&b));
     }
 
@@ -357,7 +321,7 @@ mod tests {
         }
         let a = packed(b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT");
         let b = packed(&seq_b);
-        let mask = xor_to_base_mask(a.words(), b.words(), 40);
+        let mask = xor_to_base_mask_reference(a.words(), b.words(), 40);
         for pos in 0..40 {
             assert_eq!(mask.get(pos), [15, 16, 31, 32].contains(&pos), "pos {pos}");
         }

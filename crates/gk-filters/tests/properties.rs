@@ -6,21 +6,19 @@
 
 use gk_align::edit_distance;
 use gk_filters::bitvec::{
-    longest_zero_run_in_words, longest_zero_run_in_words_reference, zero_run_length_in_words,
-    zero_run_length_in_words_reference, BaseMask,
+    count_edits_windowed_in_words, zero_runs_in_words, zero_runs_in_words_reference, BaseMask,
 };
-use gk_filters::gatekeeper::{gatekeeper_kernel, gatekeeper_kernel_reference, GateKeeperConfig};
+use gk_filters::gatekeeper::{gatekeeper_kernel_reference, GateKeeperConfig};
 use gk_filters::simd::{gatekeeper_filter_block_slices, SimdMode};
 use gk_filters::words::{
     nibble_min, nibble_min_reference, nibble_popcounts, nibble_popcounts_reference,
-    shift_left_bases, shift_right_bases, sum_nibbles, sum_nibbles_reference, xor_to_base_mask,
+    shift_left_bases, shift_right_bases, sum_nibbles, sum_nibbles_reference,
     xor_to_base_mask_reference,
 };
 use gk_filters::{
-    decision_digest, magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision,
-    magnet_pair_decision_reference, shouji_filter_block_slices, shouji_kernel_x4,
-    shouji_pair_decision, shouji_pair_decision_reference, sneaky_snake_filter_block_slices,
-    sneaky_snake_kernel_x4, sneaky_snake_pair_decision, sneaky_snake_pair_decision_reference,
+    decision_digest, magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision_reference,
+    shouji_filter_block_slices, shouji_kernel_x4, shouji_pair_decision_reference,
+    sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4, sneaky_snake_pair_decision_reference,
     GateKeeperFpgaFilter, GateKeeperGpuFilter, MagnetFilter, PreAlignmentFilter, ShdFilter,
     ShoujiFilter, SneakySnakeFilter,
 };
@@ -282,31 +280,31 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Builds MAGNET's `2·min(e, len−1) + 1` masks from first principles using the
-/// public word primitives: the Hamming mask plus, per shift distance, the
-/// deletion/insertion masks with their vacated positions padded with 1s.
+/// public per-bit word primitives: the Hamming mask plus, per shift distance,
+/// the deletion/insertion masks with their vacated positions padded with 1s.
 fn magnet_reference_masks(read: &[u8], reference: &[u8], e: u32) -> (Vec<BaseMask>, usize) {
     let read_packed = PackedSeq::from_ascii(read);
     let ref_packed = PackedSeq::from_ascii(reference);
     let len = read_packed.len().min(ref_packed.len());
-    let mut masks = vec![xor_to_base_mask(
+    let mut masks = vec![xor_to_base_mask_reference(
         read_packed.words(),
         ref_packed.words(),
         len,
     )];
     for k in 1..=(e as usize).min(len.saturating_sub(1)) {
-        let mut del_mask = xor_to_base_mask(
+        let mut del_mask = xor_to_base_mask_reference(
             &shift_right_bases(read_packed.words(), k),
             ref_packed.words(),
             len,
         );
-        del_mask.set_range(0, k);
+        del_mask.set_range_reference(0, k);
         masks.push(del_mask);
-        let mut ins_mask = xor_to_base_mask(
+        let mut ins_mask = xor_to_base_mask_reference(
             &shift_left_bases(read_packed.words(), k),
             ref_packed.words(),
             len,
         );
-        ins_mask.set_range(len - k, len);
+        ins_mask.set_range_reference(len - k, len);
         masks.push(ins_mask);
     }
     (masks, len)
@@ -393,7 +391,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD layer: widened word-parallel primitives vs. their per-bit references,
+// SIMD layer: whole-word primitives and lane kernels vs. their per-bit references,
 // with mask lengths deliberately pinned to the word-boundary edge cases
 // (len == 0 and len % 64 == 0 included).
 // ---------------------------------------------------------------------------
@@ -431,14 +429,17 @@ proptest! {
     }
 
     /// `ones` fills exactly `len` bits and counts as a single run (or zero runs
-    /// for the empty mask), via both the widened and the per-bit counters.
+    /// for the empty mask), and the whole-word and per-bit windowed counters
+    /// agree on it.
     #[test]
     fn ones_is_exact_at_boundary_lengths(len in mask_len()) {
         let mask = BaseMask::ones(len);
         prop_assert_eq!(mask.count_ones() as usize, len);
-        prop_assert_eq!(mask.count_runs(), u32::from(len > 0));
-        prop_assert_eq!(mask.count_runs(), mask.count_runs_reference());
-        prop_assert_eq!(mask.count_edits_windowed(3), mask.count_edits_windowed_reference(3));
+        prop_assert_eq!(mask.count_runs_reference(), u32::from(len > 0));
+        prop_assert_eq!(
+            count_edits_windowed_in_words(mask.words(), 3),
+            mask.count_edits_windowed_reference(3)
+        );
     }
 
     /// Widened `set_range` equals the per-bit reference for every sub-range,
@@ -459,48 +460,21 @@ proptest! {
         prop_assert_eq!(wide.words(), narrow.words(), "range {}..{} at len {}", start, end, len);
     }
 
-    /// Widened run counting and windowed edit counting equal their per-bit
-    /// references for arbitrary bit patterns and window widths (including
+    /// The lane kernels' whole-word windowed edit counter equals the per-bit
+    /// reference for arbitrary bit patterns and window widths (including
     /// windows wider than a word).
     #[test]
     fn counters_match_reference(words in mask_words(), len in mask_len(), window in 1usize..=130) {
         let mask = BaseMask::from_words(words, len);
-        prop_assert_eq!(mask.count_runs(), mask.count_runs_reference());
         prop_assert_eq!(
-            mask.count_edits_windowed(window),
+            count_edits_windowed_in_words(mask.words(), window),
             mask.count_edits_windowed_reference(window)
         );
     }
 
-    /// The morphological-closing amendment equals the per-bit run rewrite for
-    /// any `max_run`, including 0, runs straddling word boundaries, and widths
-    /// beyond one word (the delegation path).
-    #[test]
-    fn amend_matches_reference(words in mask_words(), len in mask_len(), max_run in 0usize..=130) {
-        let mut wide = BaseMask::from_words(words, len);
-        let mut narrow = wide.clone();
-        wide.amend_short_zero_runs(max_run);
-        narrow.amend_short_zero_runs_reference(max_run);
-        prop_assert_eq!(wide.words(), narrow.words(), "max_run {} at len {}", max_run, len);
-    }
-
-    /// The log-step XOR-reduce equals the per-bit reference for arbitrary word
-    /// arrays and lengths, including lengths past the arrays (missing words act
-    /// as all-`A`, exactly like shifted-in padding).
-    #[test]
-    fn xor_reduce_matches_reference(
-        a in proptest::collection::vec(0u32..=u32::MAX, 0..16),
-        b in proptest::collection::vec(0u32..=u32::MAX, 0..16),
-        len in 0usize..=224,
-    ) {
-        let wide = xor_to_base_mask(&a, &b, len);
-        let narrow = xor_to_base_mask_reference(&a, &b, len);
-        prop_assert_eq!(wide.len(), narrow.len());
-        prop_assert_eq!(wide.words(), narrow.words());
-    }
-
-    /// The full widened kernel agrees with the per-bit reference kernel on
-    /// bounded-edit pairs, for both boundary-handling variants.
+    /// The widened (one-lane x4) GateKeeper kernel agrees with the per-bit
+    /// reference kernel on bounded-edit pairs, for both boundary-handling
+    /// variants.
     #[test]
     fn widened_kernel_matches_reference_on_edited_pairs(
         (read, reference) in edited_pair(100, 10),
@@ -509,15 +483,16 @@ proptest! {
         let r = PackedSeq::from_ascii(&read);
         let f = PackedSeq::from_ascii(&reference);
         for config in [GateKeeperConfig::gpu(e), GateKeeperConfig::fpga(e)] {
-            let wide = gatekeeper_kernel(&r, &f, &config);
+            let wide = gatekeeper_filter_block_slices(&[(&read, &reference)], &config, SimdMode::Lanes);
             let narrow = gatekeeper_kernel_reference(&r, &f, &config);
-            prop_assert_eq!(wide, narrow, "e = {}", e);
+            prop_assert_eq!(wide[0], narrow, "e = {}", e);
         }
     }
 
     /// The same agreement on unrelated ragged pairs (read and reference lengths
     /// independent, including empty and word-exact), with thresholds from 0 to
-    /// far past the read length.
+    /// far past the read length: equal-length pairs take one lane of the x4
+    /// kernel, the rest the reference.
     #[test]
     fn widened_kernel_matches_reference_on_ragged_pairs(
         read in dna(200),
@@ -526,18 +501,21 @@ proptest! {
         ref_len in proptest::sample::select(vec![0usize, 1, 31, 32, 33, 64, 100, 128, 200]),
         e in proptest::sample::select(vec![0u32, 1, 2, 5, 63, 64, 65, 1000]),
     ) {
-        let r = PackedSeq::from_ascii(&read[..read_len]);
-        let f = PackedSeq::from_ascii(&reference[..ref_len]);
+        let (read, reference) = (&read[..read_len], &reference[..ref_len]);
+        let r = PackedSeq::from_ascii(read);
+        let f = PackedSeq::from_ascii(reference);
         for config in [GateKeeperConfig::gpu(e), GateKeeperConfig::fpga(e)] {
-            let wide = gatekeeper_kernel(&r, &f, &config);
+            let wide = gatekeeper_filter_block_slices(&[(read, reference)], &config, SimdMode::Lanes);
             let narrow = gatekeeper_kernel_reference(&r, &f, &config);
-            prop_assert_eq!(wide, narrow, "lens {}/{}, e = {}", read_len, ref_len, e);
+            prop_assert_eq!(wide[0], narrow, "lens {}/{}, e = {}", read_len, ref_len, e);
         }
     }
 
     /// End to end: the lane block driver and the all-scalar block driver hand
     /// back identical decision vectors over mixed batches — ragged lengths,
-    /// word-exact lengths, undefined (`N`) pairs, empty pairs.
+    /// word-exact lengths, undefined (`N`) pairs, empty pairs — and
+    /// `filter_pair`, a one-pair block, returns the same decision per pair in
+    /// either mode.
     #[test]
     fn lane_block_driver_matches_scalar_block_driver(
         raw in proptest::collection::vec(
@@ -565,7 +543,13 @@ proptest! {
         for config in [GateKeeperConfig::gpu(e), GateKeeperConfig::fpga(e)] {
             let lanes = gatekeeper_filter_block_slices(&slices, &config, SimdMode::Lanes);
             let scalar = gatekeeper_filter_block_slices(&slices, &config, SimdMode::Scalar);
-            prop_assert_eq!(lanes, scalar, "e = {}", e);
+            prop_assert_eq!(&lanes, &scalar, "e = {}", e);
+            // The GateKeeper filters take their mode from `GK_SIMD`; the CI
+            // scalar leg reruns this suite with `GK_SIMD=scalar`.
+            let filter = GateKeeperGpuFilter::with_config(config);
+            for (&(read, reference), block) in slices.iter().zip(&lanes) {
+                prop_assert_eq!(filter.filter_pair(read, reference), *block, "e = {}", e);
+            }
         }
     }
 
@@ -651,7 +635,6 @@ proptest! {
         x in 0u64..=u64::MAX,
         y in 0u64..=u64::MAX,
         words in mask_words(),
-        start in 0usize..=300,
         end in 0usize..=300,
     ) {
         prop_assert_eq!(nibble_popcounts(x), nibble_popcounts_reference(x));
@@ -659,18 +642,16 @@ proptest! {
         // `nibble_min`'s precondition: every nibble <= 7.
         let (a, b) = (x & 0x7777_7777_7777_7777, y & 0x7777_7777_7777_7777);
         prop_assert_eq!(nibble_min(a, b), nibble_min_reference(a, b));
-        prop_assert_eq!(
-            longest_zero_run_in_words(&words, start, end),
-            longest_zero_run_in_words_reference(&words, start, end)
-        );
-        prop_assert_eq!(
-            zero_run_length_in_words(&words, start, end),
-            zero_run_length_in_words_reference(&words, start, end)
-        );
+        let len = end.min(words.len() * 64);
+        let mut runs = Vec::new();
+        let mut runs_ref = Vec::new();
+        zero_runs_in_words(&words, len, &mut runs);
+        zero_runs_in_words_reference(&words, len, &mut runs_ref);
+        prop_assert_eq!(runs, runs_ref, "len {}", len);
     }
 
-    /// The three new 4-lane kernels reproduce their per-pair paths exactly on
-    /// random full and partial lane groups at every group length.
+    /// The three new 4-lane kernels reproduce their per-bit reference twins
+    /// exactly on random full and partial lane groups at every group length.
     #[test]
     fn new_lane_kernels_match_per_pair_decisions(
         pairs in proptest::collection::vec((dna(96), dna(96)), 1..=4),
@@ -692,23 +673,6 @@ proptest! {
         for (lane, (read, reference)) in cut.iter().enumerate() {
             prop_assert_eq!(
                 magnet[lane],
-                magnet_pair_decision(read, reference, e, false),
-                "magnet lane {}, len {}, e {}", lane, len, e
-            );
-            prop_assert_eq!(
-                shouji[lane],
-                shouji_pair_decision(read, reference, e),
-                "shouji lane {}, len {}, e {}", lane, len, e
-            );
-            prop_assert_eq!(
-                snake[lane],
-                sneaky_snake_pair_decision(read, reference, e),
-                "sneaky-snake lane {}, len {}, e {}", lane, len, e
-            );
-            // The per-bit reference twins close the differential triangle:
-            // lane kernel == widened per-pair path == scalar reference.
-            prop_assert_eq!(
-                magnet[lane],
                 magnet_pair_decision_reference(read, reference, e),
                 "magnet reference twin, lane {}, len {}, e {}", lane, len, e
             );
@@ -728,8 +692,9 @@ proptest! {
     /// Block drivers for the three new filters: lane mode and all-scalar mode
     /// hand back digest-identical decision vectors over mixed batches — ragged
     /// lengths, undefined (`N`) pairs, lowercase bases (which the byte-exact
-    /// Shouji/SneakySnake scalars treat as mismatches, forcing those pairs off
-    /// the lane path), and empty pairs.
+    /// Shouji/SneakySnake references treat as mismatches, forcing those pairs
+    /// off the lane path), and empty pairs — and `filter_pair`, a one-pair
+    /// block, returns the same decision per pair in both modes.
     #[test]
     fn new_filter_block_drivers_match_across_modes(
         raw in proptest::collection::vec(
@@ -762,17 +727,28 @@ proptest! {
         let m_lanes = magnet_filter_block_slices(&slices, e, SimdMode::Lanes);
         let m_scalar = magnet_filter_block_slices(&slices, e, SimdMode::Scalar);
         prop_assert_eq!(decision_digest(&m_lanes), decision_digest(&m_scalar));
-        prop_assert_eq!(m_lanes, m_scalar, "magnet, e = {}", e);
+        prop_assert_eq!(&m_lanes, &m_scalar, "magnet, e = {}", e);
 
         let sh_lanes = shouji_filter_block_slices(&slices, e, SimdMode::Lanes);
         let sh_scalar = shouji_filter_block_slices(&slices, e, SimdMode::Scalar);
         prop_assert_eq!(decision_digest(&sh_lanes), decision_digest(&sh_scalar));
-        prop_assert_eq!(sh_lanes, sh_scalar, "shouji, e = {}", e);
+        prop_assert_eq!(&sh_lanes, &sh_scalar, "shouji, e = {}", e);
 
         let sn_lanes = sneaky_snake_filter_block_slices(&slices, e, SimdMode::Lanes);
         let sn_scalar = sneaky_snake_filter_block_slices(&slices, e, SimdMode::Scalar);
         prop_assert_eq!(decision_digest(&sn_lanes), decision_digest(&sn_scalar));
-        prop_assert_eq!(sn_lanes, sn_scalar, "sneaky-snake, e = {}", e);
+        prop_assert_eq!(&sn_lanes, &sn_scalar, "sneaky-snake, e = {}", e);
+
+        for mode in [SimdMode::Lanes, SimdMode::Scalar] {
+            let magnet = MagnetFilter::new(e).with_simd_mode(mode);
+            let shouji = ShoujiFilter::new(e).with_simd_mode(mode);
+            let snake = SneakySnakeFilter::new(e).with_simd_mode(mode);
+            for (i, &(read, reference)) in slices.iter().enumerate() {
+                prop_assert_eq!(magnet.filter_pair(read, reference), m_lanes[i], "magnet {}", mode);
+                prop_assert_eq!(shouji.filter_pair(read, reference), sh_lanes[i], "shouji {}", mode);
+                prop_assert_eq!(snake.filter_pair(read, reference), sn_lanes[i], "snake {}", mode);
+            }
+        }
     }
 
     /// `SoaGroup` tail handling through the public `filter_batch` surface:

@@ -132,7 +132,7 @@ impl PairSet {
 /// [`PackedSeq`] code assignment, but any injective recoding of `ACGT`
 /// preserves the per-base mismatch structure — and both codings encode `A`
 /// as `00`, so the zeros vacated by shifts compare exactly like the `A`s
-/// vacated in the word-at-a-time path. Filter decisions are therefore
+/// vacated in the packed-word reference path. Filter decisions are therefore
 /// byte-identical to the [`PackedSeq`] pipeline.
 ///
 /// One spare all-zero row is kept past the last sequence word, and all bits
