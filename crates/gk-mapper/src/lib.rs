@@ -11,7 +11,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`index`] — a k-mer hash index over the reference;
+//! * [`index`] — a flat k-mer index over the reference (counting-sorted
+//!   positions behind a bucket table);
 //! * [`seeding`] — candidate generation by non-overlapping k-mer seeds on both
 //!   strands (the e+1 partition strategy);
 //! * [`pipeline`] — the full mapper: batching, the pre-alignment-filter hook

@@ -251,10 +251,10 @@ impl ReadMapper {
         stats: &mut MappingStats,
         records: &mut Vec<MappingRecord>,
     ) {
-        let read_len = reads.first().map(|r| r.sequence.len()).unwrap_or(0);
-        if read_len == 0 {
+        // Empty reads yield no candidates; skip the batch only when every read is empty.
+        let Some(read_len) = reads.iter().map(|r| r.sequence.len()).find(|&len| len > 0) else {
             return;
-        }
+        };
 
         // Preprocessing: seeding + candidate segment extraction + buffer filling,
         // fanned out per read in a single parallel pass (seeding, segment copies
@@ -550,6 +550,26 @@ mod tests {
             streamed.stats.verification_pairs,
             materialized.stats.verification_pairs
         );
+    }
+
+    #[test]
+    fn an_empty_read_at_the_head_of_a_batch_does_not_drop_the_batch() {
+        let reference = reference();
+        let reads = simulated_reads(&reference, 20, ErrorProfile::perfect());
+        let mapper = ReadMapper::new(reference, MapperConfig::new(2));
+        let filter = gpu_filter(2);
+        let expected = mapper.map_reads(&reads, &filter);
+        assert!(expected.stats.mapped_reads > 0);
+
+        let mut with_empty = vec![FastqRecord::with_uniform_quality("empty", Vec::<u8>::new())];
+        with_empty.extend(reads.iter().cloned());
+        let materialized = mapper.map_reads(&with_empty, &filter);
+        let streamed = mapper.map_read_batches(vec![with_empty], &filter);
+        for outcome in [materialized, streamed] {
+            assert_eq!(outcome.records, expected.records);
+            assert_eq!(outcome.stats.reads, reads.len() + 1);
+            assert_eq!(outcome.stats.mapped_reads, expected.stats.mapped_reads);
+        }
     }
 
     #[test]

@@ -50,9 +50,10 @@ impl SeedingConfig {
 ///
 /// The read is partitioned into non-overlapping k-mers; the first `e + 1` of them
 /// (or all, when the read is short) are looked up in the index, and every hit is
-/// translated back to the position where the *read* would start. Candidates closer
-/// than one seed length to each other collapse into one (verification is banded, so
-/// nearby starts verify identically).
+/// translated back to the position where the *read* would start. The result is
+/// sorted by strand, then position, with exact duplicates (the same start on the
+/// same strand, e.g. hit by two seeds of one read) collapsed into one; distinct
+/// starts are kept however close they are.
 pub fn candidates_for_read(
     read: &[u8],
     index: &KmerIndex,
@@ -102,8 +103,8 @@ fn collect_candidates(
     }
 }
 
-/// Collapses candidates that are duplicates or within one base of each other on the
-/// same strand.
+/// Sorts candidates by (strand, position) and removes exact duplicates only;
+/// nearby but distinct starts stay separate candidates.
 fn dedupe(mut candidates: Vec<CandidateLocation>) -> Vec<CandidateLocation> {
     candidates.sort_by_key(|c| (c.reverse, c.position));
     candidates.dedup_by(|a, b| a.reverse == b.reverse && a.position == b.position);
