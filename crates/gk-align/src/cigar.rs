@@ -1,9 +1,9 @@
 //! CIGAR strings describing alignments.
 //!
 //! Mappers report verified alignments in SAM format, whose CIGAR column encodes the
-//! sequence of matches/mismatches, insertions and deletions. The traceback aligners
-//! in [`crate::nw`] and [`crate::sw`] produce a [`Cigar`]; the mapper crate embeds it
-//! in its mapping records.
+//! sequence of matches/mismatches, insertions and deletions. The traceback aligner
+//! in [`crate::nw`] produces a [`Cigar`]; the mapper crate embeds it in its mapping
+//! records.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -23,7 +23,7 @@ pub enum CigarOp {
 
 impl CigarOp {
     /// SAM character for this operation.
-    pub fn symbol(self) -> char {
+    fn symbol(self) -> char {
         match self {
             CigarOp::Match => 'M',
             CigarOp::Insertion => 'I',
@@ -33,7 +33,7 @@ impl CigarOp {
     }
 
     /// True if the operation consumes a read base.
-    pub fn consumes_read(self) -> bool {
+    fn consumes_read(self) -> bool {
         matches!(
             self,
             CigarOp::Match | CigarOp::Insertion | CigarOp::SoftClip
@@ -41,7 +41,7 @@ impl CigarOp {
     }
 
     /// True if the operation consumes a reference base.
-    pub fn consumes_reference(self) -> bool {
+    fn consumes_reference(self) -> bool {
         matches!(self, CigarOp::Match | CigarOp::Deletion)
     }
 }
@@ -101,15 +101,6 @@ impl Cigar {
             .sum()
     }
 
-    /// Total number of inserted plus deleted bases (gap bases).
-    pub fn gap_bases(&self) -> u32 {
-        self.ops
-            .iter()
-            .filter(|(_, op)| matches!(op, CigarOp::Insertion | CigarOp::Deletion))
-            .map(|(n, _)| n)
-            .sum()
-    }
-
     /// Reverses the CIGAR (used when reporting reverse-strand alignments).
     pub fn reversed(&self) -> Cigar {
         Cigar {
@@ -163,7 +154,6 @@ mod tests {
         c.push(CigarOp::Match, 5);
         assert_eq!(c.read_len(), 2 + 10 + 3 + 5);
         assert_eq!(c.reference_len(), 10 + 4 + 5);
-        assert_eq!(c.gap_bases(), 7);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   dynamic-programming computation used to cross-check it.
 //! * **Verification** in mrFAST is a banded edit-distance check against the error
 //!   threshold, followed by alignment for reporting; [`dp::banded_levenshtein`] and
-//!   the traceback aligners in [`nw`] / [`sw`] cover that role, with CIGAR output in
+//!   the global traceback aligner in [`nw`] cover that role, with CIGAR output in
 //!   [`cigar`].
 //!
 //! Everything operates on plain ASCII `&[u8]` sequences so the crate is usable both
@@ -24,12 +24,8 @@ pub mod cigar;
 pub mod dp;
 pub mod myers;
 pub mod nw;
-pub mod sw;
-pub mod verify;
 
 pub use cigar::{Cigar, CigarOp};
 pub use dp::{banded_levenshtein, levenshtein};
 pub use myers::edit_distance;
 pub use nw::{needleman_wunsch, GlobalAlignment, ScoringScheme};
-pub use sw::{smith_waterman, LocalAlignment};
-pub use verify::{verify_within, Verifier};

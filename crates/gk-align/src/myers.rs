@@ -5,9 +5,10 @@
 //! with Hyyrö's block extension for patterns longer than the machine word. This
 //! module re-implements that algorithm:
 //!
-//! * [`edit_distance_64`] — single-word kernel for patterns of at most 64 bases;
+//! * `edit_distance_64` — single-word kernel for patterns of at most 64 bases;
 //! * [`edit_distance`] — block-based kernel for arbitrary pattern lengths (reads in
-//!   the paper are 50–300 bp, i.e. up to five 64-base blocks).
+//!   the paper are 50–300 bp, i.e. up to five 64-base blocks), which hands
+//!   patterns of at most 64 bases to the single-word kernel.
 //!
 //! Both compute the exact global (Needleman-Wunsch / Levenshtein) distance in
 //! `O(⌈m/64⌉ · n)` word operations, and both are property-tested against the plain
@@ -130,7 +131,7 @@ fn advance_block(eq: u64, pv: u64, mv: u64, hin: i32) -> (u64, u64, i32, u64, u6
 ///
 /// # Panics
 /// Panics if `pattern.len() > 64`; use [`edit_distance`] for longer patterns.
-pub fn edit_distance_64(pattern: &[u8], text: &[u8]) -> u32 {
+fn edit_distance_64(pattern: &[u8], text: &[u8]) -> u32 {
     assert!(
         pattern.len() <= WORD_BITS,
         "pattern of {} bases exceeds the 64-base single-word kernel",

@@ -1,5 +1,6 @@
 //! Seeded violations: one `unsafe` block without a SAFETY comment, one
-//! `unwrap()` in library code, one unjustified `Ordering::Relaxed`.
+//! `unwrap()` in library code, one unjustified `Ordering::Relaxed`, and one
+//! `pub fn` no other file names (`tests/callers.rs` names the rest).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -13,6 +14,11 @@ pub fn library_unwrap(text: &str) -> u32 {
 
 pub fn unjustified_relaxed(counter: &AtomicUsize) -> usize {
     counter.load(Ordering::Relaxed)
+}
+
+/// Only this file names it, and a comment elsewhere does not count as a use.
+pub fn orphaned_helper() -> u32 {
+    7
 }
 
 #[cfg(test)]

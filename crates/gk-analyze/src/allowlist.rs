@@ -2,9 +2,9 @@
 //!
 //! One entry per line: `<rule> <path> <reason...>`. The rule is one of the
 //! check ids (`unwrap`, `relaxed`, `host-clock`, `unsafe-safety`,
-//! `kernel-twin`), the path is workspace-relative with forward slashes, and
-//! the reason is mandatory free text — an entry without a written
-//! justification is itself a violation. Entries that match nothing are
+//! `kernel-twin`, `orphan-pub`), the path is workspace-relative with forward
+//! slashes, and the reason is mandatory free text — an entry without a
+//! written justification is itself a violation. Entries that match nothing are
 //! reported as stale, so the list can only shrink as code is fixed.
 
 use std::cell::Cell;

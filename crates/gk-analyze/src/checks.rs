@@ -1,5 +1,5 @@
-//! The five workspace invariants, as per-file token scans plus one
-//! workspace-level pass (kernel/reference twinning).
+//! The six workspace invariants, as per-file token scans plus two
+//! workspace-level passes (kernel/reference twinning, orphaned `pub fn`s).
 //!
 //! | rule            | scope                              | requirement |
 //! |-----------------|------------------------------------|-------------|
@@ -8,20 +8,25 @@
 //! | `host-clock`    | `crates/gk-gpusim/src`             | no `std::time::{Instant, SystemTime}` in simulated-time code |
 //! | `unwrap`        | non-test library code              | no `.unwrap()` / `.expect()` outside the allowlist |
 //! | `relaxed`       | non-test library code              | `Ordering::Relaxed` carries a justification comment |
+//! | `orphan-pub`    | non-test library code              | every `pub fn` is named in the code of some other `.rs` file |
 //!
 //! "Non-test" excludes `#[cfg(test)]` regions (any `cfg` predicate naming
 //! `test`, so `#[cfg(any(test, gk_schedules))]` layers count as test code),
 //! integration `tests/`, `benches/`, `examples/`, and `src/bin/` harness
-//! binaries.
+//! binaries. Those files still count as *users* for `orphan-pub`: a `pub fn`
+//! that only a test, bench, example or `bench/` workload names is kept.
+
+use std::collections::{HashMap, HashSet};
 
 use crate::lexer::{char_before, ident_positions, lex, FileView};
 
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "unsafe-safety",
     "kernel-twin",
     "host-clock",
     "unwrap",
     "relaxed",
+    "orphan-pub",
 ];
 
 pub struct Violation {
@@ -332,6 +337,85 @@ pub fn collect_fns(file: &SourceFile, out: &mut Vec<FnDef>) {
     }
 }
 
+/// Collects non-test `pub fn` definitions (also `pub const fn`,
+/// `pub async fn`, `pub unsafe fn`) for the orphan check. `pub(crate)` and
+/// other restricted visibilities are not public API and are skipped.
+pub fn collect_pub_fns(file: &SourceFile, out: &mut Vec<FnDef>) {
+    for (idx, code) in file.view.code.iter().enumerate() {
+        if file.is_test_line(idx) {
+            continue;
+        }
+        for (_, end) in ident_positions(code, "pub") {
+            let mut rest = &code[end..];
+            for qualifier in ["const", "async", "unsafe"] {
+                if let Some(after) = strip_word(rest, qualifier) {
+                    rest = after;
+                }
+            }
+            let Some(after_fn) = strip_word(rest, "fn") else {
+                continue;
+            };
+            let name: String = after_fn
+                .trim_start()
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if !name.is_empty() {
+                out.push(FnDef {
+                    name,
+                    path: file.rel_path.clone(),
+                    line: idx + 1,
+                });
+            }
+        }
+    }
+}
+
+/// `text` past a leading whole-word `word` (after optional whitespace).
+fn strip_word<'a>(text: &'a str, word: &str) -> Option<&'a str> {
+    let after = text.trim_start().strip_prefix(word)?;
+    after.starts_with(char::is_whitespace).then_some(after)
+}
+
+/// Adds each identifier in `file`'s code view to `files_naming`, counting
+/// every file once per name. Comments and string contents are blanked in the
+/// code view, so a mention there is not a use.
+pub fn count_idents(file: &SourceFile, files_naming: &mut HashMap<String, usize>) {
+    let mut seen = HashSet::new();
+    for code in &file.view.code {
+        for token in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if token.starts_with(|c: char| c.is_alphabetic() || c == '_') && seen.insert(token) {
+                *files_naming.entry(token.to_string()).or_default() += 1;
+            }
+        }
+    }
+}
+
+/// Rule `orphan-pub`, workspace level: a library `pub fn` whose name appears
+/// in the code of no `.rs` file besides its own has no caller outside its
+/// file, so it should be deleted or lose `pub`. Matching is by name, so a
+/// name shared with any other item in another file counts as a use.
+pub fn check_orphan_pub(
+    pub_fns: &[FnDef],
+    files_naming: &HashMap<String, usize>,
+    out: &mut Vec<Violation>,
+) {
+    for def in pub_fns {
+        if files_naming.get(&def.name).copied().unwrap_or(0) <= 1 {
+            out.push(Violation {
+                path: def.path.clone(),
+                line: def.line,
+                rule: "orphan-pub",
+                message: format!(
+                    "`pub fn {}` is named by no other file: delete it, make it private or \
+                     `pub(crate)`, or add an allowlist entry with a written reason",
+                    def.name
+                ),
+            });
+        }
+    }
+}
+
 /// Rule `kernel-twin`, workspace level: every `*_kernel_x4` lane kernel in
 /// gk-filters has a scalar `*_reference` twin, and that twin is exercised by
 /// the differential property suite.
@@ -505,5 +589,33 @@ mod tests {
         assert_eq!(v.len(), 1);
         check_kernel_twins(&defs[..1], Some(""), &mut v);
         assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn orphan_pub_needs_a_caller_in_another_file() {
+        let lib = file(
+            "crates/x/src/lib.rs",
+            "pub fn used() {}\npub const fn orphan() {}\npub(crate) fn inner() {}\n\
+             fn private() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+        );
+        let mut defs = Vec::new();
+        collect_pub_fns(&lib, &mut defs);
+        let names: Vec<&str> = defs.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["used", "orphan"]);
+
+        // The caller names `used` in code; `orphan` only in a comment and a
+        // string, which do not count.
+        let caller = file(
+            "tests/t.rs",
+            "// orphan\nfn t() { x::used(); let s = \"orphan\"; }\n",
+        );
+        let mut files_naming = HashMap::new();
+        count_idents(&lib, &mut files_naming);
+        count_idents(&caller, &mut files_naming);
+        let mut v = Vec::new();
+        check_orphan_pub(&defs, &files_naming, &mut v);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].message.contains("`pub fn orphan`"));
+        assert_eq!(v[0].line, 2);
     }
 }

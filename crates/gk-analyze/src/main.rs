@@ -16,6 +16,7 @@ mod allowlist;
 mod checks;
 mod lexer;
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -91,6 +92,8 @@ fn run_check(root: &Path) -> Result<Vec<Violation>, String> {
 
     let mut raw = Vec::new();
     let mut filter_fns = Vec::new();
+    let mut pub_fns = Vec::new();
+    let mut files_naming = HashMap::new();
     let mut property_suite = None;
     let mut file_count = 0usize;
     for rel in &files {
@@ -105,9 +108,11 @@ fn run_check(root: &Path) -> Result<Vec<Violation>, String> {
 
         checks::check_unsafe_safety(&file, &mut raw);
         checks::check_host_clock(&file, &mut raw);
+        checks::count_idents(&file, &mut files_naming);
         if checks::scope_of(&rel_str) == Scope::Library {
             checks::check_unwrap(&file, &mut raw);
             checks::check_relaxed(&file, &mut raw);
+            checks::collect_pub_fns(&file, &mut pub_fns);
         }
         if rel_str.starts_with("crates/gk-filters/src/") {
             checks::collect_fns(&file, &mut filter_fns);
@@ -119,6 +124,7 @@ fn run_check(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
     checks::check_kernel_twins(&filter_fns, property_suite.as_deref(), &mut raw);
+    checks::check_orphan_pub(&pub_fns, &files_naming, &mut raw);
 
     let mut violations = Vec::new();
     let allow = Allowlist::load(root, &mut violations);

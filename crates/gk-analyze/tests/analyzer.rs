@@ -30,10 +30,12 @@ fn seeded_fixture_tree_fails_with_every_rule() {
         "[relaxed]",
         "[host-clock]",
         "[kernel-twin]",
+        "[orphan-pub]",
         "[allowlist]",
         "crates/demo/src/lib.rs",
         "crates/gk-gpusim/src/sim.rs",
         "demo_kernel_x4",
+        "`pub fn orphaned_helper`",
         "stale entry",
     ] {
         assert!(

@@ -137,15 +137,9 @@ pub fn multi_gpu_run(
 }
 
 /// Runs the multicore GateKeeper-CPU baseline over a set, on the shared pool
-/// for `cores` (no per-call thread spawning). The SIMD mode is `Auto`, so
-/// `GK_SIMD=scalar` in the environment forces the per-bit reference kernels.
-pub fn cpu_throughput(set: &PairSet, threshold: u32, cores: usize) -> ThroughputPoint {
-    cpu_throughput_with_mode(set, threshold, cores, SimdMode::Auto)
-}
-
-/// Like [`cpu_throughput`] with an explicit SIMD mode: `Lanes` for the
-/// word/lane-parallel kernels, `Scalar` for the per-bit reference baseline the
-/// speedup is reported against.
+/// for `cores` (no per-call thread spawning), in SIMD mode `mode`: `Lanes` for
+/// the lane-parallel kernels, `Scalar` for the per-bit reference baseline the
+/// speedup is reported against, `Auto` to follow `GK_SIMD`.
 pub fn cpu_throughput_with_mode(
     set: &PairSet,
     threshold: u32,
@@ -169,31 +163,9 @@ pub fn cpu_throughput_with_mode(
 /// measured-wall-clock counterpart of the simulated stream overlap. On pools
 /// with at least three workers the source additionally generates the next
 /// batch ahead on the pool (`PairBatches::read_ahead`); on smaller pools the
-/// serial generation hides under the in-flight encode tasks instead.
-pub fn streaming_gpu_throughput(
-    setup: &Setup,
-    source: PairBatches,
-    threshold: u32,
-    encoding: EncodingActor,
-    overlap: bool,
-    chunk_pairs: usize,
-    host_prefetch: bool,
-) -> StreamFilterRun {
-    streaming_gpu_throughput_with(
-        setup,
-        source,
-        threshold,
-        encoding,
-        overlap,
-        chunk_pairs,
-        host_prefetch,
-        |_, _| {},
-    )
-}
-
-/// Like [`streaming_gpu_throughput`], handing every chunk's pairs and
-/// decisions to `sink` in input order (for callers that checksum or persist
-/// decisions without materializing them).
+/// serial generation hides under the in-flight encode tasks instead. Every
+/// chunk's pairs and decisions go to `sink` in input order (for callers that
+/// checksum or persist decisions without materializing them).
 #[allow(clippy::too_many_arguments)]
 pub fn streaming_gpu_throughput_with<F>(
     setup: &Setup,
@@ -251,7 +223,7 @@ mod tests {
     fn gpu_beats_cpu_on_kernel_time() {
         let set = throughput_set(100, 3_000);
         let gpu = gpu_throughput(&SETUP1, 1, &set, 2, EncodingActor::Host);
-        let cpu = cpu_throughput(&set, 2, 2);
+        let cpu = cpu_throughput_with_mode(&set, 2, 2, SimdMode::Auto);
         assert!(gpu.kernel_seconds < cpu.kernel_seconds);
     }
 
@@ -305,10 +277,19 @@ mod tests {
         use gk_seq::datasets::DatasetProfile;
         let profile = DatasetProfile::set3();
         let stream = || profile.stream_batches(5_000, 4_242, 1_000);
-        let overlapped =
-            streaming_gpu_throughput(&SETUP1, stream(), 2, EncodingActor::Host, true, 500, false);
-        let serialized =
-            streaming_gpu_throughput(&SETUP1, stream(), 2, EncodingActor::Host, false, 500, false);
+        let run = |overlap| {
+            streaming_gpu_throughput_with(
+                &SETUP1,
+                stream(),
+                2,
+                EncodingActor::Host,
+                overlap,
+                500,
+                false,
+                |_, _| {},
+            )
+        };
+        let (overlapped, serialized) = (run(true), run(false));
         assert_eq!(overlapped.pairs, 5_000);
         assert_eq!(overlapped.batches, 10);
         assert_eq!(overlapped.accepted, serialized.accepted);

@@ -46,11 +46,6 @@ pub const SETUP2: Setup = Setup {
     kind: SetupKind::Kepler,
 };
 
-/// Both setups in paper order.
-pub fn all_setups() -> [Setup; 2] {
-    [SETUP1, SETUP2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,11 +55,5 @@ mod tests {
         assert_ne!(SETUP1.device().name, SETUP2.device().name);
         assert!(SETUP1.device().supports_prefetch());
         assert!(!SETUP2.device().supports_prefetch());
-    }
-
-    #[test]
-    fn all_setups_lists_both() {
-        assert_eq!(all_setups().len(), 2);
-        assert_eq!(all_setups()[0].name, "Setup 1");
     }
 }

@@ -39,7 +39,7 @@ use gk_filters::{
 };
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::topology::TopologyKind;
-use gk_seq::pairs::{PairSet, SequencePair};
+use gk_seq::pairs::SequencePair;
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -255,7 +255,6 @@ impl FilterBackend for CpuSimdBackend {
 /// device implementation in the paper, fall back to the CPU lane path.
 pub struct GpuSimBackend {
     device: DeviceSpec,
-    template: FilterConfig,
     instances: Mutex<HashMap<(usize, u32), Arc<GateKeeperGpu>>>,
     fallback: CpuSimdBackend,
 }
@@ -270,17 +269,9 @@ impl GpuSimBackend {
     pub fn with_device(device: DeviceSpec) -> GpuSimBackend {
         GpuSimBackend {
             device,
-            template: FilterConfig::new(100, 0),
             instances: Mutex::new(HashMap::new()),
             fallback: CpuSimdBackend::new(1),
         }
-    }
-
-    /// Uses `template` as the base configuration (encoding actor, overlap,
-    /// chunking knobs); read length and threshold still come from each job.
-    pub fn with_config_template(mut self, template: FilterConfig) -> GpuSimBackend {
-        self.template = template;
-        self
     }
 
     fn instance(&self, read_len: usize, threshold: u32) -> Arc<GateKeeperGpu> {
@@ -288,9 +279,7 @@ impl GpuSimBackend {
         cache
             .entry((read_len, threshold))
             .or_insert_with(|| {
-                let mut config = self.template;
-                config.read_len = read_len;
-                config.threshold = threshold;
+                let config = FilterConfig::new(read_len, threshold);
                 Arc::new(GateKeeperGpu::new(self.device.clone(), config))
             })
             .clone()
@@ -383,8 +372,9 @@ impl FilterBackend for MultiGpuBackend {
         match job.kind {
             FilterKind::GateKeeper => {
                 let multi = self.instance(job.read_len.max(1), job.threshold);
-                let set = PairSet::new("serve", job.read_len, job.pairs.to_vec());
-                multi.filter_set(&set).decisions
+                multi
+                    .run_schedule(&multi.schedule(job.pairs.len()), job.pairs)
+                    .decisions
             }
             _ => self.fallback.run(job),
         }
@@ -436,6 +426,7 @@ mod tests {
     use super::*;
     use gk_filters::traits::decision_digest;
     use gk_seq::datasets::DatasetProfile;
+    use gk_seq::pairs::PairSet;
 
     fn sample_pairs(count: usize) -> Vec<SequencePair> {
         DatasetProfile::set3().generate(count, 0x5e12_7a01).pairs

@@ -38,12 +38,12 @@
 //!
 //! Execution is organised as the chunked three-stage pipeline of
 //! [`crate::pipeline`]: every run — [`GateKeeperGpu::filter_set`] over a
-//! materialized [`PairSet`], [`GateKeeperGpu::filter_chunks`] over explicit
-//! slices, or [`GateKeeperGpu::filter_stream`] over batches produced on the fly
-//! — feeds plan-sized chunks through encode+H2D, kernel, and D2H read-back
-//! stages. With [`FilterConfig::overlap`] on, the stages of adjacent chunks
-//! overlap on separate simulated streams (§3.4) and the reported filter time is
-//! the pipeline makespan; decisions are byte-identical either way.
+//! materialized [`PairSet`], or [`GateKeeperGpu::filter_stream_with`] over
+//! batches produced on the fly — feeds plan-sized chunks through encode+H2D,
+//! kernel, and D2H read-back stages. With [`FilterConfig::overlap`] on, the
+//! stages of adjacent chunks overlap on separate simulated streams (§3.4) and
+//! the reported filter time is the pipeline makespan; decisions are
+//! byte-identical either way.
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
 use crate::pipeline::{
@@ -152,7 +152,6 @@ pub struct GateKeeperGpu {
     device: DeviceSpec,
     config: FilterConfig,
     system: SystemConfig,
-    kernel_config: GateKeeperConfig,
     /// `config.simd` resolved against `GK_SIMD` once, at construction — the
     /// per-chunk device stage must not consult the environment.
     simd: SimdMode,
@@ -165,7 +164,6 @@ impl GateKeeperGpu {
         GateKeeperGpu {
             device,
             system,
-            kernel_config: GateKeeperConfig::gpu(config.threshold),
             simd: config.simd.resolve(),
             config,
         }
@@ -184,11 +182,6 @@ impl GateKeeperGpu {
     /// The user configuration.
     pub fn config(&self) -> &FilterConfig {
         &self.config
-    }
-
-    /// The derived system configuration (§3.1).
-    pub fn system_config(&self) -> &SystemConfig {
-        &self.system
     }
 
     /// Modelled cycles one fused-kernel thread spends 2-bit packing its pair
@@ -301,6 +294,7 @@ impl GateKeeperGpu {
         // kernel — pack the raw bases they were handed, then filter — which
         // is what makes the two paths byte-identical: both end up filtering
         // the same 2-bit sequences.
+        let kernel_config = GateKeeperConfig::gpu(self.config.threshold);
         let decisions: Vec<FilterDecision> = match input {
             ChunkInput::Encoded(encoded) => encoded
                 .par_chunks(LANE_BLOCK_PAIRS)
@@ -309,7 +303,7 @@ impl GateKeeperGpu {
                         .iter()
                         .map(|(read, reference)| (read, reference))
                         .collect();
-                    gatekeeper_filter_block_packed(&refs, &self.kernel_config, self.simd)
+                    gatekeeper_filter_block_packed(&refs, &kernel_config, self.simd)
                 })
                 .collect(),
             ChunkInput::Raw(raw) => {
@@ -321,7 +315,7 @@ impl GateKeeperGpu {
                         let slices: Vec<(&[u8], &[u8])> = (start..end)
                             .map(|i| (raw.read(i), raw.reference(i)))
                             .collect();
-                        gatekeeper_filter_block_slices(&slices, &self.kernel_config, self.simd)
+                        gatekeeper_filter_block_slices(&slices, &kernel_config, self.simd)
                     })
                     .collect()
             }
@@ -411,7 +405,7 @@ impl GateKeeperGpu {
 
     /// Filters an explicit sequence of pair slices (e.g. the round-robin chunk
     /// shares of one device in a multi-GPU run) through a single pipeline.
-    pub fn filter_chunks<'a, I>(&self, chunks: I) -> FilterRun
+    pub(crate) fn filter_chunks<'a, I>(&self, chunks: I) -> FilterRun
     where
         I: IntoIterator<Item = &'a [SequencePair]>,
     {
@@ -428,19 +422,10 @@ impl GateKeeperGpu {
     }
 
     /// Filters a stream of pair batches without materializing the full pair set
-    /// *or* the full decision vector: only aggregate counts, timing and memory
-    /// traffic are retained. This is the whole-genome-scale entry point (30M
-    /// pairs in the paper's sets).
-    pub fn filter_stream<I>(&self, batches: I) -> StreamFilterRun
-    where
-        I: IntoIterator<Item = Vec<SequencePair>>,
-    {
-        self.filter_stream_with(batches, |_, _| {})
-    }
-
-    /// Like [`GateKeeperGpu::filter_stream`], handing each chunk's pairs and
-    /// decisions to `sink` before they are dropped (for callers that persist or
-    /// post-process decisions incrementally).
+    /// *or* the full decision vector: each chunk's pairs and decisions go to
+    /// `sink` before they are dropped, and the run keeps only aggregate counts,
+    /// timing and memory traffic. This is the whole-genome-scale entry point
+    /// (30M pairs in the paper's sets).
     pub fn filter_stream_with<I, F>(&self, batches: I, mut sink: F) -> StreamFilterRun
     where
         I: IntoIterator<Item = Vec<SequencePair>>,
@@ -827,7 +812,8 @@ impl PreAlignmentFilter for GateKeeperGpu {
     }
 
     fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        gatekeeper_filter_block_slices(&[(read, reference)], &self.kernel_config, self.simd)[0]
+        let kernel_config = GateKeeperConfig::gpu(self.config.threshold);
+        gatekeeper_filter_block_slices(&[(read, reference)], &kernel_config, self.simd)[0]
     }
 }
 

@@ -13,7 +13,9 @@
 //!   the stream-overlap scheduler (encode+H2D next chunk ∥ kernel current chunk ∥
 //!   D2H previous chunk), and overlapped-versus-serialized reporting.
 //! * [`multi_gpu`] — [`multi_gpu::MultiGpuGateKeeper`]: round-robin chunk sharding
-//!   across several devices with the paper's timing conventions.
+//!   across several devices with the paper's timing conventions, and the
+//!   topology-aware scheduler that weights shares, picks each device's encoding
+//!   actor and sizes chunks by its interconnect link.
 //! * [`cpu`] — [`cpu::GateKeeperCpu`]: the multicore CPU baseline used in the
 //!   throughput comparison (Table 2), measured in real wall-clock time.
 //! * [`timing`] — timing breakdowns and the "billions of filtrations in 40 minutes"

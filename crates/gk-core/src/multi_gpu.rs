@@ -40,12 +40,11 @@
 use crate::config::{EncodingActor, FilterConfig};
 use crate::gpu::{FilterRun, GateKeeperGpu};
 use crate::pipeline::{ChunkPlan, BUFFER_SLOTS};
-use crate::timing::{InterconnectReport, TimingBreakdown};
+use crate::timing::InterconnectReport;
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::memory::MemoryStats;
-use gk_gpusim::multi::MultiGpu;
 use gk_gpusim::topology::{simulate_contended, weighted_partition, ChunkLoad, Topology};
-use gk_seq::pairs::PairSet;
+use gk_seq::pairs::{PairSet, SequencePair};
 use serde::{Deserialize, Serialize};
 
 /// Result of a multi-GPU filtering run.
@@ -170,40 +169,46 @@ fn estimated_pair_cost(
 /// GateKeeper-GPU spread over several devices.
 #[derive(Debug, Clone)]
 pub struct MultiGpuGateKeeper {
-    context: MultiGpu,
+    devices: Vec<DeviceSpec>,
     config: FilterConfig,
 }
 
 impl MultiGpuGateKeeper {
     /// Creates a multi-GPU filter over `device_count` copies of `device`.
+    ///
+    /// # Panics
+    ///
+    /// When `device_count` is zero.
     pub fn new(
         device: DeviceSpec,
         device_count: usize,
         config: FilterConfig,
     ) -> MultiGpuGateKeeper {
-        MultiGpuGateKeeper {
-            context: MultiGpu::homogeneous(device, device_count),
-            config,
-        }
+        MultiGpuGateKeeper::with_devices(vec![device; device_count], config)
     }
 
     /// Creates a multi-GPU filter over an explicit (possibly heterogeneous)
-    /// device list.
+    /// device list, kept in order.
+    ///
+    /// # Panics
+    ///
+    /// When `devices` is empty.
     pub fn with_devices(devices: Vec<DeviceSpec>, config: FilterConfig) -> MultiGpuGateKeeper {
-        MultiGpuGateKeeper {
-            context: MultiGpu::from_devices(devices),
-            config,
-        }
+        assert!(
+            !devices.is_empty(),
+            "a multi-GPU filter needs at least one device"
+        );
+        MultiGpuGateKeeper { devices, config }
     }
 
-    /// Number of devices in the context.
+    /// Number of devices.
     pub fn device_count(&self) -> usize {
-        self.context.device_count()
+        self.devices.len()
     }
 
     /// The devices.
     pub fn devices(&self) -> &[DeviceSpec] {
-        self.context.devices()
+        &self.devices
     }
 
     /// The filter configuration.
@@ -212,17 +217,17 @@ impl MultiGpuGateKeeper {
     }
 
     /// The interconnect topology selected by [`FilterConfig::topology`], built
-    /// over this context's device list.
+    /// over this filter's device list.
     pub fn topology(&self) -> Topology {
-        Topology::build(self.config.topology, self.context.devices())
+        Topology::build(self.config.topology, &self.devices)
     }
 
     /// The chunk-to-device assignment for `total` pairs: the single-GPU pipeline
     /// chunk plan, with the chunk size capped at `⌈total / devices⌉` so a small
     /// set still spreads across every device, sharded round-robin.
-    pub fn shard_plan(&self, total: usize) -> (ChunkPlan, Vec<Vec<(usize, usize)>>) {
-        let devices = self.context.device_count();
-        let probe = GateKeeperGpu::new(self.context.devices()[0].clone(), self.config);
+    fn shard_plan(&self, total: usize) -> (ChunkPlan, Vec<Vec<(usize, usize)>>) {
+        let devices = self.devices.len();
+        let probe = GateKeeperGpu::new(self.devices[0].clone(), self.config);
         let mut plan = probe.chunk_plan();
         if devices > 1 && total > 0 {
             plan.chunk_pairs = plan.chunk_pairs.min(total.div_ceil(devices)).max(1);
@@ -241,13 +246,13 @@ impl MultiGpuGateKeeper {
     }
 
     /// Like [`MultiGpuGateKeeper::schedule`], but over an explicit topology
-    /// (which must describe this context's devices) instead of the one named
+    /// (which must describe this filter's devices) instead of the one named
     /// by [`FilterConfig::topology`].
     pub fn schedule_for(&self, topology: &Topology, total: usize) -> MultiGpuSchedule {
         assert_eq!(
             topology.device_count(),
-            self.context.device_count(),
-            "topology must describe this context's devices"
+            self.devices.len(),
+            "topology must describe this filter's devices"
         );
         let aware = self.config.topology_aware;
         let assignments = if aware {
@@ -273,7 +278,7 @@ impl MultiGpuGateKeeper {
     /// bottleneck, contiguous spans weighted by the inverse device-local cost,
     /// and chunk sizes shrunk by each link's sharer count.
     fn aware_assignments(&self, topology: &Topology, total: usize) -> Vec<DeviceAssignment> {
-        let devices = self.context.devices();
+        let devices = &self.devices;
         let count = devices.len();
         let mut configs = Vec::with_capacity(count);
         let mut weights = Vec::with_capacity(count);
@@ -320,33 +325,27 @@ impl MultiGpuGateKeeper {
 
     /// Filters a pair set across all devices on the configured topology.
     pub fn filter_set(&self, pairs: &PairSet) -> MultiGpuRun {
-        self.run_schedule(&self.schedule(pairs.len()), pairs)
+        self.run_schedule(&self.schedule(pairs.len()), &pairs.pairs)
     }
 
-    /// Filters a pair set across all devices on an explicit topology.
-    pub fn filter_set_on(&self, topology: &Topology, pairs: &PairSet) -> MultiGpuRun {
-        self.run_schedule(&self.schedule_for(topology, pairs.len()), pairs)
-    }
-
-    /// Runs a schedule: each device pipelines its share under its assigned
-    /// configuration. The shares are independent, so they are processed
-    /// sequentially here while the timing combines them as if they ran
-    /// concurrently (which they do on real hardware).
-    pub fn run_schedule(&self, schedule: &MultiGpuSchedule, pairs: &PairSet) -> MultiGpuRun {
+    /// Runs a schedule over `pairs`: each device pipelines its share under its
+    /// assigned configuration. The shares are independent, so they are
+    /// processed sequentially here while the timing combines them as if they
+    /// ran concurrently (which they do on real hardware).
+    pub(crate) fn run_schedule(
+        &self,
+        schedule: &MultiGpuSchedule,
+        pairs: &[SequencePair],
+    ) -> MultiGpuRun {
         let mut per_device = Vec::with_capacity(schedule.assignments.len());
         let mut decisions = vec![gk_filters::FilterDecision::accept(0); pairs.len()];
-        for (device_spec, assignment) in self
-            .context
-            .devices()
-            .iter()
-            .zip(schedule.assignments.iter())
-        {
+        for (device_spec, assignment) in self.devices.iter().zip(schedule.assignments.iter()) {
             let gpu = GateKeeperGpu::new(device_spec.clone(), assignment.config);
             let run = gpu.filter_chunks(
                 assignment
                     .ranges
                     .iter()
-                    .map(|&(start, end)| &pairs.pairs[start..end]),
+                    .map(|&(start, end)| &pairs[start..end]),
             );
             let mut cursor = 0usize;
             for &(start, end) in &assignment.ranges {
@@ -399,7 +398,7 @@ impl MultiGpuGateKeeper {
 
         MultiGpuRun {
             decisions,
-            devices: self.context.device_count(),
+            devices: self.devices.len(),
             kernel_seconds,
             filter_seconds,
             per_device,
@@ -408,41 +407,11 @@ impl MultiGpuGateKeeper {
     }
 }
 
-/// Convenience container mirroring the per-device timing rows of Tables S.21–S.23.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Number of devices.
-    pub devices: usize,
-    /// Kernel-time throughput in millions of filtrations per second.
-    pub kernel_mps: f64,
-    /// Filter-time throughput in millions of filtrations per second.
-    pub filter_mps: f64,
-}
-
-impl ScalingPoint {
-    /// Builds a scaling point from a run over `pairs` pairs.
-    pub fn from_run(run: &MultiGpuRun, pairs: usize) -> ScalingPoint {
-        ScalingPoint {
-            devices: run.devices,
-            kernel_mps: crate::timing::pairs_per_second(pairs, run.kernel_seconds) / 1e6,
-            filter_mps: crate::timing::pairs_per_second(pairs, run.filter_seconds) / 1e6,
-        }
-    }
-
-    /// Accumulated timing breakdown across devices (for reporting).
-    pub fn timing_of(run: &MultiGpuRun) -> TimingBreakdown {
-        let mut total = TimingBreakdown::default();
-        for device_run in &run.per_device {
-            total.accumulate(&device_run.timing);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EncodingActor;
+    use crate::timing::TimingBreakdown;
     use gk_gpusim::topology::{LinkSpec, TopologyKind};
     use gk_seq::datasets::DatasetProfile;
 
@@ -456,6 +425,31 @@ mod tests {
             devices,
             FilterConfig::new(100, 2).with_encoding(encoding),
         )
+    }
+
+    /// Every device's timing breakdown, summed.
+    fn summed_timing(run: &MultiGpuRun) -> TimingBreakdown {
+        let mut total = TimingBreakdown::default();
+        for device_run in &run.per_device {
+            total.accumulate(&device_run.timing);
+        }
+        total
+    }
+
+    #[test]
+    fn heterogeneous_device_lists_keep_their_order() {
+        let filter = MultiGpuGateKeeper::with_devices(
+            vec![DeviceSpec::gtx_1080_ti(), DeviceSpec::tesla_k20x()],
+            FilterConfig::new(100, 2),
+        );
+        assert_eq!(filter.device_count(), 2);
+        assert_eq!(filter.devices()[1].name, "Tesla K20X");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn zero_devices_panic() {
+        multi(0, EncodingActor::Host);
     }
 
     #[test]
@@ -490,19 +484,6 @@ mod tests {
             filter_speedup < kernel_speedup,
             "filter speedup {filter_speedup} should trail kernel speedup {kernel_speedup}"
         );
-    }
-
-    #[test]
-    fn scaling_points_report_increasing_kernel_throughput() {
-        let set = pairs(3_000);
-        let mut last = 0.0;
-        for devices in [1usize, 2, 4] {
-            let run = multi(devices, EncodingActor::Host).filter_set(&set);
-            let point = ScalingPoint::from_run(&run, set.len());
-            assert_eq!(point.devices, devices);
-            assert!(point.kernel_mps > last, "devices = {devices}");
-            last = point.kernel_mps;
-        }
     }
 
     #[test]
@@ -579,8 +560,8 @@ mod tests {
             assert!(run.timing.encode_device_seconds > 0.0);
             assert!(run.pipeline.device_encode);
         }
-        let host_total = ScalingPoint::timing_of(&host);
-        let device_total = ScalingPoint::timing_of(&device);
+        let host_total = summed_timing(&host);
+        let device_total = summed_timing(&device);
         assert!(host_total.encode_seconds > 0.0);
         assert_eq!(device_total.encode_seconds, 0.0);
         assert!(device_total.encode_device_seconds > 0.0);
@@ -602,7 +583,7 @@ mod tests {
     fn timing_accumulation_covers_all_devices() {
         let set = pairs(1_000);
         let run = multi(2, EncodingActor::Device).filter_set(&set);
-        let total = ScalingPoint::timing_of(&run);
+        let total = summed_timing(&run);
         assert!(total.kernel_seconds >= run.kernel_seconds);
     }
 
@@ -699,7 +680,7 @@ mod tests {
         }
         // The flip retunes the plan, never the decisions.
         let set = pairs(2_000);
-        let flipped = filter.filter_set_on(&starved, &set);
+        let flipped = filter.run_schedule(&filter.schedule_for(&starved, set.len()), &set.pairs);
         let baseline = filter.filter_set(&set);
         assert_eq!(flipped.decisions, baseline.decisions);
     }

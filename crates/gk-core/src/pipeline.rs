@@ -69,7 +69,7 @@ impl ChunkPlan {
     ///
     /// The capacity itself is encoding-mode-dependent: with device encode the
     /// buffer slots hold **raw** 1-byte-per-base sequences (~4× the packed
-    /// words — see `gk_gpusim::encode::raw_inflation`), so the
+    /// words), so the
     /// system-configuration step derives a smaller `batch_size` and every slot
     /// of the rotation shrinks with it. The plan never has to know which mode
     /// is active beyond that: raw slots are sized exactly like encoded ones,

@@ -80,27 +80,6 @@ impl AccuracyReport {
             self.true_rejects as f64 / self.edlib_rejected as f64
         }
     }
-
-    /// False reject rate: false rejects over ground-truth accepts (nonzero
-    /// only for MAGNET among the implemented filters). Reports 0 instead of a
-    /// NaN when the ground truth accepts nothing (empty dataset or a
-    /// uniformly divergent one).
-    pub fn false_reject_rate(&self) -> f64 {
-        if self.edlib_accepted == 0 {
-            0.0
-        } else {
-            self.false_rejects as f64 / self.edlib_accepted as f64
-        }
-    }
-
-    /// Fraction of all pairs the filter removes from the verification workload.
-    pub fn rejection_fraction(&self) -> f64 {
-        if self.total_pairs == 0 {
-            0.0
-        } else {
-            self.filter_rejected as f64 / self.total_pairs as f64
-        }
-    }
 }
 
 /// Computes the ground-truth edit distance of every pair across the worker pool
@@ -314,7 +293,6 @@ mod tests {
         let report = evaluate_filter(&filter, &pairs, UndefinedPolicy::Exclude);
         assert!((0.0..=1.0).contains(&report.false_accept_rate()));
         assert!((0.0..=1.0).contains(&report.true_reject_rate()));
-        assert!((0.0..=1.0).contains(&report.rejection_fraction()));
         let sum = report.false_accept_rate() + report.true_reject_rate();
         assert!((sum - 1.0).abs() < 1e-9 || report.edlib_rejected == 0);
     }
@@ -341,12 +319,7 @@ mod tests {
         let filter = GateKeeperGpuFilter::new(3);
         let report = evaluate_filter(&filter, &empty, UndefinedPolicy::Exclude);
         assert_eq!(report.total_pairs, 0);
-        for rate in [
-            report.false_accept_rate(),
-            report.false_reject_rate(),
-            report.true_reject_rate(),
-            report.rejection_fraction(),
-        ] {
+        for rate in [report.false_accept_rate(), report.true_reject_rate()] {
             assert!(rate.is_finite());
             assert_eq!(rate, 0.0);
         }
@@ -362,6 +335,5 @@ mod tests {
         assert_eq!(report.edlib_rejected, 0);
         assert!(report.false_accept_rate().is_finite());
         assert!(report.true_reject_rate().is_finite());
-        assert!(report.false_reject_rate().is_finite());
     }
 }

@@ -70,7 +70,7 @@ pub fn count_edits_windowed_in_words(words: &[u64], window: usize) -> u32 {
 /// words, one bit at a time; returns `(run_start, run_len)` or `None` if
 /// every bit is 1. The strict `>` comparison keeps the leftmost run on equal
 /// lengths — MAGNET's tie-break.
-pub fn longest_zero_run_in_words_reference(
+fn longest_zero_run_in_words_reference(
     words: &[u64],
     start: usize,
     end: usize,
@@ -285,14 +285,6 @@ impl BaseMask {
         }
     }
 
-    /// In-place OR with another mask of the same length.
-    pub fn or_assign(&mut self, other: &BaseMask) {
-        assert_eq!(self.len, other.len, "mask length mismatch in OR");
-        for (a, b) in self.bits.iter_mut().zip(other.bits.iter()) {
-            *a |= b;
-        }
-    }
-
     /// Number of 1 bits.
     pub fn count_ones(&self) -> u32 {
         self.bits.iter().map(|w| w.count_ones()).sum()
@@ -453,9 +445,6 @@ mod tests {
         let mut and = a.clone();
         and.and_assign(&b);
         assert_eq!(and, BaseMask::from_bools([true, false, false, false]));
-        let mut or = a.clone();
-        or.or_assign(&b);
-        assert_eq!(or, BaseMask::from_bools([true, true, true, false]));
     }
 
     #[test]

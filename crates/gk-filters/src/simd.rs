@@ -80,7 +80,7 @@ impl SimdMode {
     }
 
     /// True when the resolved mode runs the lane-parallel kernels.
-    pub fn use_lanes(self) -> bool {
+    fn use_lanes(self) -> bool {
         self.resolve() == SimdMode::Lanes
     }
 }

@@ -154,7 +154,7 @@ impl DeviceSpec {
     }
 
     /// Total number of CUDA cores.
-    pub fn cuda_cores(&self) -> u32 {
+    fn cuda_cores(&self) -> u32 {
         self.sm_count * self.cores_per_sm
     }
 

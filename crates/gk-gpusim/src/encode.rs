@@ -9,8 +9,8 @@
 //!
 //! * **transfer accounting** — the H2D buffers carry raw ASCII
 //!   (1 byte/base) instead of packed words (¼ byte/base), so the PCIe link
-//!   moves ~4× the bytes ([`raw_inflation`] makes the ratio exact for a read
-//!   length);
+//!   moves ~4× the bytes (the pipeline charges the raw arena's actual
+//!   footprint);
 //! * **occupancy impact** — the fused kernel keeps the encode scratch
 //!   (current word accumulator, base cursor, undefined flag) live alongside
 //!   the filter state, costing a handful of extra registers per thread
@@ -47,29 +47,6 @@ pub fn encode_cycles(bases: u64) -> u64 {
     ENCODE_CYCLES_PER_THREAD + bases * ENCODE_CYCLES_PER_BASE
 }
 
-/// H2D bytes per pair in raw (device-encoded) mode: read + reference segment
-/// at one byte per base.
-pub fn raw_bytes_per_pair(read_len: usize) -> u64 {
-    2 * read_len as u64
-}
-
-/// H2D bytes per pair in packed (host-encoded) mode: read + reference segment
-/// at `⌈len/16⌉` 4-byte words each.
-pub fn packed_bytes_per_pair(read_len: usize) -> u64 {
-    2 * read_len.div_ceil(16) as u64 * 4
-}
-
-/// Raw-over-packed transfer inflation for a read length (~4×; exactly 4 when
-/// the length is a multiple of 16).
-pub fn raw_inflation(read_len: usize) -> f64 {
-    let packed = packed_bytes_per_pair(read_len);
-    if packed == 0 {
-        1.0
-    } else {
-        raw_bytes_per_pair(read_len) as f64 / packed as f64
-    }
-}
-
 impl KernelResources {
     /// The fused encode+filter kernel of the device encoding actor: the
     /// GateKeeper-GPU launch shape with [`ENCODE_EXTRA_REGISTERS`] more
@@ -98,17 +75,6 @@ mod tests {
         );
         // Small next to the e = 4 filter phase (~63k mask-word cycles).
         assert!(pair_100bp < 10_000);
-    }
-
-    #[test]
-    fn raw_transfer_is_four_times_packed_at_word_multiples() {
-        assert_eq!(raw_bytes_per_pair(100), 200);
-        assert_eq!(packed_bytes_per_pair(100), 56);
-        assert!((raw_inflation(96) - 4.0).abs() < 1e-12);
-        assert!((raw_inflation(256) - 4.0).abs() < 1e-12);
-        // Padding makes short word-unaligned lengths slightly cheaper raw.
-        assert!(raw_inflation(100) > 3.5 && raw_inflation(100) < 4.0);
-        assert!((raw_inflation(0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

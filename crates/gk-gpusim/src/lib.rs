@@ -22,8 +22,8 @@
 //! * [`occupancy`] — the CUDA occupancy calculator; reproduces the 63% / 50%
 //!   theoretical-occupancy numbers of §5.4.1.
 //! * [`encode`] — the in-kernel encode-stage model of the device encoding
-//!   actor: per-base cycle cost, raw-vs-packed H2D byte accounting, and the
-//!   fused encode+filter kernel's register/occupancy footprint.
+//!   actor: per-base cycle cost and the fused encode+filter kernel's
+//!   register/occupancy footprint.
 //! * [`memory`] — unified memory with page-granular residency, on-demand migration
 //!   (page faults), `memAdvise`, and asynchronous prefetch (compute capability ≥ 6.x
 //!   only, as on the real hardware).
@@ -37,7 +37,6 @@
 //!   versus the serialized sum (the §3.4 multi-stream prefetch model).
 //! * [`power`] — nvprof-like power sampling (min/max/average milliwatts).
 //! * [`profiler`] — aggregated per-kernel profiling reports.
-//! * [`multi`] — multi-GPU contexts that split batches across devices.
 //! * [`topology`] — interconnect topologies: devices attached to shared host
 //!   links (root complex, PCIe switch fan-out, NVLink-style fabric) whose
 //!   concurrent transfers serialize instead of overlapping for free, plus the
@@ -49,7 +48,6 @@ pub mod device;
 pub mod encode;
 pub mod executor;
 pub mod memory;
-pub mod multi;
 pub mod occupancy;
 pub mod power;
 pub mod profiler;
@@ -62,7 +60,6 @@ pub use executor::{
     launch_kernel, KernelResources, KernelStats, LaunchConfig, ThreadCtx, ThreadReport,
 };
 pub use memory::{MemAdvise, MemoryStats, UnifiedBuffer, UnifiedMemory};
-pub use multi::MultiGpu;
 pub use occupancy::{theoretical_occupancy, OccupancyLimit, OccupancyResult};
 pub use power::{PowerModel, PowerReport};
 pub use profiler::{KernelProfile, Profiler};

@@ -178,11 +178,6 @@ impl UnifiedMemory {
         self.allocated_bytes = 0;
     }
 
-    /// Total bytes currently allocated.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes
-    }
-
     /// Returns the buffer with the given id.
     pub fn buffer(&self, id: usize) -> Result<&UnifiedBuffer, MemoryError> {
         self.buffers.get(id).ok_or(MemoryError::InvalidBuffer(id))
@@ -298,7 +293,7 @@ mod tests {
     fn allocation_tracks_bytes_and_pages() {
         let mut mem = pascal();
         let id = mem.alloc(1_000_000).unwrap();
-        assert_eq!(mem.allocated_bytes(), 1_000_000);
+        assert_eq!(mem.allocated_bytes, 1_000_000);
         let buffer = mem.buffer(id).unwrap();
         assert_eq!(buffer.page_count(), 1_000_000usize.div_ceil(PAGE_SIZE));
         assert_eq!(buffer.device_resident_pages(), 0);
@@ -404,7 +399,7 @@ mod tests {
         mem.alloc(1_000).unwrap();
         mem.alloc(2_000).unwrap();
         mem.reset();
-        assert_eq!(mem.allocated_bytes(), 0);
+        assert_eq!(mem.allocated_bytes, 0);
         assert!(matches!(mem.buffer(0), Err(MemoryError::InvalidBuffer(0))));
     }
 

@@ -42,7 +42,7 @@ impl PowerModel {
 
     /// Instantaneous power draw (watts) at a given utilisation (0–1) for a kernel
     /// touching `words_per_thread` packed words per thread.
-    pub fn instantaneous_watts(&self, utilization: f64, words_per_thread: usize) -> f64 {
+    fn instantaneous_watts(&self, utilization: f64, words_per_thread: usize) -> f64 {
         let utilization = utilization.clamp(0.0, 1.0);
         // Memory-intensity factor: more words per thread → more DRAM traffic. A
         // 100 bp read is 7 words; a 250 bp read is 16.

@@ -131,13 +131,6 @@ impl Profiler {
             samples: total_samples,
         })
     }
-
-    /// Sum of kernel times across recorded launches (the "kernel time" metric of
-    /// §4.3: "Since GateKeeper-GPU uses batched kernel calls, we add all kernel
-    /// times in execution and report the sum").
-    pub fn total_kernel_seconds(&self) -> f64 {
-        self.profiles.iter().map(|p| p.stats.kernel_seconds).sum()
-    }
 }
 
 fn average(values: impl Iterator<Item = f64>) -> f64 {
@@ -177,7 +170,10 @@ mod tests {
         profiler.record("gatekeeper", run_one(64), 7);
         profiler.record("gatekeeper", run_one(64), 7);
         assert_eq!(profiler.profiles().len(), 2);
-        assert!(profiler.total_kernel_seconds() > 0.0);
+        assert!(profiler
+            .profiles()
+            .iter()
+            .all(|p| p.stats.kernel_seconds > 0.0));
     }
 
     #[test]
@@ -215,7 +211,6 @@ mod tests {
     fn empty_profiler_has_no_aggregate_power() {
         let profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
         assert!(profiler.aggregate_power().is_none());
-        assert_eq!(profiler.total_kernel_seconds(), 0.0);
         assert_eq!(profiler.average_achieved_occupancy(), 0.0);
     }
 

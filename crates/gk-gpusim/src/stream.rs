@@ -132,42 +132,6 @@ impl Event {
     pub fn seconds(&self) -> f64 {
         self.at_seconds
     }
-
-    /// Elapsed time between two events (like `cudaEventElapsedTime`, but in
-    /// seconds).
-    ///
-    /// `later` must not precede `self`: a reversed pair is a caller bug (debug
-    /// builds assert), and in release builds the result is **clamped to zero**
-    /// so elapsed times never run negative — the same contract as
-    /// [`Stream::enqueue`]'s duration clamp. Callers that need to *detect* the
-    /// reversal instead of absorbing it use [`Event::try_elapsed_until`].
-    pub fn elapsed_until(&self, later: &Event) -> f64 {
-        debug_assert!(
-            later.at_seconds >= self.at_seconds,
-            "events passed to elapsed_until in reverse order ({} > {})",
-            self.at_seconds,
-            later.at_seconds
-        );
-        (later.at_seconds - self.at_seconds).max(0.0)
-    }
-
-    /// Checked elapsed time: `None` when the events are reversed (`later`
-    /// precedes `self`), making the release-mode clamp of
-    /// [`Event::elapsed_until`] observable to callers in every build profile.
-    pub fn try_elapsed_until(&self, later: &Event) -> Option<f64> {
-        if later.at_seconds >= self.at_seconds {
-            Some(later.at_seconds - self.at_seconds)
-        } else {
-            None
-        }
-    }
-}
-
-/// Completion time of a set of concurrent streams (they all start at zero): the
-/// slowest stream defines the wall-clock cost, the way the paper's multi-stream
-/// prefetching and multi-GPU kernel-time reporting work.
-pub fn parallel_completion_seconds(streams: &[Stream]) -> f64 {
-    streams.iter().map(|s| s.synchronize()).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -218,43 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn try_elapsed_detects_reversed_events_in_every_profile() {
-        let mut s = Stream::new("test");
-        let start = s.record_event();
-        s.enqueue("kernel", 0.25);
-        let end = s.record_event();
-        assert!((start.try_elapsed_until(&end).unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(end.try_elapsed_until(&start), None);
-    }
-
-    #[test]
     fn events_measure_elapsed_time() {
         let mut s = Stream::new("test");
         let start = s.record_event();
         s.enqueue("kernel", 0.25);
         let end = s.record_event();
-        assert!((start.elapsed_until(&end) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "reverse order")]
-    fn reversed_events_assert_in_debug_builds() {
-        let mut s = Stream::new("test");
-        let start = s.record_event();
-        s.enqueue("kernel", 0.25);
-        let end = s.record_event();
-        let _ = end.elapsed_until(&start);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn reversed_events_are_clamped_in_release_builds() {
-        let mut s = Stream::new("test");
-        let start = s.record_event();
-        s.enqueue("kernel", 0.25);
-        let end = s.record_event();
-        assert_eq!(end.elapsed_until(&start), 0.0);
+        assert!((end.seconds() - start.seconds() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -274,17 +207,6 @@ mod tests {
         consumer.wait_event("stale wait", &uploaded);
         assert_eq!(consumer.len(), before);
         assert_eq!(consumer.synchronize(), 1.5);
-    }
-
-    #[test]
-    fn parallel_completion_takes_the_slowest_stream() {
-        let mut a = Stream::new("a");
-        let mut b = Stream::new("b");
-        a.enqueue("x", 1.0);
-        b.enqueue("y", 0.2);
-        b.enqueue("z", 0.3);
-        assert_eq!(parallel_completion_seconds(&[a, b]), 1.0);
-        assert_eq!(parallel_completion_seconds(&[]), 0.0);
     }
 
     #[test]

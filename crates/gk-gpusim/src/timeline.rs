@@ -42,7 +42,6 @@ pub struct Link {
     busy_seconds: f64,
     bytes_moved: u64,
     wait_seconds: f64,
-    transfers: u64,
 }
 
 impl Link {
@@ -67,11 +66,6 @@ impl Link {
     /// Zero on an uncontended link.
     pub fn wait_seconds(&self) -> f64 {
         self.wait_seconds
-    }
-
-    /// Number of transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
     }
 
     /// Fraction of `horizon_seconds` the link spent busy (0 when the horizon
@@ -136,7 +130,6 @@ impl Timeline {
             busy_seconds: 0.0,
             bytes_moved: 0,
             wait_seconds: 0.0,
-            transfers: 0,
         });
         LinkId(self.links.len() - 1)
     }
@@ -172,7 +165,6 @@ impl Timeline {
         l.busy_until_seconds = s.synchronize();
         l.busy_seconds += duration.max(0.0);
         l.bytes_moved += bytes;
-        l.transfers += 1;
         s.record_event()
     }
 
@@ -312,7 +304,6 @@ mod tests {
         assert_eq!(with_link.makespan_seconds(), plain.makespan_seconds());
         assert_eq!(with_link.link(l).wait_seconds(), 0.0);
         assert_eq!(with_link.link(l).bytes_moved(), bytes);
-        assert_eq!(with_link.link(l).transfers(), 1);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Topology {
     }
 
     /// Every device on its own private link at its full PCIe rate.
-    pub fn independent(devices: &[DeviceSpec]) -> Topology {
+    fn independent(devices: &[DeviceSpec]) -> Topology {
         assert!(!devices.is_empty(), "a topology needs at least one device");
         Topology {
             label: "private".to_string(),
@@ -151,7 +151,7 @@ impl Topology {
     }
 
     /// All devices behind one root-complex link.
-    pub fn shared_root(devices: &[DeviceSpec]) -> Topology {
+    fn shared_root(devices: &[DeviceSpec]) -> Topology {
         assert!(!devices.is_empty(), "a topology needs at least one device");
         Topology {
             label: "shared".to_string(),
@@ -184,7 +184,7 @@ impl Topology {
     }
 
     /// One shared NVLink-style fabric at [`NVLINK_BANDWIDTH_GB_PER_S`].
-    pub fn nvlink(devices: &[DeviceSpec]) -> Topology {
+    fn nvlink(devices: &[DeviceSpec]) -> Topology {
         assert!(!devices.is_empty(), "a topology needs at least one device");
         Topology {
             label: "nvlink".to_string(),
@@ -245,11 +245,6 @@ impl Topology {
         &self.links
     }
 
-    /// Index of the link device `d` attaches to.
-    pub fn link_of(&self, device: usize) -> usize {
-        self.attach[device]
-    }
-
     /// How many devices share device `d`'s link (including itself).
     pub fn sharers(&self, device: usize) -> usize {
         let link = self.attach[device];
@@ -257,7 +252,7 @@ impl Topology {
     }
 
     /// Full bandwidth of device `d`'s link, in GB/s.
-    pub fn link_bandwidth_gb_per_s(&self, device: usize) -> f64 {
+    fn link_bandwidth_gb_per_s(&self, device: usize) -> f64 {
         self.links[self.attach[device]].bandwidth_gb_per_s
     }
 
@@ -266,11 +261,6 @@ impl Topology {
     /// topology-aware sharder feeds on.
     pub fn effective_bandwidth_gb_per_s(&self, device: usize) -> f64 {
         self.link_bandwidth_gb_per_s(device) / self.sharers(device) as f64
-    }
-
-    /// True when any link is shared by more than one device.
-    pub fn is_contended(&self) -> bool {
-        (0..self.device_count()).any(|d| self.sharers(d) > 1)
     }
 
     /// Human-readable topology label (`private`, `shared`, `switch:4`, …).
@@ -283,8 +273,8 @@ impl Topology {
 /// `weights`, by largest remainder: every weight gets `floor(total·wᵢ/Σw)`
 /// items, and the leftovers go one each to the largest fractional parts
 /// (ties to the lower index). Non-finite or negative weights count as zero;
-/// an all-zero weight vector degrades to the equal front-loaded split of
-/// [`MultiGpu::split_work`](crate::multi::MultiGpu::split_work).
+/// equal weights, and an all-zero weight vector, give the equal split with
+/// the remainder front-loaded onto the first ranges.
 ///
 /// The result is always an exact partition of `0..total`: `n` half-open
 /// ranges, back-to-back, first starting at 0, last ending at `total`.
@@ -609,12 +599,10 @@ mod tests {
         let devices = pascal(8);
         let private = Topology::independent(&devices);
         assert_eq!(private.links().len(), 8);
-        assert!(!private.is_contended());
-        assert_eq!(private.sharers(3), 1);
+        assert!((0..8).all(|d| private.sharers(d) == 1));
 
         let shared = Topology::shared_root(&devices);
         assert_eq!(shared.links().len(), 1);
-        assert!(shared.is_contended());
         assert_eq!(shared.sharers(0), 8);
         assert!(
             (shared.effective_bandwidth_gb_per_s(0) - devices[0].pcie.bandwidth_gb_per_s() / 8.0)
@@ -627,11 +615,11 @@ mod tests {
         assert_eq!(switch.sharers(0), 3);
         // The ragged last switch holds two devices.
         assert_eq!(switch.sharers(7), 2);
-        assert_eq!(switch.link_of(6), 2);
+        assert_eq!(switch.attach[6], 2);
 
         let nvlink = Topology::nvlink(&devices);
         assert_eq!(nvlink.link_bandwidth_gb_per_s(0), NVLINK_BANDWIDTH_GB_PER_S);
-        assert!(nvlink.is_contended());
+        assert_eq!(nvlink.sharers(0), 8);
     }
 
     #[test]
@@ -666,7 +654,6 @@ mod tests {
     fn to_independent_keeps_rates_but_drops_sharing() {
         let shared = Topology::shared_root(&pascal(4));
         let private = shared.to_independent();
-        assert!(!private.is_contended());
         assert_eq!(private.device_count(), 4);
         for d in 0..4 {
             assert_eq!(
@@ -695,6 +682,18 @@ mod tests {
         let sizes: Vec<usize> = ranges.iter().map(|(s, e)| e - s).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+    }
+
+    #[test]
+    fn weighted_partition_follows_the_weights_and_equal_weights_front_load_the_remainder() {
+        let ranges = weighted_partition(100, &[3.0, 1.0, 1.0, 1.0]);
+        assert_eq!(ranges[0], (0, 50));
+        assert_eq!(ranges.last().unwrap().1, 100);
+        assert_eq!(
+            weighted_partition(10, &[1.0; 4]),
+            vec![(0, 3), (3, 6), (6, 8), (8, 10)],
+            "equal weights must give the equal split with the remainder front-loaded"
+        );
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! * [`seeding`] — candidate generation by non-overlapping k-mer seeds on both
 //!   strands (the e+1 partition strategy);
 //! * [`pipeline`] — the full mapper: batching, the pre-alignment-filter hook
-//!   (none / any host filter / GateKeeper-GPU / multi-GPU), verification, and the
+//!   (none / any host filter / GateKeeper-GPU), verification, and the
 //!   mapping statistics the paper reports (mappings, mapped reads, verification
 //!   pairs, rejected pairs, stage timings);
-//! * [`record`] — mapping records with CIGARs and SAM-style rendering.
+//! * [`record`] — mapping records with CIGARs.
 
 #![warn(missing_docs)]
 

@@ -15,7 +15,6 @@ use gk_align::cigar::{Cigar, CigarOp};
 use gk_align::dp::banded_levenshtein;
 use gk_align::nw::{needleman_wunsch, ScoringScheme};
 use gk_core::gpu::GateKeeperGpu;
-use gk_core::multi_gpu::MultiGpuGateKeeper;
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
 use gk_seq::alphabet::reverse_complement;
 use gk_seq::fastq::FastqRecord;
@@ -56,12 +55,6 @@ impl MapperConfig {
         self.max_reads_per_batch = reads.max(1);
         self
     }
-
-    /// Enables traceback CIGAR reporting.
-    pub fn with_alignments(mut self) -> MapperConfig {
-        self.report_alignments = true;
-        self
-    }
 }
 
 /// The pre-alignment filter plugged into the mapper.
@@ -72,8 +65,6 @@ pub enum PreFilter {
     Host(Box<dyn PreAlignmentFilter + Send + Sync>),
     /// GateKeeper-GPU on one simulated device.
     Gpu(GateKeeperGpu),
-    /// GateKeeper-GPU across several simulated devices.
-    MultiGpu(MultiGpuGateKeeper),
 }
 
 impl PreFilter {
@@ -83,7 +74,6 @@ impl PreFilter {
             PreFilter::None => "No Filter",
             PreFilter::Host(filter) => filter.name(),
             PreFilter::Gpu(_) => "GateKeeper-GPU",
-            PreFilter::MultiGpu(_) => "GateKeeper-GPU (multi)",
         }
     }
 
@@ -102,10 +92,6 @@ impl PreFilter {
                 let run = gpu.filter_set(pairs);
                 let (kernel, filter) = (run.kernel_seconds(), run.filter_seconds());
                 (run.decisions, kernel, filter)
-            }
-            PreFilter::MultiGpu(multi) => {
-                let run = multi.filter_set(pairs);
-                (run.decisions, run.kernel_seconds, run.filter_seconds)
             }
         }
     }
@@ -213,31 +199,6 @@ impl ReadMapper {
 
         for batch in reads.chunks(self.config.max_reads_per_batch.max(1)) {
             self.map_batch(batch, filter, &mut stats, &mut records);
-        }
-
-        stats.total_seconds = total_start.elapsed().as_secs_f64();
-        MappingOutcome { records, stats }
-    }
-
-    /// Maps a *stream* of read batches without materializing the whole read set:
-    /// each incoming batch is cut at `max_reads_per_batch`, seeded, filtered and
-    /// verified, and only its mapping records are retained — the 30M-pair
-    /// whole-genome entry point matching the GPU path's `filter_stream`.
-    /// Feeding the same reads as one slice to [`ReadMapper::map_reads`] produces
-    /// record-identical output (timing fields are wall-clock and may differ).
-    pub fn map_read_batches<I>(&self, batches: I, filter: &PreFilter) -> MappingOutcome
-    where
-        I: IntoIterator<Item = Vec<FastqRecord>>,
-    {
-        let total_start = Instant::now();
-        let mut stats = MappingStats::default();
-        let mut records = Vec::new();
-
-        for batch in batches {
-            stats.reads += batch.len();
-            for chunk in batch.chunks(self.config.max_reads_per_batch.max(1)) {
-                self.map_batch(chunk, filter, &mut stats, &mut records);
-            }
         }
 
         stats.total_seconds = total_start.elapsed().as_secs_f64();
@@ -507,7 +468,11 @@ mod tests {
     fn alignment_reporting_produces_traceback_cigars() {
         let reference = reference();
         let reads = simulated_reads(&reference, 20, ErrorProfile::low_indel());
-        let mapper = ReadMapper::new(reference, MapperConfig::new(3).with_alignments());
+        let config = MapperConfig {
+            report_alignments: true,
+            ..MapperConfig::new(3)
+        };
+        let mapper = ReadMapper::new(reference, config);
         let outcome = mapper.map_reads(&reads, &PreFilter::None);
         for record in &outcome.records {
             assert_eq!(record.cigar.read_len() as usize, 100);
@@ -529,30 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_read_batches_match_materialized_mapping() {
-        let reference = reference();
-        let reads = simulated_reads(&reference, 90, ErrorProfile::illumina());
-        let mapper = ReadMapper::new(reference, MapperConfig::new(2));
-
-        let materialized = mapper.map_reads(&reads, &gpu_filter(2));
-        let batches: Vec<Vec<FastqRecord>> = reads.chunks(25).map(|c| c.to_vec()).collect();
-        let streamed = mapper.map_read_batches(batches, &gpu_filter(2));
-
-        assert_eq!(streamed.records, materialized.records);
-        assert_eq!(streamed.stats.reads, materialized.stats.reads);
-        assert_eq!(streamed.stats.mappings, materialized.stats.mappings);
-        assert_eq!(streamed.stats.mapped_reads, materialized.stats.mapped_reads);
-        assert_eq!(
-            streamed.stats.candidate_pairs,
-            materialized.stats.candidate_pairs
-        );
-        assert_eq!(
-            streamed.stats.verification_pairs,
-            materialized.stats.verification_pairs
-        );
-    }
-
-    #[test]
     fn an_empty_read_at_the_head_of_a_batch_does_not_drop_the_batch() {
         let reference = reference();
         let reads = simulated_reads(&reference, 20, ErrorProfile::perfect());
@@ -563,13 +504,10 @@ mod tests {
 
         let mut with_empty = vec![FastqRecord::with_uniform_quality("empty", Vec::<u8>::new())];
         with_empty.extend(reads.iter().cloned());
-        let materialized = mapper.map_reads(&with_empty, &filter);
-        let streamed = mapper.map_read_batches(vec![with_empty], &filter);
-        for outcome in [materialized, streamed] {
-            assert_eq!(outcome.records, expected.records);
-            assert_eq!(outcome.stats.reads, reads.len() + 1);
-            assert_eq!(outcome.stats.mapped_reads, expected.stats.mapped_reads);
-        }
+        let outcome = mapper.map_reads(&with_empty, &filter);
+        assert_eq!(outcome.records, expected.records);
+        assert_eq!(outcome.stats.reads, reads.len() + 1);
+        assert_eq!(outcome.stats.mapped_reads, expected.stats.mapped_reads);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Mapping records and SAM-style rendering.
+//! Mapping records.
 
 use gk_align::cigar::Cigar;
 use serde::{Deserialize, Serialize};
@@ -18,65 +18,4 @@ pub struct MappingRecord {
     pub edit_distance: u32,
     /// Alignment CIGAR.
     pub cigar: Cigar,
-}
-
-impl MappingRecord {
-    /// SAM flag field for this record (only the strand bit is modelled).
-    pub fn sam_flag(&self) -> u32 {
-        if self.reverse {
-            16
-        } else {
-            0
-        }
-    }
-
-    /// Renders the record as a SAM-like line (QNAME FLAG RNAME POS MAPQ CIGAR NM).
-    pub fn to_sam_line(&self, sequence: &[u8]) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t255\t{}\t*\t0\t0\t{}\t*\tNM:i:{}",
-            self.read_id,
-            self.sam_flag(),
-            self.reference_name,
-            self.position + 1,
-            self.cigar,
-            String::from_utf8_lossy(sequence),
-            self.edit_distance
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gk_align::cigar::CigarOp;
-
-    fn record(reverse: bool) -> MappingRecord {
-        let mut cigar = Cigar::new();
-        cigar.push(CigarOp::Match, 100);
-        MappingRecord {
-            read_id: "read1".to_string(),
-            reference_name: "chrSim".to_string(),
-            position: 41,
-            reverse,
-            edit_distance: 2,
-            cigar,
-        }
-    }
-
-    #[test]
-    fn sam_flag_encodes_strand() {
-        assert_eq!(record(false).sam_flag(), 0);
-        assert_eq!(record(true).sam_flag(), 16);
-    }
-
-    #[test]
-    fn sam_line_contains_one_based_position_and_nm_tag() {
-        let line = record(false).to_sam_line(b"ACGT");
-        let fields: Vec<&str> = line.split('\t').collect();
-        assert_eq!(fields[0], "read1");
-        assert_eq!(fields[2], "chrSim");
-        assert_eq!(fields[3], "42");
-        assert_eq!(fields[5], "100M");
-        assert!(line.ends_with("NM:i:2"));
-    }
 }

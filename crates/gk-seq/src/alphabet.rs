@@ -87,12 +87,6 @@ impl Base {
             Base::N => Base::N,
         }
     }
-
-    /// True for `A`, `C`, `G`, `T`; false for `N`.
-    #[inline]
-    pub fn is_definite(self) -> bool {
-        !matches!(self, Base::N)
-    }
 }
 
 /// Encodes an ASCII base into its 2-bit code, or `None` for non-`ACGT` characters.
@@ -133,11 +127,6 @@ pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
 #[inline]
 pub fn normalize_sequence(seq: &mut [u8]) {
     seq.make_ascii_uppercase();
-}
-
-/// Counts the `N` (or otherwise undefined) bases in an ASCII sequence.
-pub fn count_undefined(seq: &[u8]) -> usize {
-    seq.iter().filter(|&&b| !is_valid_base(b)).count()
 }
 
 /// Returns true if the ASCII sequence contains any base outside `ACGT`.
@@ -203,8 +192,6 @@ mod tests {
 
     #[test]
     fn undefined_counting() {
-        assert_eq!(count_undefined(b"ACGTN"), 1);
-        assert_eq!(count_undefined(b"ACGT"), 0);
         assert!(has_undefined(b"ACGNT"));
         assert!(!has_undefined(b"acgt"));
     }

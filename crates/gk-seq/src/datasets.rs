@@ -313,23 +313,6 @@ impl DatasetProfile {
     }
 }
 
-/// Convenience listing of every "Set N" profile in paper order.
-pub fn all_paper_sets() -> Vec<DatasetProfile> {
-    vec![
-        DatasetProfile::set1(),
-        DatasetProfile::set3(),
-        DatasetProfile::set4(),
-        DatasetProfile::set5(),
-        DatasetProfile::set6(),
-        DatasetProfile::set7(),
-        DatasetProfile::set8(),
-        DatasetProfile::set9(),
-        DatasetProfile::set10(),
-        DatasetProfile::set11(),
-        DatasetProfile::set12(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,8 +424,19 @@ mod tests {
 
     #[test]
     fn all_paper_sets_have_expected_read_lengths() {
-        let sets = all_paper_sets();
-        assert_eq!(sets.len(), 11);
+        let sets = [
+            DatasetProfile::set1(),
+            DatasetProfile::set3(),
+            DatasetProfile::set4(),
+            DatasetProfile::set5(),
+            DatasetProfile::set6(),
+            DatasetProfile::set7(),
+            DatasetProfile::set8(),
+            DatasetProfile::set9(),
+            DatasetProfile::set10(),
+            DatasetProfile::set11(),
+            DatasetProfile::set12(),
+        ];
         let lens: Vec<usize> = sets.iter().map(|p| p.read_len).collect();
         assert_eq!(lens.iter().filter(|&&l| l == 100).count(), 3);
         assert_eq!(lens.iter().filter(|&&l| l == 150).count(), 4);

@@ -43,19 +43,6 @@ impl FastqRecord {
     pub fn is_empty(&self) -> bool {
         self.sequence.is_empty()
     }
-
-    /// Mean Phred quality score of the read (0 for an empty read).
-    pub fn mean_quality(&self) -> f64 {
-        if self.quality.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self
-            .quality
-            .iter()
-            .map(|&q| q.saturating_sub(33) as u64)
-            .sum();
-        total as f64 / self.quality.len() as f64
-    }
 }
 
 /// Errors produced while parsing FASTQ input.
@@ -331,14 +318,6 @@ mod tests {
         let mut buf = Vec::new();
         write_fastq(&mut buf, &records).unwrap();
         assert_eq!(read_fastq(&buf[..]).unwrap(), records);
-    }
-
-    #[test]
-    fn mean_quality_is_phred_scaled() {
-        let rec = FastqRecord::with_uniform_quality("a", b"ACGT".to_vec());
-        assert!((rec.mean_quality() - 40.0).abs() < 1e-9);
-        let empty = FastqRecord::with_uniform_quality("e", Vec::new());
-        assert_eq!(empty.mean_quality(), 0.0);
     }
 
     #[test]

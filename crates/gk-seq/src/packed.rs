@@ -62,12 +62,6 @@ impl PackedSeq {
         }
     }
 
-    /// Packs a slice of [`Base`]s.
-    pub fn from_bases(seq: &[Base]) -> PackedSeq {
-        let ascii: Vec<u8> = seq.iter().map(|b| b.to_ascii()).collect();
-        PackedSeq::from_ascii(&ascii)
-    }
-
     /// Builds a packed sequence directly from words. The caller asserts that only
     /// the first `len` base slots are meaningful; trailing slots are zeroed.
     pub fn from_words(mut words: Vec<u32>, len: usize) -> PackedSeq {
@@ -95,7 +89,7 @@ impl PackedSeq {
 
     /// Number of `u32` words needed for a sequence of `len` bases.
     #[inline]
-    pub fn words_for_len(len: usize) -> usize {
+    fn words_for_len(len: usize) -> usize {
         len.div_ceil(BASES_PER_WORD)
     }
 
@@ -150,7 +144,7 @@ impl PackedSeq {
     /// (their packed placeholder); use [`PackedSeq::undefined_positions`] to
     /// recover where the `N`s were.
     #[inline]
-    pub fn base_at(&self, pos: usize) -> Base {
+    fn base_at(&self, pos: usize) -> Base {
         Base::from_code(self.code_at(pos))
     }
 

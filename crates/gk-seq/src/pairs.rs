@@ -101,15 +101,6 @@ impl PairSet {
         self.pairs.chunks(batch_size)
     }
 
-    /// Appends another set's pairs (read lengths must match).
-    pub fn extend_from(&mut self, other: &PairSet) {
-        assert_eq!(
-            self.read_len, other.read_len,
-            "cannot merge pair sets with different read lengths"
-        );
-        self.pairs.extend(other.pairs.iter().cloned());
-    }
-
     /// Borrow the pairs as parallel slices of (read, reference) for bulk encoding.
     pub fn as_slices(&self) -> (Vec<&[u8]>, Vec<&[u8]>) {
         let reads = self.pairs.iter().map(|p| p.read.as_slice()).collect();
@@ -376,22 +367,6 @@ mod tests {
     fn batches_with_zero_size_does_not_panic() {
         let set = PairSet::new("test", 4, vec![pair(b"ACGT", b"ACGT")]);
         assert_eq!(set.batches(0).count(), 1);
-    }
-
-    #[test]
-    fn extend_from_merges_pairs() {
-        let mut a = PairSet::new("a", 4, vec![pair(b"ACGT", b"ACGT")]);
-        let b = PairSet::new("b", 4, vec![pair(b"TTTT", b"AAAA")]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different read lengths")]
-    fn extend_from_rejects_mismatched_lengths() {
-        let mut a = PairSet::new("a", 4, vec![]);
-        let b = PairSet::new("b", 8, vec![]);
-        a.extend_from(&b);
     }
 
     #[test]

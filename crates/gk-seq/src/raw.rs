@@ -176,14 +176,6 @@ impl<'a> RawPairSlice<'a> {
             ref_lens: &self.ref_lens[start..end],
         }
     }
-
-    /// Reconstructs the owned pairs (test/diagnostic helper; the hot paths
-    /// never need this).
-    pub fn to_pairs(&self) -> Vec<SequencePair> {
-        (0..self.len())
-            .map(|i| SequencePair::new(self.read(i), self.reference(i)))
-            .collect()
-    }
 }
 
 /// Adapter turning an iterator of pair batches into an iterator of raw
@@ -230,6 +222,13 @@ mod tests {
         SequencePair::new(read.to_vec(), reference.to_vec())
     }
 
+    /// The owned pairs a view addresses, rebuilt for round-trip checks.
+    fn to_pairs(view: RawPairSlice<'_>) -> Vec<SequencePair> {
+        (0..view.len())
+            .map(|i| SequencePair::new(view.read(i), view.reference(i)))
+            .collect()
+    }
+
     #[test]
     fn gather_round_trips_uniform_pairs() {
         let pairs = vec![pair(b"ACGT", b"TGCA"), pair(b"AAAA", b"CCCC")];
@@ -237,7 +236,7 @@ mod tests {
         assert_eq!(raw.len(), 2);
         assert_eq!(raw.stride(), 4);
         assert_eq!(raw.h2d_bytes(), 16);
-        assert_eq!(raw.view().to_pairs(), pairs);
+        assert_eq!(to_pairs(raw.view()), pairs);
         assert_eq!(raw.view().read(1), b"AAAA");
         assert_eq!(raw.view().reference(0), b"TGCA");
     }
@@ -247,7 +246,7 @@ mod tests {
         let pairs = vec![pair(b"ACGTACGT", b"ACG"), pair(b"AC", b"TTTTTT")];
         let raw = RawPairBatch::from_pairs(&pairs);
         assert_eq!(raw.stride(), 8);
-        assert_eq!(raw.view().to_pairs(), pairs);
+        assert_eq!(to_pairs(raw.view()), pairs);
         assert_eq!(raw.view().read(1), b"AC");
         assert_eq!(raw.view().reference(0), b"ACG");
     }
@@ -290,7 +289,7 @@ mod tests {
         let raw = RawPairBatch::from_pairs(&[]);
         assert!(raw.is_empty());
         assert_eq!(raw.h2d_bytes(), 0);
-        assert!(raw.view().to_pairs().is_empty());
+        assert!(to_pairs(raw.view()).is_empty());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::alphabet::is_valid_base;
 use crate::fasta::FastaRecord;
-use crate::packed::PackedSeq;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -85,14 +84,6 @@ impl Reference {
         self.n_intervals
             .iter()
             .any(|&(ns, ne)| start < ne && ns < end)
-    }
-
-    /// Encodes the whole reference into the 2-bit packed representation used by the
-    /// device. mrFAST integration encodes the reference once up front with OpenMP
-    /// multithreading (§3.5); here the packing is handed to Rayon by the caller via
-    /// [`crate::packed::encode_batch_parallel`] when chunked.
-    pub fn to_packed(&self) -> PackedSeq {
-        PackedSeq::from_ascii(&self.sequence)
     }
 
     /// Converts back into a FASTA record.
@@ -330,12 +321,6 @@ mod tests {
             *counts.entry(w).or_default() += 1;
         }
         assert!(counts.values().any(|&c| c > 1));
-    }
-
-    #[test]
-    fn to_packed_round_trips_definite_bases() {
-        let r = Reference::from_ascii("t", b"ACGTACGTAC");
-        assert_eq!(r.to_packed().to_ascii(), r.sequence);
     }
 
     #[test]

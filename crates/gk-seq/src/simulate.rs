@@ -73,11 +73,6 @@ impl ErrorProfile {
             n_rate: 0.0,
         }
     }
-
-    /// Expected number of edits for a read of `len` bases under this profile.
-    pub fn expected_edits(&self, len: usize) -> f64 {
-        (self.substitution_rate + self.insertion_rate + self.deletion_rate) * len as f64
-    }
 }
 
 /// A simulated read together with its planted ground truth.
@@ -399,12 +394,6 @@ mod tests {
         let seq: Vec<u8> = (0..100).map(|i| b"ACGT"[i % 4]).collect();
         let mutated = mutate_with_edits(&seq, 10, 0.3, &mut rng);
         assert_ne!(mutated, seq);
-    }
-
-    #[test]
-    fn expected_edits_scales_with_length() {
-        let p = ErrorProfile::low_indel();
-        assert!(p.expected_edits(200) > p.expected_edits(100));
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl PairBatches {
         }
     }
 
-    /// Pairs not yet yielded.
-    pub fn remaining_pairs(&self) -> usize {
-        self.remaining
-    }
-
     /// Read length of the generated pairs.
     pub fn read_len(&self) -> usize {
         self.profile.read_len
@@ -211,10 +206,10 @@ mod tests {
         let profile = DatasetProfile::set1();
         let mut source = profile.stream_batches(1_000, 7, 300);
         assert_eq!(source.len(), 4);
-        assert_eq!(source.remaining_pairs(), 1_000);
+        assert_eq!(source.remaining, 1_000);
         let sizes: Vec<usize> = source.by_ref().map(|b| b.len()).collect();
         assert_eq!(sizes, vec![300, 300, 300, 100]);
-        assert_eq!(source.remaining_pairs(), 0);
+        assert_eq!(source.remaining, 0);
         assert!(source.next().is_none());
     }
 

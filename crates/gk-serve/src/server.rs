@@ -28,8 +28,17 @@ struct ServerShared {
     batcher: Batcher,
     stop: AtomicBool,
     next_ticket: AtomicU64,
-    connections: Mutex<Vec<TcpStream>>,
-    connection_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Connections whose thread may still run. The accept loop drops the
+    /// finished ones, so a long-running daemon holds no descriptor or thread
+    /// handle for a connection that has closed.
+    connections: Mutex<Vec<Connection>>,
+}
+
+/// One accepted connection: a clone of its stream, which `stop()` shuts down
+/// to unblock the reader, and the thread serving it.
+struct Connection {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
 /// A running filter service.
@@ -57,7 +66,6 @@ impl GkServer {
             stop: AtomicBool::new(false),
             next_ticket: AtomicU64::new(1),
             connections: Mutex::new(Vec::new()),
-            connection_threads: Mutex::new(Vec::new()),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -92,15 +100,15 @@ impl GkServer {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        if let Ok(mut connections) = self.shared.connections.lock() {
-            for stream in connections.drain(..) {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
+        let connections = match self.shared.connections.lock() {
+            Ok(mut connections) => std::mem::take(&mut *connections),
+            Err(_) => Vec::new(),
+        };
+        for connection in &connections {
+            let _ = connection.stream.shutdown(std::net::Shutdown::Both);
         }
-        if let Ok(mut threads) = self.shared.connection_threads.lock() {
-            for handle in threads.drain(..) {
-                let _ = handle.join();
-            }
+        for connection in connections {
+            let _ = connection.thread.join();
         }
         // Batcher::drop drains outstanding work when `self.shared` releases;
         // nothing submits after the connections are gone.
@@ -115,20 +123,26 @@ impl Drop for GkServer {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
+        if let Ok(mut connections) = shared.connections.lock() {
+            connections.retain(|connection| !connection.thread.is_finished());
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    if let Ok(mut connections) = shared.connections.lock() {
-                        connections.push(clone);
-                    }
-                }
+                // Without a clone `stop()` could not close the connection,
+                // so it is refused rather than served untracked.
+                let Ok(clone) = stream.try_clone() else {
+                    continue;
+                };
                 let conn_shared = shared.clone();
-                let handle = std::thread::Builder::new()
+                let thread = std::thread::Builder::new()
                     .name("gk-serve-conn".to_string())
                     .spawn(move || connection_loop(stream, &conn_shared));
-                if let (Ok(handle), Ok(mut threads)) = (handle, shared.connection_threads.lock()) {
-                    threads.push(handle);
+                if let (Ok(thread), Ok(mut connections)) = (thread, shared.connections.lock()) {
+                    connections.push(Connection {
+                        stream: clone,
+                        thread,
+                    });
                 }
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
@@ -252,5 +266,49 @@ fn error_response(id: u64, message: String) -> ResponseFrame {
         retry_after_micros: 0,
         decisions: Vec::new(),
         message,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{GkClient, Reply};
+    use gk_core::backend::CpuSimdBackend;
+    use gk_seq::pairs::SequencePair;
+    use std::time::Instant;
+
+    #[test]
+    fn closed_connections_leave_the_connection_list() {
+        let server = GkServer::start(
+            "127.0.0.1:0",
+            Arc::new(CpuSimdBackend::new(1)),
+            BatcherConfig::default(),
+        )
+        .expect("server starts");
+        for _ in 0..200 {
+            drop(TcpStream::connect(server.local_addr()).expect("connect"));
+        }
+        // Connections are accepted in order, so once this client's request is
+        // answered all 200 closed connections have been accepted too.
+        let client = GkClient::connect(server.local_addr()).expect("connect");
+        let reply = client
+            .filter(
+                FilterKind::GateKeeper,
+                2,
+                Duration::from_millis(1),
+                vec![SequencePair::new(&b"ACGTACGT"[..], &b"ACGTACGT"[..])],
+            )
+            .expect("reply");
+        assert!(matches!(reply, Reply::Decisions(_)), "{reply:?}");
+
+        // Only the client's connection stays once the closed ones' threads
+        // finish.
+        let tracked = || server.shared.connections.lock().map_or(0, |c| c.len());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while tracked() > 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(tracked(), 1);
+        server.shutdown();
     }
 }

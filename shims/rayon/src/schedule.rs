@@ -287,7 +287,7 @@ pub fn run_scenario(seed: u64, threads: usize) -> ScenarioReport {
 }
 
 /// Derives the `index`-th sweep seed (golden-ratio stride over `u64`).
-pub fn sweep_seed(index: u64) -> u64 {
+fn sweep_seed(index: u64) -> u64 {
     (index + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6a09_e667_f3bc_c909
 }
 

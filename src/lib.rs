@@ -8,7 +8,7 @@
 //!
 //! * [`seq`] — DNA sequences, 2-bit packing, FASTA/FASTQ I/O, read & dataset simulators.
 //! * [`align`] — edit-distance and alignment algorithms (Myers bit-vector, DP, banded,
-//!   Needleman-Wunsch, Smith-Waterman).
+//!   Needleman-Wunsch).
 //! * [`filters`] — pre-alignment filters: GateKeeper-GPU and the baselines it is
 //!   compared against (GateKeeper-FPGA/SHD, MAGNET, Shouji, SneakySnake).
 //! * [`gpusim`] — the CUDA-like GPU execution-model simulator used as a hardware

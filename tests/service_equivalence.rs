@@ -14,7 +14,7 @@
 //!     workload;
 //!   * concurrent multi-tenant submission with unequal weights, where
 //!     coalescing across tenants is guaranteed by a paused executor;
-//!   * GateKeeper through the service vs `GateKeeperGpu::filter_stream`.
+//!   * GateKeeper through the service vs `GateKeeperGpu::filter_stream_with`.
 
 use gatekeeper_gpu::core::backend::{
     CpuSimdBackend, FilterBackend, FilterJob, FilterKind, GpuSimBackend,
