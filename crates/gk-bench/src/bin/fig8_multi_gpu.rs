@@ -29,12 +29,12 @@ use gk_bench::runner::{gpu_throughput, multi_gpu_run};
 use gk_bench::table::{fmt, Table};
 use gk_bench::{HarnessArgs, SETUP1};
 use gk_core::config::EncodingActor;
-use gk_core::multi_gpu::MultiGpuRun;
+use gk_core::gpu::FilterRun;
 use gk_gpusim::topology::TopologyKind;
 
 /// FNV-1a-style digest over the decision stream (the cross-combo identity
 /// check).
-fn digest(run: &MultiGpuRun) -> u64 {
+fn digest(run: &FilterRun) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for d in &run.decisions {
         hash = hash
@@ -48,10 +48,10 @@ fn digest(run: &MultiGpuRun) -> u64 {
 /// both schedulers, plus their private-link twins (contention off).
 struct SweepRow {
     devices: usize,
-    naive: MultiGpuRun,
-    aware: MultiGpuRun,
-    naive_private: MultiGpuRun,
-    aware_private: MultiGpuRun,
+    naive: FilterRun,
+    aware: FilterRun,
+    naive_private: FilterRun,
+    aware_private: FilterRun,
 }
 
 fn ms(seconds: f64) -> String {
@@ -61,7 +61,7 @@ fn ms(seconds: f64) -> String {
 /// Hand-rolled JSON for one sweep point (the workspace vendors no JSON
 /// serializer; `f64` `Display` never emits exponents, so the output stays
 /// strictly conformant).
-fn json_point(devices: usize, scheduler: &str, pairs: usize, run: &MultiGpuRun) -> String {
+fn json_point(devices: usize, scheduler: &str, pairs: usize, run: &FilterRun) -> String {
     let links = run
         .interconnect
         .links()

@@ -74,7 +74,7 @@ fn main() {
                     setup.device(),
                     FilterConfig::new(read_len, e).with_encoding(encoding),
                 );
-                let run = gpu.filter_set(&set);
+                let run = &gpu.filter_set(&set).per_device[0];
                 achieved.row(vec![
                     setup.name.to_string(),
                     format!("{read_len}bp"),

@@ -35,7 +35,8 @@ fn main() {
                     FilterConfig::new(read_len, e).with_encoding(encoding),
                 );
                 let run = gpu.filter_set(&set);
-                reports.push(run.power.expect("power report for a non-empty run"));
+                let power = run.per_device[0].power.clone();
+                reports.push(power.expect("power report for a non-empty run"));
             }
         }
 

@@ -3,8 +3,7 @@
 use crate::setups::Setup;
 use gk_core::config::{EncodingActor, FilterConfig};
 use gk_core::cpu::GateKeeperCpu;
-use gk_core::gpu::GateKeeperGpu;
-use gk_core::multi_gpu::{MultiGpuGateKeeper, MultiGpuRun};
+use gk_core::gpu::{FilterRun, GateKeeperGpu};
 use gk_core::pipeline::StreamFilterRun;
 use gk_core::timing::billions_in_40_minutes;
 use gk_filters::SimdMode;
@@ -88,13 +87,8 @@ pub fn gpu_throughput(
     encoding: EncodingActor,
 ) -> ThroughputPoint {
     let config = FilterConfig::new(set.read_len, threshold).with_encoding(encoding);
-    if devices <= 1 {
-        let run = GateKeeperGpu::new(setup.device(), config).filter_set(set);
-        ThroughputPoint::new(set.len(), run.kernel_seconds(), run.filter_seconds())
-    } else {
-        let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(set);
-        ThroughputPoint::new(set.len(), run.kernel_seconds, run.filter_seconds)
-    }
+    let run = GateKeeperGpu::with_devices(vec![setup.device(); devices], config).filter_set(set);
+    ThroughputPoint::new(set.len(), run.kernel_seconds(), run.filter_seconds())
 }
 
 /// Hard gate on the simulated timeline: a clamped duration means the stream
@@ -113,7 +107,7 @@ pub fn assert_no_timing_anomalies(context: &str, report: &gk_core::pipeline::Pip
 /// Runs GateKeeper-GPU over a set on `devices` GPUs of a setup under an
 /// explicit interconnect topology and scheduler, returning the full run —
 /// decisions, per-device pipelines, and the contended-vs-private replay in
-/// [`MultiGpuRun::interconnect`]. Hard-asserts an anomaly-free timeline on
+/// [`FilterRun::interconnect`]. Hard-asserts an anomaly-free timeline on
 /// every device.
 pub fn multi_gpu_run(
     setup: &Setup,
@@ -123,12 +117,12 @@ pub fn multi_gpu_run(
     encoding: EncodingActor,
     topology: TopologyKind,
     aware: bool,
-) -> MultiGpuRun {
+) -> FilterRun {
     let config = FilterConfig::new(set.read_len, threshold)
         .with_encoding(encoding)
         .with_topology(topology)
         .with_topology_aware(aware);
-    let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(set);
+    let run = GateKeeperGpu::with_devices(vec![setup.device(); devices], config).filter_set(set);
     for (device, device_run) in run.per_device.iter().enumerate() {
         let context = format!("{} x{devices} device {device}", setup.name);
         assert_no_timing_anomalies(&context, &device_run.pipeline);

@@ -3,8 +3,8 @@
 //!
 //! The paper evaluates each filter as one pre-planned offline pass; the
 //! ROADMAP north-star is a daemon serving many tenants, which needs the
-//! execution substrates (multicore SIMD lanes, the simulated GPU pipeline,
-//! the topology-aware multi-GPU scheduler) interchangeable at request time.
+//! execution substrates (multicore SIMD lanes, the simulated GPU pipeline on
+//! one device or sharded across several) interchangeable at request time.
 //! [`FilterBackend`] is that seam: a backend takes a [`FilterJob`] — filter
 //! kind, edit threshold, read-pair slice — and returns per-pair
 //! [`FilterDecision`]s in input order. [`BackendRegistry`] holds named
@@ -30,7 +30,6 @@
 
 use crate::config::FilterConfig;
 use crate::gpu::GateKeeperGpu;
-use crate::multi_gpu::MultiGpuGateKeeper;
 use gk_filters::gatekeeper::GateKeeperConfig;
 use gk_filters::simd::{SimdMode, LANE_BLOCK_PAIRS};
 use gk_filters::traits::FilterDecision;
@@ -160,7 +159,7 @@ impl<'a> FilterJob<'a> {
 /// decisions must be positionally independent so the dynamic batcher can
 /// split and concatenate jobs freely.
 pub trait FilterBackend: Send + Sync {
-    /// Registry name (`cpu-simd`, `gpu-sim`, `multi-gpu`).
+    /// Registry name (`cpu-simd`, `gpu-sim`).
     fn name(&self) -> &str;
 
     /// Filters every pair of the job, returning decisions in input order.
@@ -251,10 +250,12 @@ impl FilterBackend for CpuSimdBackend {
 }
 
 /// Simulated-GPU backend: GateKeeper runs the chunked, stream-overlapped
-/// device pipeline ([`GateKeeperGpu`]); the other filters, which have no
+/// device pipeline ([`GateKeeperGpu`]) on one device, or sharded across
+/// several by the topology-aware scheduler; the other filters, which have no
 /// device implementation in the paper, fall back to the CPU lane path.
 pub struct GpuSimBackend {
-    device: DeviceSpec,
+    devices: Vec<DeviceSpec>,
+    topology: TopologyKind,
     instances: Mutex<HashMap<(usize, u32), Arc<GateKeeperGpu>>>,
     fallback: CpuSimdBackend,
 }
@@ -262,13 +263,24 @@ pub struct GpuSimBackend {
 impl GpuSimBackend {
     /// Builds a backend over the paper's Setup 1 device (GTX 1080 Ti).
     pub fn new() -> GpuSimBackend {
-        GpuSimBackend::with_device(DeviceSpec::gtx_1080_ti())
+        GpuSimBackend::with_devices(vec![DeviceSpec::gtx_1080_ti()], TopologyKind::Independent)
     }
 
-    /// Builds a backend over an explicit device model.
-    pub fn with_device(device: DeviceSpec) -> GpuSimBackend {
+    /// Builds a backend over an explicit device list on an interconnect
+    /// topology. With more than one device, GateKeeper jobs shard across them
+    /// with the topology-aware scheduler; one device runs the plain pipeline.
+    ///
+    /// # Panics
+    ///
+    /// When `devices` is empty.
+    pub fn with_devices(devices: Vec<DeviceSpec>, topology: TopologyKind) -> GpuSimBackend {
+        assert!(
+            !devices.is_empty(),
+            "a GPU backend needs at least one device"
+        );
         GpuSimBackend {
-            device,
+            devices,
+            topology,
             instances: Mutex::new(HashMap::new()),
             fallback: CpuSimdBackend::new(1),
         }
@@ -279,8 +291,10 @@ impl GpuSimBackend {
         cache
             .entry((read_len, threshold))
             .or_insert_with(|| {
-                let config = FilterConfig::new(read_len, threshold);
-                Arc::new(GateKeeperGpu::new(self.device.clone(), config))
+                let config = FilterConfig::new(read_len, threshold)
+                    .with_topology(self.topology)
+                    .with_topology_aware(self.devices.len() > 1);
+                Arc::new(GateKeeperGpu::with_devices(self.devices.clone(), config))
             })
             .clone()
     }
@@ -301,80 +315,8 @@ impl FilterBackend for GpuSimBackend {
         match job.kind {
             FilterKind::GateKeeper => {
                 let gpu = self.instance(job.read_len.max(1), job.threshold);
-                gpu.filter_chunks(std::iter::once(job.pairs)).decisions
-            }
-            _ => self.fallback.run(job),
-        }
-    }
-}
-
-/// Topology-aware multi-GPU backend: GateKeeper sharded across several
-/// simulated devices with the PR 8 contention-aware scheduler; non-GateKeeper
-/// kinds fall back to the CPU lane path as on [`GpuSimBackend`].
-pub struct MultiGpuBackend {
-    device: DeviceSpec,
-    device_count: usize,
-    topology: TopologyKind,
-    instances: Mutex<HashMap<(usize, u32), Arc<MultiGpuGateKeeper>>>,
-    fallback: CpuSimdBackend,
-}
-
-impl MultiGpuBackend {
-    /// Builds a backend over `device_count` copies of the Setup 1 device on a
-    /// shared-root topology (the contended case the aware scheduler wins).
-    pub fn new(device_count: usize) -> MultiGpuBackend {
-        MultiGpuBackend::with_device(
-            DeviceSpec::gtx_1080_ti(),
-            device_count,
-            TopologyKind::SharedRoot,
-        )
-    }
-
-    /// Builds a backend over an explicit device model and topology.
-    pub fn with_device(
-        device: DeviceSpec,
-        device_count: usize,
-        topology: TopologyKind,
-    ) -> MultiGpuBackend {
-        MultiGpuBackend {
-            device,
-            device_count: device_count.max(1),
-            topology,
-            instances: Mutex::new(HashMap::new()),
-            fallback: CpuSimdBackend::new(1),
-        }
-    }
-
-    fn instance(&self, read_len: usize, threshold: u32) -> Arc<MultiGpuGateKeeper> {
-        let mut cache = lock_cache(&self.instances);
-        cache
-            .entry((read_len, threshold))
-            .or_insert_with(|| {
-                let config = FilterConfig::new(read_len, threshold)
-                    .with_topology(self.topology)
-                    .with_topology_aware(true);
-                Arc::new(MultiGpuGateKeeper::new(
-                    self.device.clone(),
-                    self.device_count,
-                    config,
-                ))
-            })
-            .clone()
-    }
-}
-
-impl FilterBackend for MultiGpuBackend {
-    fn name(&self) -> &str {
-        "multi-gpu"
-    }
-
-    fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-        match job.kind {
-            FilterKind::GateKeeper => {
-                let multi = self.instance(job.read_len.max(1), job.threshold);
-                multi
-                    .run_schedule(&multi.schedule(job.pairs.len()), job.pairs)
-                    .decisions
+                gpu.run_schedule(&gpu.schedule(job.pairs.len()), job.pairs)
+                    .0
             }
             _ => self.fallback.run(job),
         }
@@ -393,14 +335,12 @@ impl BackendRegistry {
         BackendRegistry::default()
     }
 
-    /// The three standard backends — `cpu-simd` (over a `threads`-wide pool),
-    /// `gpu-sim` (Setup 1 device) and `multi-gpu` (4 × Setup 1, shared root,
-    /// topology-aware).
+    /// The two standard backends — `cpu-simd` (over a `threads`-wide pool)
+    /// and `gpu-sim` (one Setup 1 device).
     pub fn standard(threads: usize) -> BackendRegistry {
         let mut registry = BackendRegistry::new();
         registry.register(Arc::new(CpuSimdBackend::new(threads)));
         registry.register(Arc::new(GpuSimBackend::new()));
-        registry.register(Arc::new(MultiGpuBackend::new(4)));
         registry
     }
 
@@ -445,7 +385,7 @@ mod tests {
     #[test]
     fn registry_lookup_and_replace() {
         let registry = BackendRegistry::standard(1);
-        assert_eq!(registry.names(), vec!["cpu-simd", "gpu-sim", "multi-gpu"]);
+        assert_eq!(registry.names(), vec!["cpu-simd", "gpu-sim"]);
         assert!(registry.get("cpu-simd").is_some());
         assert!(registry.get("fpga").is_none());
     }
@@ -454,19 +394,29 @@ mod tests {
     fn backends_agree_on_every_filter_kind() {
         let pairs = sample_pairs(700);
         let registry = BackendRegistry::standard(2);
+        let backends: [Arc<dyn FilterBackend>; 3] = [
+            registry.get("cpu-simd").expect("standard backend"),
+            registry.get("gpu-sim").expect("standard backend"),
+            Arc::new(GpuSimBackend::with_devices(
+                vec![DeviceSpec::gtx_1080_ti(); 4],
+                TopologyKind::SharedRoot,
+            )),
+        ];
         for kind in FilterKind::ALL {
             let job = FilterJob::new(kind, 3, &pairs);
-            let digests: Vec<u64> = ["cpu-simd", "gpu-sim", "multi-gpu"]
+            let digests: Vec<u64> = backends
                 .iter()
-                .map(|name| {
-                    let backend = registry.get(name).expect("standard backend");
+                .map(|backend| {
                     let decisions = backend.run(&job);
                     assert_eq!(decisions.len(), pairs.len());
                     decision_digest(&decisions)
                 })
                 .collect();
             assert_eq!(digests[0], digests[1], "{kind}: cpu vs gpu-sim");
-            assert_eq!(digests[0], digests[2], "{kind}: cpu vs multi-gpu");
+            assert_eq!(
+                digests[0], digests[2],
+                "{kind}: cpu vs gpu-sim x4 shared root"
+            );
         }
     }
 

@@ -1,4 +1,5 @@
-//! The batched GateKeeper-GPU filtering system on the simulated device.
+//! The batched GateKeeper-GPU filtering system on one or more simulated
+//! devices.
 //!
 //! This is the Rust analogue of the CUDA host code the paper describes in §3:
 //! the host gathers (read, candidate reference segment) pairs into maximal batches
@@ -6,6 +7,13 @@
 //! asynchronous prefetching (§3.2/§3.4), launches one kernel per batch with one
 //! filtration per thread, and reads the accept/reject bit plus the approximate edit
 //! distance back from the result buffer (§3.5).
+//!
+//! [`GateKeeperGpu`] runs over a non-empty device list. One device is the
+//! plain case; with several, the pair set is sharded across them by the
+//! scheduler of [`crate::multi_gpu`] (Setup 1's eight GTX 1080 Ti, §3.1 and
+//! §4.3) and every device pipelines its share. The run reports every device's
+//! own pipeline in [`FilterRun::per_device`] next to the paper's combined
+//! kernel and filter times.
 //!
 //! Functional behaviour (the decisions) comes from actually running the improved
 //! GateKeeper kernel of `gk-filters` for every pair. Timing comes from the device
@@ -46,11 +54,12 @@
 //! byte-identical either way.
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
+use crate::multi_gpu::MultiGpuSchedule;
 use crate::pipeline::{
     ChunkPlan, ChunkStageSeconds, PipelineReport, PipelineSchedule, StreamFilterRun,
     PREFETCH_IN_FLIGHT,
 };
-use crate::timing::TimingBreakdown;
+use crate::timing::{InterconnectReport, TimingBreakdown};
 use gk_filters::gatekeeper::GateKeeperConfig;
 use gk_filters::simd::{
     gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode, LANE_BLOCK_PAIRS,
@@ -61,7 +70,6 @@ use gk_gpusim::executor::{launch_kernel, KernelResources, ThreadReport};
 use gk_gpusim::memory::{MemAdvise, MemoryStats, UnifiedMemory, PAGE_SIZE};
 use gk_gpusim::power::PowerReport;
 use gk_gpusim::profiler::Profiler;
-use gk_gpusim::stream::Stream;
 use gk_gpusim::topology::ChunkLoad;
 use gk_seq::pairs::{encode_pair_batch, PairSet, SequencePair};
 use gk_seq::raw::{RawPairBatch, RawPairSlice};
@@ -79,60 +87,86 @@ pub(crate) const HOST_PREP_SECONDS_PER_PAIR: f64 = 3.0e-7;
 /// Host 2-bit encoding throughput in bases per second (multithreaded host encode).
 pub(crate) const HOST_ENCODE_BASES_PER_SECOND: f64 = 2.0e8;
 /// Fixed kernel-launch overhead per batch.
-pub(crate) const KERNEL_LAUNCH_OVERHEAD_S: f64 = 10e-6;
+const KERNEL_LAUNCH_OVERHEAD_S: f64 = 10e-6;
 /// Modelled device cycles: fixed cost per filtration.
-pub(crate) const CYCLES_BASE: u64 = 2_000;
+const CYCLES_BASE: u64 = 2_000;
 /// Modelled device cycles per (mask × word) of bitwise work.
-pub(crate) const CYCLES_PER_MASK_WORD: u64 = 1_000;
+const CYCLES_PER_MASK_WORD: u64 = 1_000;
 /// Modelled device cycles consumed by a thread that passes an undefined pair.
 const CYCLES_UNDEFINED: u64 = 300;
 /// Extra data-dependent cycles per estimated edit (amendment/counting divergence).
 const CYCLES_PER_EDIT: u64 = 120;
 
-/// Result of filtering a pair set on the (simulated) GPU.
+/// Modelled cycles one fused-kernel thread spends 2-bit packing its pair
+/// (device encoding only; zero when the host already encoded).
+fn encode_cycles_per_pair(config: &FilterConfig) -> u64 {
+    match config.encoding {
+        EncodingActor::Device => gk_gpusim::encode::encode_cycles(2 * config.read_len as u64),
+        EncodingActor::Host => 0,
+    }
+}
+
+/// Modelled device cycles of one defined pair before its data-dependent edit
+/// term: the fixed cost, the `2e + 1` masks over every word, and the fused
+/// kernel's packing pass in device-encoded mode. The pipeline charges this per
+/// pair and the topology-aware scheduler estimates kernel rates from it.
+pub(crate) fn pair_cycles(config: &FilterConfig) -> u64 {
+    let words = config.words_per_sequence() as u64;
+    let masks = 2 * config.threshold as u64 + 1;
+    CYCLES_BASE + masks * words * CYCLES_PER_MASK_WORD + encode_cycles_per_pair(config)
+}
+
+/// Result of filtering a pair set on the (simulated) GPUs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FilterRun {
     /// Per-pair decisions, in input order.
     pub decisions: Vec<FilterDecision>,
-    /// Timing breakdown; `timing.kernel_seconds` is the summed CUDA-event time and
-    /// `timing.filter_seconds()` is the host-observed filter time of §4.3.
-    pub timing: TimingBreakdown,
-    /// Number of batched kernel calls.
-    pub batches: usize,
-    /// Unified-memory traffic over the whole run.
+    /// Unified-memory traffic over the whole run, summed over devices.
     pub memory_stats: MemoryStats,
-    /// Average achieved occupancy over the batched launches.
-    pub achieved_occupancy: f64,
-    /// Theoretical occupancy of the kernel on this device.
-    pub theoretical_occupancy: f64,
-    /// Average warp execution efficiency.
-    pub warp_execution_efficiency: f64,
-    /// Average SM efficiency.
-    pub sm_efficiency: f64,
-    /// Aggregated power report (nvprof-style min/max/average milliwatts).
-    pub power: Option<PowerReport>,
-    /// Overlapped-versus-serialized pipeline accounting for the run.
-    pub pipeline: PipelineReport,
-    /// Per-chunk modelled durations and link traffic, in pipeline order — the
-    /// currency the multi-GPU contention replay
-    /// (`gk_gpusim::topology::simulate_contended`) re-executes on a shared
-    /// interconnect. `h2d_bytes` carries the page-rounded per-buffer prefetch
-    /// traffic (zero on prefetch-less devices, whose migration cost is already
-    /// inside `kernel_seconds` as page faults), so replaying a load on a
-    /// private link at this device's PCIe rate reproduces the chunk's stage
-    /// durations bit-for-bit.
-    pub chunk_loads: Vec<ChunkLoad>,
+    /// Every device's own pipeline run, indexed like the device list.
+    pub per_device: Vec<DeviceRun>,
+    /// Contended-versus-private interconnect replay of the run's chunk loads.
+    /// Purely additive reporting: [`FilterRun::kernel_seconds`] and
+    /// [`FilterRun::filter_seconds`] keep the paper's free-overlap
+    /// conventions regardless of topology.
+    pub interconnect: InterconnectReport,
 }
 
 impl FilterRun {
-    /// Summed device kernel time in seconds.
+    /// Kernel time in seconds: the summed CUDA-event time of a lone device,
+    /// the slowest device's with several (§4.3).
     pub fn kernel_seconds(&self) -> f64 {
-        self.timing.kernel_seconds
+        self.per_device
+            .iter()
+            .map(|r| r.timing.kernel_seconds)
+            .fold(0.0, f64::max)
     }
 
-    /// Host-observed filter time in seconds.
+    /// Host-observed filter time in seconds (§4.3). A lone device reports its
+    /// own. With several, the host pays preparation and encoding once (it
+    /// fills one buffer per device from the same pass), then the devices
+    /// transfer and compute concurrently, so the device-side part is the
+    /// slowest device's pipeline time beyond those host stages (its overlapped
+    /// makespan when stream overlap is on, its transfer + kernel + readback
+    /// sum otherwise).
     pub fn filter_seconds(&self) -> f64 {
-        self.timing.filter_seconds()
+        if let [device] = self.per_device.as_slice() {
+            return device.timing.filter_seconds();
+        }
+        let host_once: f64 = self
+            .per_device
+            .iter()
+            .map(|r| r.timing.host_prep_seconds + r.timing.encode_seconds)
+            .sum();
+        let device_side = self
+            .per_device
+            .iter()
+            .map(|r| {
+                (r.timing.filter_seconds() - r.timing.host_prep_seconds - r.timing.encode_seconds)
+                    .max(0.0)
+            })
+            .fold(0.0, f64::max);
+        host_once + device_side
     }
 
     /// Number of accepted pairs.
@@ -146,12 +180,45 @@ impl FilterRun {
     }
 }
 
-/// The GateKeeper-GPU filtering system bound to one simulated device.
+/// One device's pipeline over its share of a run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DeviceRun {
+    /// Timing breakdown; `timing.kernel_seconds` is the summed CUDA-event time and
+    /// `timing.filter_seconds()` is the host-observed filter time of §4.3.
+    pub timing: TimingBreakdown,
+    /// Number of batched kernel calls.
+    pub batches: usize,
+    /// Unified-memory traffic of this device.
+    pub memory_stats: MemoryStats,
+    /// Average achieved occupancy over the batched launches.
+    pub achieved_occupancy: f64,
+    /// Theoretical occupancy of the kernel on this device.
+    pub theoretical_occupancy: f64,
+    /// Average warp execution efficiency.
+    pub warp_execution_efficiency: f64,
+    /// Average SM efficiency.
+    pub sm_efficiency: f64,
+    /// Aggregated power report (nvprof-style min/max/average milliwatts).
+    pub power: Option<PowerReport>,
+    /// Overlapped-versus-serialized pipeline accounting.
+    pub pipeline: PipelineReport,
+    /// Per-chunk modelled durations and link traffic, in pipeline order — the
+    /// currency the contention replay
+    /// (`gk_gpusim::topology::simulate_contended`) re-executes on a shared
+    /// interconnect. `h2d_bytes` carries the page-rounded per-buffer prefetch
+    /// traffic (zero on prefetch-less devices, whose migration cost is already
+    /// inside `kernel_seconds` as page faults), so replaying a load on a
+    /// private link at this device's PCIe rate reproduces the chunk's stage
+    /// durations bit-for-bit.
+    pub chunk_loads: Vec<ChunkLoad>,
+}
+
+/// The GateKeeper-GPU filtering system over a non-empty list of simulated
+/// devices.
 #[derive(Debug, Clone)]
 pub struct GateKeeperGpu {
-    device: DeviceSpec,
+    devices: Vec<DeviceSpec>,
     config: FilterConfig,
-    system: SystemConfig,
     /// `config.simd` resolved against `GK_SIMD` once, at construction — the
     /// per-chunk device stage must not consult the environment.
     simd: SimdMode,
@@ -160,13 +227,7 @@ pub struct GateKeeperGpu {
 impl GateKeeperGpu {
     /// Creates a GateKeeper-GPU instance on a specific device.
     pub fn new(device: DeviceSpec, config: FilterConfig) -> GateKeeperGpu {
-        let system = SystemConfig::configure(&device, &config);
-        GateKeeperGpu {
-            device,
-            system,
-            simd: config.simd.resolve(),
-            config,
-        }
+        GateKeeperGpu::with_devices(vec![device], config)
     }
 
     /// Creates an instance on the paper's Setup 1 device (GeForce GTX 1080 Ti).
@@ -174,9 +235,27 @@ impl GateKeeperGpu {
         GateKeeperGpu::new(DeviceSpec::gtx_1080_ti(), config)
     }
 
-    /// The device this instance runs on.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
+    /// Creates an instance over an explicit (possibly heterogeneous) device
+    /// list, kept in order; runs shard across it.
+    ///
+    /// # Panics
+    ///
+    /// When `devices` is empty.
+    pub fn with_devices(devices: Vec<DeviceSpec>, config: FilterConfig) -> GateKeeperGpu {
+        assert!(
+            !devices.is_empty(),
+            "a GateKeeper-GPU instance needs at least one device"
+        );
+        GateKeeperGpu {
+            devices,
+            simd: config.simd.resolve(),
+            config,
+        }
+    }
+
+    /// The devices this instance runs on.
+    pub fn devices(&self) -> &[DeviceSpec] {
+        &self.devices
     }
 
     /// The user configuration.
@@ -184,15 +263,143 @@ impl GateKeeperGpu {
         &self.config
     }
 
-    /// Modelled cycles one fused-kernel thread spends 2-bit packing its pair
-    /// (device encoding only; zero when the host already encoded).
-    fn encode_cycles_per_pair(&self) -> u64 {
-        match self.config.encoding {
-            EncodingActor::Device => {
-                gk_gpusim::encode::encode_cycles(2 * self.config.read_len as u64)
-            }
-            EncodingActor::Host => 0,
+    /// Device `index`'s pipeline under `config` (the caller's, or the one the
+    /// topology-aware scheduler tuned for that device).
+    pub(crate) fn pipeline(&self, index: usize, config: FilterConfig) -> DevicePipeline<'_> {
+        let device = &self.devices[index];
+        DevicePipeline {
+            system: SystemConfig::configure(device, &config),
+            device,
+            config,
+            simd: self.simd,
         }
+    }
+
+    /// The resolved pipeline chunk plan for this instance (its first device's).
+    pub fn chunk_plan(&self) -> ChunkPlan {
+        self.pipeline(0, self.config).chunk_plan()
+    }
+
+    /// Filters a whole pair set through the chunked pipeline, reproducing the
+    /// paper's kernel-time / filter-time split (with the stream-overlapped
+    /// makespan as the filter time when [`FilterConfig::overlap`] is on).
+    /// With several devices, the pair set is sharded by
+    /// [`GateKeeperGpu::schedule`] on the configured topology.
+    pub fn filter_set(&self, pairs: &PairSet) -> FilterRun {
+        let schedule = self.schedule(pairs.len());
+        let (decisions, per_device) = self.run_schedule(&schedule, &pairs.pairs);
+        let mut memory_stats = MemoryStats::default();
+        for run in &per_device {
+            memory_stats.bytes_to_device += run.memory_stats.bytes_to_device;
+            memory_stats.bytes_to_host += run.memory_stats.bytes_to_host;
+            memory_stats.page_faults += run.memory_stats.page_faults;
+            memory_stats.prefetched_pages += run.memory_stats.prefetched_pages;
+            memory_stats.transfer_seconds += run.memory_stats.transfer_seconds;
+        }
+        FilterRun {
+            interconnect: schedule.replay(&per_device),
+            decisions,
+            memory_stats,
+            per_device,
+        }
+    }
+
+    /// Runs a schedule over `pairs`: each device pipelines its share under its
+    /// assigned configuration and writes its decisions straight into their
+    /// input-order slots. The shares are independent, so they are processed
+    /// one after another here while the timing combines them as if they ran
+    /// concurrently (which they do on real hardware).
+    pub(crate) fn run_schedule(
+        &self,
+        schedule: &MultiGpuSchedule,
+        pairs: &[SequencePair],
+    ) -> (Vec<FilterDecision>, Vec<DeviceRun>) {
+        let mut decisions = vec![FilterDecision::accept(0); pairs.len()];
+        let mut per_device = Vec::with_capacity(schedule.assignments.len());
+        for (index, assignment) in schedule.assignments.iter().enumerate() {
+            let mut engine = PipelineEngine::new(self.pipeline(index, assignment.config));
+            let mut slots = assignment
+                .ranges
+                .iter()
+                .flat_map(|&(start, end)| start..end);
+            let mut sink = |_: &[SequencePair], chunk: Vec<FilterDecision>| {
+                // The chunk drives the zip, so no slot is drawn past its end.
+                for (decision, slot) in chunk.into_iter().zip(slots.by_ref()) {
+                    decisions[slot] = decision;
+                }
+            };
+            for &(start, end) in &assignment.ranges {
+                engine.feed(&pairs[start..end], &mut sink);
+            }
+            engine.flush(&mut sink);
+            per_device.push(engine.finish());
+        }
+        (decisions, per_device)
+    }
+
+    /// Filters a stream of pair batches without materializing the full pair set
+    /// *or* the full decision vector: each chunk's pairs and decisions go to
+    /// `sink` before they are dropped, and the run keeps only aggregate counts,
+    /// timing and memory traffic. This is the whole-genome-scale entry point
+    /// (30M pairs in the paper's sets).
+    ///
+    /// # Panics
+    ///
+    /// When the instance has more than one device: streaming runs on one
+    /// device only, because the shard plan needs the pair total up front.
+    pub fn filter_stream_with<I, F>(&self, batches: I, mut sink: F) -> StreamFilterRun
+    where
+        I: IntoIterator<Item = Vec<SequencePair>>,
+        F: FnMut(&[SequencePair], &[FilterDecision]),
+    {
+        assert_eq!(
+            self.devices.len(),
+            1,
+            "filter_stream_with streams on a single device"
+        );
+        let mut engine = PipelineEngine::new(self.pipeline(0, self.config));
+        let mut pairs = 0usize;
+        let mut accepted = 0usize;
+        let mut undefined = 0usize;
+        let mut counting_sink = |chunk: &[SequencePair], chunk_decisions: Vec<FilterDecision>| {
+            pairs += chunk_decisions.len();
+            accepted += chunk_decisions.iter().filter(|d| d.accepted).count();
+            undefined += chunk_decisions.iter().filter(|d| d.undefined).count();
+            sink(chunk, &chunk_decisions);
+        };
+        for batch in batches {
+            engine.feed_owned(batch, &mut counting_sink);
+        }
+        engine.flush(&mut counting_sink);
+        // The per-chunk loads are dropped here on purpose: the streaming entry
+        // point promises bounded memory regardless of stream length.
+        let run = engine.finish();
+        StreamFilterRun {
+            pairs,
+            accepted,
+            undefined,
+            timing: run.timing,
+            batches: run.batches,
+            memory_stats: run.memory_stats,
+            pipeline: run.pipeline,
+        }
+    }
+}
+
+/// One device's slice of the system: the device model, the configuration its
+/// pipeline runs under, and the system-configuration step's sizing for that
+/// pair.
+pub(crate) struct DevicePipeline<'g> {
+    device: &'g DeviceSpec,
+    config: FilterConfig,
+    system: SystemConfig,
+    simd: SimdMode,
+}
+
+impl DevicePipeline<'_> {
+    /// The resolved pipeline chunk plan of this device.
+    pub(crate) fn chunk_plan(&self) -> ChunkPlan {
+        ChunkPlan::resolve(&self.config, &self.system)
     }
 
     /// Modelled device cycles for one filtration.
@@ -200,21 +407,10 @@ impl GateKeeperGpu {
         // In device-encoded mode every thread packs its pair first — an
         // undefined pair is only *discovered* during that packing pass, so
         // even pass-through threads pay the encode cycles.
-        let encode = self.encode_cycles_per_pair();
         if decision.undefined {
-            return CYCLES_UNDEFINED + encode;
+            return CYCLES_UNDEFINED + encode_cycles_per_pair(&self.config);
         }
-        let words = self.config.words_per_sequence() as u64;
-        let masks = 2 * self.config.threshold as u64 + 1;
-        CYCLES_BASE
-            + masks * words * CYCLES_PER_MASK_WORD
-            + encode
-            + decision.estimated_edits as u64 * CYCLES_PER_EDIT
-    }
-
-    /// The resolved pipeline chunk plan for this instance.
-    pub fn chunk_plan(&self) -> ChunkPlan {
-        ChunkPlan::resolve(&self.config, &self.system)
+        pair_cycles(&self.config) + decision.estimated_edits as u64 * CYCLES_PER_EDIT
     }
 
     /// Runs the device side of one pipeline chunk (unified-memory traffic,
@@ -252,17 +448,16 @@ impl GateKeeperGpu {
             .alloc(result_bytes)
             .expect("result buffer allocation failed");
 
-        // memAdvise + asynchronous prefetch on separate streams (§3.4). The PCIe
-        // link is shared, so the modelled transfer cost is the sum of the per-buffer
-        // prefetches even though they are enqueued on different streams.
+        // memAdvise + asynchronous prefetch (§3.4; the CUDA host code puts
+        // each buffer's prefetch on its own stream). The PCIe link is shared,
+        // so the modelled transfer cost is the sum of the per-buffer
+        // prefetches.
         memory
             .mem_advise(reads_buffer, MemAdvise::PreferredLocationDevice)
             .expect("valid buffer");
         memory
             .mem_advise(refs_buffer, MemAdvise::PreferredLocationDevice)
             .expect("valid buffer");
-        let mut prefetch_stream_reads = Stream::new("prefetch-reads");
-        let mut prefetch_stream_refs = Stream::new("prefetch-refs");
         let mut prefetch_seconds = 0.0;
         // Per-buffer page-rounded prefetch traffic, captured for the multi-GPU
         // contention replay. The buffers are freshly allocated fully
@@ -282,8 +477,6 @@ impl GateKeeperGpu {
             let t_refs = memory
                 .prefetch_to_device(refs_buffer)
                 .expect("valid buffer");
-            prefetch_stream_reads.enqueue("prefetch reads", t_reads);
-            prefetch_stream_refs.enqueue("prefetch refs", t_refs);
             prefetch_seconds = t_reads + t_refs;
         }
 
@@ -332,15 +525,15 @@ impl GateKeeperGpu {
             .expect("valid buffer");
         let fault_seconds = fault_reads + fault_refs;
 
-        let launch = self.system.launch_config(&self.device, batch_len);
+        let launch = self.system.launch_config(self.device, batch_len);
         // The fused encode+filter kernel keeps encode scratch live and costs
         // a few extra registers (gk_gpusim::encode); at 1024-thread blocks
         // both variants still fit one block per SM (§5.4.1).
         let resources = match self.config.encoding {
-            EncodingActor::Device => KernelResources::gatekeeper_gpu_device_encode(&self.device),
-            EncodingActor::Host => KernelResources::gatekeeper_gpu(&self.device),
+            EncodingActor::Device => KernelResources::gatekeeper_gpu_device_encode(self.device),
+            EncodingActor::Host => KernelResources::gatekeeper_gpu(self.device),
         };
-        let stats = launch_kernel(&self.device, &resources, launch, |ctx| {
+        let stats = launch_kernel(self.device, &resources, launch, |ctx| {
             match decisions.get(ctx.global_idx) {
                 Some(decision) => ThreadReport {
                     cycles: self.filtration_cycles(decision),
@@ -352,7 +545,7 @@ impl GateKeeperGpu {
         // Attribute the in-kernel encode share of the fused kernel by its
         // cycle fraction (every thread with a pair packs 2 × read_len bases).
         let encode_device_seconds = if stats.total_cycles > 0 {
-            let encode_cycles = batch_len as u64 * self.encode_cycles_per_pair();
+            let encode_cycles = batch_len as u64 * encode_cycles_per_pair(&self.config);
             stats.kernel_seconds * encode_cycles as f64 / stats.total_cycles as f64
         } else {
             0.0
@@ -387,65 +580,6 @@ impl GateKeeperGpu {
             readback_seconds,
             d2h_bytes,
         }
-    }
-
-    /// Filters a whole pair set through the chunked pipeline, reproducing the
-    /// paper's kernel-time / filter-time split (with the stream-overlapped
-    /// makespan as the filter time when [`FilterConfig::overlap`] is on).
-    pub fn filter_set(&self, pairs: &PairSet) -> FilterRun {
-        let mut engine = PipelineEngine::new(self);
-        let mut decisions = Vec::with_capacity(pairs.len());
-        let mut sink = |_: &[SequencePair], chunk_decisions: Vec<FilterDecision>| {
-            decisions.extend(chunk_decisions)
-        };
-        engine.feed(&pairs.pairs, &mut sink);
-        engine.flush(&mut sink);
-        engine.into_run(decisions)
-    }
-
-    /// Filters an explicit sequence of pair slices (e.g. the round-robin chunk
-    /// shares of one device in a multi-GPU run) through a single pipeline.
-    pub(crate) fn filter_chunks<'a, I>(&self, chunks: I) -> FilterRun
-    where
-        I: IntoIterator<Item = &'a [SequencePair]>,
-    {
-        let mut engine = PipelineEngine::new(self);
-        let mut decisions = Vec::new();
-        let mut sink = |_: &[SequencePair], chunk_decisions: Vec<FilterDecision>| {
-            decisions.extend(chunk_decisions)
-        };
-        for chunk in chunks {
-            engine.feed(chunk, &mut sink);
-        }
-        engine.flush(&mut sink);
-        engine.into_run(decisions)
-    }
-
-    /// Filters a stream of pair batches without materializing the full pair set
-    /// *or* the full decision vector: each chunk's pairs and decisions go to
-    /// `sink` before they are dropped, and the run keeps only aggregate counts,
-    /// timing and memory traffic. This is the whole-genome-scale entry point
-    /// (30M pairs in the paper's sets).
-    pub fn filter_stream_with<I, F>(&self, batches: I, mut sink: F) -> StreamFilterRun
-    where
-        I: IntoIterator<Item = Vec<SequencePair>>,
-        F: FnMut(&[SequencePair], &[FilterDecision]),
-    {
-        let mut engine = PipelineEngine::new(self);
-        let mut pairs = 0usize;
-        let mut accepted = 0usize;
-        let mut undefined = 0usize;
-        let mut counting_sink = |chunk: &[SequencePair], chunk_decisions: Vec<FilterDecision>| {
-            pairs += chunk_decisions.len();
-            accepted += chunk_decisions.iter().filter(|d| d.accepted).count();
-            undefined += chunk_decisions.iter().filter(|d| d.undefined).count();
-            sink(chunk, &chunk_decisions);
-        };
-        for batch in batches {
-            engine.feed_owned(batch, &mut counting_sink);
-        }
-        engine.flush(&mut counting_sink);
-        engine.into_stream_run(pairs, accepted, undefined)
     }
 }
 
@@ -544,7 +678,7 @@ fn prep_stage(
 /// drained strictly in input order so decisions, sink calls and the simulated
 /// timeline are byte-identical to the serial path.
 struct PipelineEngine<'g> {
-    gpu: &'g GateKeeperGpu,
+    pipeline: DevicePipeline<'g>,
     plan: ChunkPlan,
     memory: UnifiedMemory,
     profiler: Profiler,
@@ -563,18 +697,18 @@ struct PipelineEngine<'g> {
 }
 
 impl<'g> PipelineEngine<'g> {
-    fn new(gpu: &'g GateKeeperGpu) -> PipelineEngine<'g> {
+    fn new(pipeline: DevicePipeline<'g>) -> PipelineEngine<'g> {
         PipelineEngine {
-            plan: gpu.chunk_plan(),
-            memory: UnifiedMemory::new(gpu.device.clone()),
-            profiler: Profiler::new(gpu.device.clone()),
+            plan: pipeline.chunk_plan(),
+            memory: UnifiedMemory::new(pipeline.device.clone()),
+            profiler: Profiler::new(pipeline.device.clone()),
             schedule: PipelineSchedule::new(),
             timing: TimingBreakdown::default(),
             chunk_loads: Vec::new(),
-            prefetch: gpu.config.host_prefetch && rayon::current_num_threads() > 1,
+            prefetch: pipeline.config.host_prefetch && rayon::current_num_threads() > 1,
             pending: VecDeque::with_capacity(PREFETCH_IN_FLIGHT),
             wall_start: Instant::now(),
-            gpu,
+            pipeline,
         }
     }
 
@@ -600,9 +734,10 @@ impl<'g> PipelineEngine<'g> {
             // arena would copy exactly the same bytes while holding the
             // entire fed slice live, breaking the bounded-memory contract
             // for big materialized sets.
+            let config = self.pipeline.config;
             for chunk in pairs.chunks(size) {
                 let (data, host_prep_seconds, encode_seconds) =
-                    prep_stage(chunk, self.gpu.config.read_len, self.gpu.config.encoding);
+                    prep_stage(chunk, config.read_len, config.encoding);
                 self.complete_chunk(
                     chunk,
                     data.as_input(),
@@ -641,8 +776,8 @@ impl<'g> PipelineEngine<'g> {
     /// Dispatches one owned chunk's prep (gather, plus encode in host mode)
     /// as a task on the worker pool.
     fn spawn_prep(&mut self, owned: Vec<SequencePair>) {
-        let read_len = self.gpu.config.read_len;
-        let encoding = self.gpu.config.encoding;
+        let read_len = self.pipeline.config.read_len;
+        let encoding = self.pipeline.config.encoding;
         self.pending.push_back(rayon::spawn(move || {
             let (data, host_prep_seconds, encode_seconds) = prep_stage(&owned, read_len, encoding);
             PreppedChunk {
@@ -693,8 +828,9 @@ impl<'g> PipelineEngine<'g> {
     ) where
         F: FnMut(&[SequencePair], Vec<FilterDecision>),
     {
-        let gpu = self.gpu;
-        let device = gpu.device_stage(pairs.len(), input, &mut self.memory, &mut self.profiler);
+        let device =
+            self.pipeline
+                .device_stage(pairs.len(), input, &mut self.memory, &mut self.profiler);
         // Page faults sit on the kernel's critical path (§4.3) even though
         // reporting accounts them as transfer time.
         let stages = ChunkStageSeconds {
@@ -718,30 +854,20 @@ impl<'g> PipelineEngine<'g> {
         sink(pairs, device.decisions);
     }
 
-    fn finish(
-        mut self,
-    ) -> (
-        TimingBreakdown,
-        PipelineReport,
-        RunAggregates,
-        Vec<ChunkLoad>,
-    ) {
+    /// Closes the run: the overlapped makespan, the measured wall clock, the
+    /// pipeline report and the profiler/memory aggregates.
+    fn finish(mut self) -> DeviceRun {
         debug_assert!(
             self.pending.is_empty(),
             "pipeline engine finished with encode tasks still in flight"
         );
-        let overlap = self.gpu.config.overlap;
-        if overlap && self.schedule.chunks() > 0 {
+        let config = self.pipeline.config;
+        if config.overlap && self.schedule.chunks() > 0 {
             self.timing.overlapped_seconds = Some(self.schedule.overlapped_seconds());
         }
         self.timing.host_wall_seconds = self.wall_start.elapsed().as_secs_f64();
-        let report = self.schedule.report(
-            self.plan.chunk_pairs,
-            overlap,
-            self.prefetch,
-            self.gpu.config.device_encode(),
-        );
-        let aggregates = RunAggregates {
+        DeviceRun {
+            timing: self.timing,
             batches: self.schedule.chunks(),
             memory_stats: self.memory.stats(),
             achieved_occupancy: self.profiler.average_achieved_occupancy(),
@@ -754,52 +880,15 @@ impl<'g> PipelineEngine<'g> {
             warp_execution_efficiency: self.profiler.average_warp_execution_efficiency(),
             sm_efficiency: self.profiler.average_sm_efficiency(),
             power: self.profiler.aggregate_power(),
-        };
-        (self.timing, report, aggregates, self.chunk_loads)
-    }
-
-    fn into_run(self, decisions: Vec<FilterDecision>) -> FilterRun {
-        let (timing, pipeline, agg, chunk_loads) = self.finish();
-        FilterRun {
-            decisions,
-            timing,
-            batches: agg.batches,
-            memory_stats: agg.memory_stats,
-            achieved_occupancy: agg.achieved_occupancy,
-            theoretical_occupancy: agg.theoretical_occupancy,
-            warp_execution_efficiency: agg.warp_execution_efficiency,
-            sm_efficiency: agg.sm_efficiency,
-            power: agg.power,
-            pipeline,
-            chunk_loads,
+            pipeline: self.schedule.report(
+                self.plan.chunk_pairs,
+                config.overlap,
+                self.prefetch,
+                config.device_encode(),
+            ),
+            chunk_loads: self.chunk_loads,
         }
     }
-
-    fn into_stream_run(self, pairs: usize, accepted: usize, undefined: usize) -> StreamFilterRun {
-        // The per-chunk loads are dropped here on purpose: the streaming entry
-        // point promises bounded memory regardless of stream length.
-        let (timing, pipeline, agg, _) = self.finish();
-        StreamFilterRun {
-            pairs,
-            accepted,
-            undefined,
-            timing,
-            batches: agg.batches,
-            memory_stats: agg.memory_stats,
-            pipeline,
-        }
-    }
-}
-
-/// Profiler/memory aggregates shared by both run flavours.
-struct RunAggregates {
-    batches: usize,
-    memory_stats: MemoryStats,
-    achieved_occupancy: f64,
-    theoretical_occupancy: f64,
-    warp_execution_efficiency: f64,
-    sm_efficiency: f64,
-    power: Option<PowerReport>,
 }
 
 impl PreAlignmentFilter for GateKeeperGpu {
@@ -858,18 +947,24 @@ mod tests {
         let host = gpu(4, EncodingActor::Host).filter_set(&set);
         let device = gpu(4, EncodingActor::Device).filter_set(&set);
         // Host path: encode time on the host, none inside the kernel.
-        assert!(host.timing.encode_seconds > 0.0);
-        assert_eq!(host.timing.encode_device_seconds, 0.0);
-        assert!(!host.pipeline.device_encode);
+        assert!(host.per_device[0].timing.encode_seconds > 0.0);
+        assert_eq!(host.per_device[0].timing.encode_device_seconds, 0.0);
+        assert!(!host.per_device[0].pipeline.device_encode);
         // Device path: zero host encode, a positive in-kernel share that
         // stays strictly inside the kernel time.
-        assert_eq!(device.timing.encode_seconds, 0.0);
-        assert!(device.timing.encode_device_seconds > 0.0);
-        assert!(device.timing.encode_device_seconds < device.timing.kernel_seconds);
-        assert!(device.pipeline.device_encode);
+        assert_eq!(device.per_device[0].timing.encode_seconds, 0.0);
+        assert!(device.per_device[0].timing.encode_device_seconds > 0.0);
+        assert!(
+            device.per_device[0].timing.encode_device_seconds
+                < device.per_device[0].timing.kernel_seconds
+        );
+        assert!(device.per_device[0].pipeline.device_encode);
         // The host-side encode share is strictly lower (zero) on the device
         // path — the acceptance bar of the device-encoding tentpole.
-        assert!(device.timing.host_encode_share() < host.timing.host_encode_share());
+        assert!(
+            device.per_device[0].timing.host_encode_share()
+                < host.per_device[0].timing.host_encode_share()
+        );
     }
 
     #[test]
@@ -902,7 +997,7 @@ mod tests {
             let device =
                 GateKeeperGpu::with_default_device(base.with_device_encode(true)).filter_set(&set);
             assert_eq!(host.decisions, device.decisions, "chunk {chunk}");
-            assert_eq!(host.batches, device.batches);
+            assert_eq!(host.per_device[0].batches, device.per_device[0].batches);
 
             // Streamed device-encode equals materialized device-encode.
             let gpu = GateKeeperGpu::with_default_device(base.with_device_encode(true));
@@ -978,10 +1073,10 @@ mod tests {
             FilterConfig::new(100, 4).with_max_reads_per_batch(500),
         )
         .filter_set(&set);
-        assert_eq!(run.batches, 4);
+        assert_eq!(run.per_device[0].batches, 4);
         assert_eq!(run.decisions.len(), set.len());
         let single = GateKeeperGpu::with_default_device(FilterConfig::new(100, 4)).filter_set(&set);
-        assert_eq!(single.batches, 1);
+        assert_eq!(single.per_device[0].batches, 1);
         assert_eq!(single.decisions, run.decisions);
     }
 
@@ -998,7 +1093,7 @@ mod tests {
             FilterConfig::new(100, 4).with_max_reads_per_batch(4_000),
         )
         .filter_set(&set);
-        assert!(small_batches.batches > large_batches.batches);
+        assert!(small_batches.per_device[0].batches > large_batches.per_device[0].batches);
         assert!(small_batches.filter_seconds() > large_batches.filter_seconds());
     }
 
@@ -1006,17 +1101,20 @@ mod tests {
     fn occupancy_matches_the_paper_analysis() {
         let set = pairs(5_000);
         let run = gpu(4, EncodingActor::Device).filter_set(&set);
-        assert!((run.theoretical_occupancy - 0.5).abs() < 1e-9);
-        assert!(run.achieved_occupancy > 0.0 && run.achieved_occupancy <= 0.5);
-        assert!(run.warp_execution_efficiency > 0.5);
-        assert!(run.sm_efficiency > 0.0);
+        assert!((run.per_device[0].theoretical_occupancy - 0.5).abs() < 1e-9);
+        assert!(
+            run.per_device[0].achieved_occupancy > 0.0
+                && run.per_device[0].achieved_occupancy <= 0.5
+        );
+        assert!(run.per_device[0].warp_execution_efficiency > 0.5);
+        assert!(run.per_device[0].sm_efficiency > 0.0);
     }
 
     #[test]
     fn power_report_present_and_consistent() {
         let set = pairs(2_000);
         let run = gpu(4, EncodingActor::Device).filter_set(&set);
-        let power = run.power.expect("power report");
+        let power = run.per_device[0].power.as_ref().expect("power report");
         assert!(power.min_mw <= power.average_mw && power.average_mw <= power.max_mw);
     }
 
@@ -1034,22 +1132,27 @@ mod tests {
         .filter_set(&set);
         // Byte-identical decisions, identical component accounting…
         assert_eq!(serialized.decisions, overlapped.decisions);
-        assert_eq!(serialized.batches, 8);
-        assert_eq!(overlapped.batches, 8);
+        assert_eq!(serialized.per_device[0].batches, 8);
+        assert_eq!(overlapped.per_device[0].batches, 8);
         assert_eq!(
-            serialized.timing.kernel_seconds,
-            overlapped.timing.kernel_seconds
+            serialized.per_device[0].timing.kernel_seconds,
+            overlapped.per_device[0].timing.kernel_seconds
         );
         // …but a strictly lower end-to-end filter time from the overlap.
         assert!(overlapped.filter_seconds() < serialized.filter_seconds());
         assert!(
-            (serialized.filter_seconds() - serialized.timing.serialized_seconds()).abs() < 1e-12
+            (serialized.filter_seconds() - serialized.per_device[0].timing.serialized_seconds())
+                .abs()
+                < 1e-12
         );
-        assert!(overlapped.timing.overlap_savings_seconds() > 0.0);
-        assert!(overlapped.pipeline.overlap);
-        assert!(overlapped.pipeline.speedup() > 1.0);
+        assert!(overlapped.per_device[0].timing.overlap_savings_seconds() > 0.0);
+        assert!(overlapped.per_device[0].pipeline.overlap);
+        assert!(overlapped.per_device[0].pipeline.speedup() > 1.0);
         // The serialized run still reports what overlap *would* save.
-        assert!(serialized.pipeline.overlapped_seconds < serialized.pipeline.serialized_seconds);
+        assert!(
+            serialized.per_device[0].pipeline.overlapped_seconds
+                < serialized.per_device[0].pipeline.serialized_seconds
+        );
     }
 
     #[test]
@@ -1061,8 +1164,10 @@ mod tests {
                 .with_overlap(true),
         )
         .filter_set(&set);
-        assert_eq!(run.batches, 1);
-        assert!((run.filter_seconds() - run.timing.serialized_seconds()).abs() < 1e-12);
+        assert_eq!(run.per_device[0].batches, 1);
+        assert!(
+            (run.filter_seconds() - run.per_device[0].timing.serialized_seconds()).abs() < 1e-12
+        );
     }
 
     #[test]
@@ -1089,7 +1194,7 @@ mod tests {
         assert_eq!(streamed_decisions, run.decisions);
         // Stream batches re-chunk at the plan size, but batch boundaries (700)
         // also cut chunks, so the stream sees more kernel launches.
-        assert!(streamed.batches >= run.batches);
+        assert!(streamed.batches >= run.per_device[0].batches);
         assert!(streamed.filter_seconds() > 0.0);
     }
 
@@ -1107,23 +1212,26 @@ mod tests {
             // Byte-identical decisions and simulated accounting (TimingBreakdown
             // equality deliberately excludes the measured wall clock).
             assert_eq!(serial.decisions, prefetched.decisions);
-            assert_eq!(serial.timing, prefetched.timing);
-            assert_eq!(serial.batches, prefetched.batches);
+            assert_eq!(serial.per_device[0].timing, prefetched.per_device[0].timing);
+            assert_eq!(
+                serial.per_device[0].batches,
+                prefetched.per_device[0].batches
+            );
             assert_eq!(serial.memory_stats, prefetched.memory_stats);
             assert_eq!(
-                serial.pipeline.overlapped_seconds,
-                prefetched.pipeline.overlapped_seconds
+                serial.per_device[0].pipeline.overlapped_seconds,
+                prefetched.per_device[0].pipeline.overlapped_seconds
             );
             assert_eq!(
-                serial.pipeline.serialized_seconds,
-                prefetched.pipeline.serialized_seconds
+                serial.per_device[0].pipeline.serialized_seconds,
+                prefetched.per_device[0].pipeline.serialized_seconds
             );
             // Both runs measured real wall clock.
-            assert!(serial.timing.host_wall_seconds > 0.0);
-            assert!(prefetched.timing.host_wall_seconds > 0.0);
-            assert!(!serial.pipeline.host_prefetch);
+            assert!(serial.per_device[0].timing.host_wall_seconds > 0.0);
+            assert!(prefetched.per_device[0].timing.host_wall_seconds > 0.0);
+            assert!(!serial.per_device[0].pipeline.host_prefetch);
             if rayon::current_num_threads() > 1 {
-                assert!(prefetched.pipeline.host_prefetch);
+                assert!(prefetched.per_device[0].pipeline.host_prefetch);
             }
         }
     }
@@ -1140,11 +1248,11 @@ mod tests {
             .expect("one-thread pool");
         let run = pool.install(|| GateKeeperGpu::with_default_device(config).filter_set(&set));
         // The engine reports that no prefetching actually happened…
-        assert!(!run.pipeline.host_prefetch);
+        assert!(!run.per_device[0].pipeline.host_prefetch);
         // …and the output matches the parallel-pool prefetched run exactly.
         let reference = GateKeeperGpu::with_default_device(config).filter_set(&set);
         assert_eq!(run.decisions, reference.decisions);
-        assert_eq!(run.timing, reference.timing);
+        assert_eq!(run.per_device[0].timing, reference.per_device[0].timing);
     }
 
     #[test]
@@ -1174,20 +1282,48 @@ mod tests {
         let run =
             GateKeeperGpu::with_default_device(FilterConfig::new(100, 4).with_chunk_pairs(600))
                 .filter_set(&set);
-        assert_eq!(run.chunk_loads.len(), run.batches);
+        assert_eq!(
+            run.per_device[0].chunk_loads.len(),
+            run.per_device[0].batches
+        );
         // Host stage and kernel stage re-aggregate exactly from the loads.
-        let host: f64 = run.chunk_loads.iter().map(|l| l.host_seconds).sum();
-        assert!((host - run.timing.host_prep_seconds - run.timing.encode_seconds).abs() < 1e-15);
-        let kernel: f64 = run.chunk_loads.iter().map(|l| l.kernel_seconds).sum();
+        let host: f64 = run.per_device[0]
+            .chunk_loads
+            .iter()
+            .map(|l| l.host_seconds)
+            .sum();
+        assert!(
+            (host
+                - run.per_device[0].timing.host_prep_seconds
+                - run.per_device[0].timing.encode_seconds)
+                .abs()
+                < 1e-15
+        );
+        let kernel: f64 = run.per_device[0]
+            .chunk_loads
+            .iter()
+            .map(|l| l.kernel_seconds)
+            .sum();
         // Pascal prefetches, so no fault time hides in the kernel stage.
-        assert!((kernel - run.timing.kernel_seconds).abs() < 1e-15);
+        assert!((kernel - run.per_device[0].timing.kernel_seconds).abs() < 1e-15);
         // The captured H2D bytes are the prefetched pages, buffer by buffer.
-        let h2d: u64 = run.chunk_loads.iter().map(|l| l.total_h2d_bytes()).sum();
+        let h2d: u64 = run.per_device[0]
+            .chunk_loads
+            .iter()
+            .map(|l| l.total_h2d_bytes())
+            .sum();
         assert_eq!(h2d, run.memory_stats.bytes_to_device);
-        assert!(run.chunk_loads.iter().all(|l| l.h2d_bytes[0] > 0));
+        assert!(run.per_device[0]
+            .chunk_loads
+            .iter()
+            .all(|l| l.h2d_bytes[0] > 0));
         // The result buffer never becomes device-resident, so nothing
         // migrates back (the unified-memory quirk the field keeps visible).
-        let d2h: u64 = run.chunk_loads.iter().map(|l| l.d2h_bytes).sum();
+        let d2h: u64 = run.per_device[0]
+            .chunk_loads
+            .iter()
+            .map(|l| l.d2h_bytes)
+            .sum();
         assert_eq!(d2h, run.memory_stats.bytes_to_host);
     }
 
@@ -1198,10 +1334,33 @@ mod tests {
             .filter_set(&set);
         // No prefetch path on Kepler: the loads carry no H2D bytes, and the
         // fault-driven migration cost sits inside the kernel stage instead.
-        assert!(run.chunk_loads.iter().all(|l| l.total_h2d_bytes() == 0));
-        let kernel: f64 = run.chunk_loads.iter().map(|l| l.kernel_seconds).sum();
-        assert!(kernel > run.timing.kernel_seconds);
-        assert!((kernel - run.timing.kernel_seconds - run.timing.transfer_seconds).abs() < 1e-15);
+        assert!(run.per_device[0]
+            .chunk_loads
+            .iter()
+            .all(|l| l.total_h2d_bytes() == 0));
+        let kernel: f64 = run.per_device[0]
+            .chunk_loads
+            .iter()
+            .map(|l| l.kernel_seconds)
+            .sum();
+        assert!(kernel > run.per_device[0].timing.kernel_seconds);
+        assert!(
+            (kernel
+                - run.per_device[0].timing.kernel_seconds
+                - run.per_device[0].timing.transfer_seconds)
+                .abs()
+                < 1e-15
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "filter_stream_with streams on a single device")]
+    fn streaming_on_two_devices_panics() {
+        let gpu = GateKeeperGpu::with_devices(
+            vec![DeviceSpec::gtx_1080_ti(); 2],
+            FilterConfig::new(100, 2),
+        );
+        gpu.filter_stream_with(Vec::<Vec<SequencePair>>::new(), |_, _| {});
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! The `gk-serve` daemon: filter-as-a-service over localhost TCP.
 //!
 //! ```text
-//! gk-serve [--addr 127.0.0.1:7844] [--backend cpu-simd|gpu-sim|multi-gpu]
+//! gk-serve [--addr 127.0.0.1:7844] [--backend cpu-simd|gpu-sim]
 //!          [--threads N] [--devices N] [--topology private|shared|switch:N|nvlink]
 //!          [--flush-ms MS] [--idle-us US] [--max-batch-pairs N]
 //!          [--queue-pairs N] [--executors N] [--weight TENANT=W]...
 //!          [--no-coalesce]
 //! ```
 //!
+//! `--devices N` (default 1, at least 1) runs `gpu-sim` on N simulated GTX
+//! 1080 Ti boards; with more than one, GateKeeper jobs shard across them with
+//! the topology-aware scheduler over `--topology` (default `shared`).
+//!
 //! Clients speak the `gk_seq::frame` protocol (see `gk_serve::client::GkClient`
 //! or `serve_bench --connect ADDR` in gk-bench).
 
-use gk_core::backend::{BackendRegistry, CpuSimdBackend, GpuSimBackend, MultiGpuBackend};
+use gk_core::backend::{BackendRegistry, CpuSimdBackend, GpuSimBackend};
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::topology::TopologyKind;
 use gk_serve::batcher::BatcherConfig;
@@ -21,7 +25,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gk-serve [--addr HOST:PORT] [--backend cpu-simd|gpu-sim|multi-gpu] \
+        "usage: gk-serve [--addr HOST:PORT] [--backend cpu-simd|gpu-sim] \
          [--threads N] [--devices N] [--topology KIND] [--flush-ms MS] [--idle-us US] \
          [--max-batch-pairs N] [--queue-pairs N] [--executors N] [--weight TENANT=W]... \
          [--no-coalesce]"
@@ -47,7 +51,7 @@ fn main() {
     let mut addr = "127.0.0.1:7844".to_string();
     let mut backend_name = "gpu-sim".to_string();
     let mut threads = 0usize; // 0 = pool default (RAYON_NUM_THREADS / cores)
-    let mut devices = 4usize;
+    let mut devices = 1usize;
     let mut topology = TopologyKind::SharedRoot;
     let mut config = BatcherConfig::default();
 
@@ -95,12 +99,15 @@ fn main() {
         }
     }
 
+    if devices == 0 {
+        eprintln!("gk-serve: --devices needs at least one device");
+        usage();
+    }
+
     let mut registry = BackendRegistry::new();
     registry.register(Arc::new(CpuSimdBackend::new(threads)));
-    registry.register(Arc::new(GpuSimBackend::new()));
-    registry.register(Arc::new(MultiGpuBackend::with_device(
-        DeviceSpec::gtx_1080_ti(),
-        devices,
+    registry.register(Arc::new(GpuSimBackend::with_devices(
+        vec![DeviceSpec::gtx_1080_ti(); devices],
         topology,
     )));
     let Some(backend) = registry.get(&backend_name) else {

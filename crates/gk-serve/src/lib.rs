@@ -17,7 +17,7 @@
 //!   [`client::Reply`] results.
 //!
 //! Execution goes through the [`gk_core::backend::FilterBackend`] registry
-//! (`cpu-simd`, `gpu-sim`, `multi-gpu`), so service decisions are
+//! (`cpu-simd`, `gpu-sim` on one or more devices), so service decisions are
 //! digest-identical to the offline harness paths — that equivalence is a
 //! tested invariant (`tests/service_equivalence.rs`), not an aspiration.
 //!

@@ -1,10 +1,12 @@
 //! Multi-GPU scaling demo: filter the same pair set on 1–8 simulated GTX 1080 Ti
 //! devices and watch the kernel-time throughput scale while the filter-time
-//! throughput saturates (Figure 8 of the paper in miniature).
+//! throughput saturates (Figure 8 of the paper in miniature). One
+//! `GateKeeperGpu` runs over each device list; a single device is the plain
+//! case.
 //!
 //! Run with: `cargo run --release --example multi_gpu_throughput`
 
-use gatekeeper_gpu::core::{EncodingActor, FilterConfig, MultiGpuGateKeeper};
+use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperGpu};
 use gatekeeper_gpu::gpusim::DeviceSpec;
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
 
@@ -21,17 +23,18 @@ fn main() {
     );
 
     for devices in 1..=8usize {
-        let filter = MultiGpuGateKeeper::new(
-            DeviceSpec::gtx_1080_ti(),
-            devices,
+        let filter = GateKeeperGpu::with_devices(
+            vec![DeviceSpec::gtx_1080_ti(); devices],
             FilterConfig::new(100, threshold).with_encoding(EncodingActor::Host),
         );
         let run = filter.filter_set(&pairs);
-        let kernel_mps = pairs.len() as f64 / run.kernel_seconds.max(1e-12) / 1e6;
-        let filter_mps = pairs.len() as f64 / run.filter_seconds.max(1e-12) / 1e6;
+        let kernel_mps = pairs.len() as f64 / run.kernel_seconds().max(1e-12) / 1e6;
+        let filter_mps = pairs.len() as f64 / run.filter_seconds().max(1e-12) / 1e6;
         println!(
             "{devices:>7} {:>18.6} {:>18.1} {:>18.2}",
-            run.kernel_seconds, kernel_mps, filter_mps
+            run.kernel_seconds(),
+            kernel_mps,
+            filter_mps
         );
     }
 

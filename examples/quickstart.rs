@@ -31,7 +31,7 @@ fn main() {
     println!("filter time (model) : {:.6} s", run.filter_seconds());
     println!(
         "achieved occupancy  : {:.1} %",
-        run.achieved_occupancy * 100.0
+        run.per_device[0].achieved_occupancy * 100.0
     );
 
     // Spot-check a few decisions against the exact edit distance (Edlib-equivalent).
@@ -63,12 +63,13 @@ fn main() {
     )
     .filter_set(&pairs);
     assert_eq!(overlapped.decisions, run.decisions);
+    let pipeline = &overlapped.per_device[0].pipeline;
     println!();
     println!(
         "triple-buffered pipeline ({} chunks of 500): serialized {:.6} s -> overlapped {:.6} s ({:.2}x)",
-        overlapped.batches,
-        overlapped.pipeline.serialized_seconds,
-        overlapped.pipeline.overlapped_seconds,
-        overlapped.pipeline.speedup()
+        pipeline.chunks,
+        pipeline.serialized_seconds,
+        pipeline.overlapped_seconds,
+        pipeline.speedup()
     );
 }

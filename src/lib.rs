@@ -14,7 +14,9 @@
 //! * [`gpusim`] — the CUDA-like GPU execution-model simulator used as a hardware
 //!   substitute (SIMT executor, unified memory, occupancy, timing and power models).
 //! * [`core`] — the GateKeeper-GPU system: configuration, batching, host/device
-//!   encoding, kernel launches, multi-GPU dispatch, and the multicore CPU baseline.
+//!   encoding, kernel launches, one front end over a device list (one GPU or
+//!   several, sharded by a topology-aware scheduler), and the multicore CPU
+//!   baseline.
 //! * [`mapper`] — an mrFAST-like seed-and-extend read mapper with a pre-alignment
 //!   filter hook, used for the whole-genome experiments.
 //! * [`serve`] — filter-as-a-service: a dynamic-batching daemon + client speaking

@@ -96,15 +96,16 @@ proptest! {
 
         // The tentpole contract: byte-identical decisions …
         prop_assert_eq!(&host.decisions, &device.decisions);
-        prop_assert_eq!(host.batches, device.batches);
+        let (host_run, device_run) = (&host.per_device[0], &device.per_device[0]);
+        prop_assert_eq!(host_run.batches, device_run.batches);
         // … and the encode cost attributed to exactly one side per mode.
-        prop_assert_eq!(device.timing.encode_seconds, 0.0);
-        prop_assert!(host.timing.encode_seconds > 0.0);
-        prop_assert_eq!(host.timing.encode_device_seconds, 0.0);
-        prop_assert!(device.timing.encode_device_seconds > 0.0);
-        prop_assert!(device.timing.encode_device_seconds <= device.timing.kernel_seconds);
-        prop_assert!(device.timing.host_encode_share() < host.timing.host_encode_share());
-        prop_assert!(device.pipeline.device_encode && !host.pipeline.device_encode);
+        prop_assert_eq!(device_run.timing.encode_seconds, 0.0);
+        prop_assert!(host_run.timing.encode_seconds > 0.0);
+        prop_assert_eq!(host_run.timing.encode_device_seconds, 0.0);
+        prop_assert!(device_run.timing.encode_device_seconds > 0.0);
+        prop_assert!(device_run.timing.encode_device_seconds <= device_run.timing.kernel_seconds);
+        prop_assert!(device_run.timing.host_encode_share() < host_run.timing.host_encode_share());
+        prop_assert!(device_run.pipeline.device_encode && !host_run.pipeline.device_encode);
 
         // Streaming the same pairs through the device path chunk-by-chunk
         // reproduces the materialized decisions exactly.

@@ -2,9 +2,7 @@
 //! simulation through seeding, pre-alignment filtering on the simulated GPU, and
 //! verification — the paper's whole-genome workflow end to end.
 
-use gatekeeper_gpu::core::{
-    EncodingActor, FilterConfig, GateKeeperCpu, GateKeeperGpu, MultiGpuGateKeeper,
-};
+use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperCpu, GateKeeperGpu};
 use gatekeeper_gpu::filters::{GateKeeperGpuFilter, PreAlignmentFilter, SneakySnakeFilter};
 use gatekeeper_gpu::gpusim::DeviceSpec;
 use gatekeeper_gpu::mapper::{MapperConfig, PreFilter, ReadMapper};
@@ -73,11 +71,12 @@ fn multi_gpu_matches_single_gpu_decisions_and_improves_kernel_time() {
     let pairs = DatasetProfile::set3().generate(3_000, 77);
     let config = FilterConfig::new(100, 2).with_encoding(EncodingActor::Host);
 
-    let single = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 1, config).filter_set(&pairs);
-    let quad = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&pairs);
+    let single = GateKeeperGpu::new(DeviceSpec::gtx_1080_ti(), config).filter_set(&pairs);
+    let quad =
+        GateKeeperGpu::with_devices(vec![DeviceSpec::gtx_1080_ti(); 4], config).filter_set(&pairs);
 
     assert_eq!(single.decisions, quad.decisions);
-    assert!(quad.kernel_seconds < single.kernel_seconds);
+    assert!(quad.kernel_seconds() < single.kernel_seconds());
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! × naive/aware scheduler × private/shared-root links.
 
 use gatekeeper_gpu::core::config::EncodingActor;
-use gatekeeper_gpu::core::{FilterConfig, MultiGpuGateKeeper, MultiGpuRun};
+use gatekeeper_gpu::core::{FilterConfig, FilterRun, GateKeeperGpu};
 use gatekeeper_gpu::filters::decision_digest;
 use gatekeeper_gpu::gpusim::device::DeviceSpec;
 use gatekeeper_gpu::gpusim::topology::{ContentionRun, TopologyKind};
@@ -34,7 +34,7 @@ const GOLDEN: [(u64, u64); 28] = [
     (0x193788d91fd7ee3c, 0x3f704af2489ace91), // 1x gtx-1080-ti host serial auto
     (0xef254de3684ee684, 0x3f7204b5a9506d7a), // 1x gtx-1080-ti host serial 137
     (0x91ff1fc9e317dc30, 0x3f704af2489ace91), // 1x gtx-1080-ti host overlap auto
-    (0x84a9a6249cb2ac31, 0x3f70f5e80664b034), // 1x gtx-1080-ti host overlap 137
+    (0x84a9a6249cb2ac31, 0x3f70f5e80664b035), // 1x gtx-1080-ti host overlap 137
     (0x261747d28f84022b, 0x3f50a94b27f3a8f4), // 1x gtx-1080-ti device serial auto
     (0x2ddc23417afda5b8, 0x3f570ff4885c7eda), // 1x gtx-1080-ti device serial 137
     (0xebd12e3d0786ed64, 0x3f50a94b27f3a8f4), // 1x gtx-1080-ti device overlap auto
@@ -42,7 +42,7 @@ const GOLDEN: [(u64, u64); 28] = [
     (0x3dd184ff30ec03fb, 0x3f71073040e4d02f), // 1x tesla-k20x host serial auto
     (0xb7df98886103a91c, 0x3f76eabdb0b448c8), // 1x tesla-k20x host serial 137
     (0x8a08a6f52c724cbd, 0x3f71073040e4d02f), // 1x tesla-k20x host overlap auto
-    (0x4f7dfca1a56b1f67, 0x3f7049893b0ee432), // 1x tesla-k20x host overlap 137
+    (0x4f7dfca1a56b1f67, 0x3f7049893b0ee433), // 1x tesla-k20x host overlap 137
     (0x8574b3f1a5ac8d31, 0x3f56494a6b73548c), // 1x tesla-k20x device serial auto
     (0xf2cb3e0e78e6c571, 0x3f6575ba9852b29d), // 1x tesla-k20x device serial 137
     (0x05d91afb2c3f983d, 0x3f56494a6b73548c), // 1x tesla-k20x device overlap auto
@@ -129,11 +129,11 @@ impl Fold {
 }
 
 /// Digest of every simulated field of `run` except its combined filter time.
-fn fields_digest(run: &MultiGpuRun) -> u64 {
+fn fields_digest(run: &FilterRun) -> u64 {
     let mut fold = Fold::new();
     fold.u64(decision_digest(&run.decisions));
-    fold.f64(run.kernel_seconds);
-    fold.memory(&run.memory_stats());
+    fold.f64(run.kernel_seconds());
+    fold.memory(&run.memory_stats);
     fold.usize(run.per_device.len());
     for device in &run.per_device {
         let timing = &device.timing;
@@ -183,8 +183,8 @@ fn fields_digest(run: &MultiGpuRun) -> u64 {
     fold.0
 }
 
-fn run(devices: Vec<DeviceSpec>, config: FilterConfig, set: &PairSet) -> MultiGpuRun {
-    MultiGpuGateKeeper::with_devices(devices, config).filter_set(set)
+fn run(devices: Vec<DeviceSpec>, config: FilterConfig, set: &PairSet) -> FilterRun {
+    GateKeeperGpu::with_devices(devices, config).filter_set(set)
 }
 
 /// Every configuration of the matrix, in `GOLDEN` order.
@@ -239,7 +239,7 @@ fn simulated_numbers_match_their_golden_digests() {
     let mut mismatches = Vec::new();
     for ((label, devices, config), &golden) in configs.into_iter().zip(GOLDEN.iter()) {
         let run = run(devices, config, &set);
-        let observed = (fields_digest(&run), run.filter_seconds.to_bits());
+        let observed = (fields_digest(&run), run.filter_seconds().to_bits());
         if observed != golden {
             mismatches.push(format!(
                 "    ({:#018x}, {:#018x}), // {label}",

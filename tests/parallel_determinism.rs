@@ -288,7 +288,10 @@ fn overlap_and_chunking_never_change_decisions_or_counts() {
                 );
                 assert_eq!(run.accepted(), reference.accepted());
                 assert_eq!(run.rejected(), reference.rejected());
-                assert_eq!(run.batches, 900usize.div_ceil(chunk.max(1)).min(900));
+                assert_eq!(
+                    run.per_device[0].batches,
+                    900usize.div_ceil(chunk.max(1)).min(900)
+                );
             }
         }
     }
@@ -310,7 +313,7 @@ fn overlapped_multi_chunk_runs_are_strictly_faster_than_serialized() {
                 .with_overlap(true),
         )
         .filter_set(&pairs);
-        assert!(serialized.batches >= 8, "chunk {chunk}");
+        assert!(serialized.per_device[0].batches >= 8, "chunk {chunk}");
         assert_eq!(serialized.decisions, overlapped.decisions);
         assert!(
             overlapped.filter_seconds() < serialized.filter_seconds(),
@@ -368,16 +371,19 @@ fn host_prefetch_never_changes_decisions_or_timing_splits() {
             );
             // TimingBreakdown equality covers the simulated splits only (the
             // measured host wall-clock is deliberately excluded).
-            assert_eq!(serial.timing, prefetched.timing);
-            assert_eq!(serial.batches, prefetched.batches);
+            assert_eq!(serial.per_device[0].timing, prefetched.per_device[0].timing);
+            assert_eq!(
+                serial.per_device[0].batches,
+                prefetched.per_device[0].batches
+            );
             assert_eq!(serial.memory_stats, prefetched.memory_stats);
             assert_eq!(
-                serial.pipeline.overlapped_seconds,
-                prefetched.pipeline.overlapped_seconds
+                serial.per_device[0].pipeline.overlapped_seconds,
+                prefetched.per_device[0].pipeline.overlapped_seconds
             );
             assert_eq!(
-                serial.pipeline.serialized_seconds,
-                prefetched.pipeline.serialized_seconds
+                serial.per_device[0].pipeline.serialized_seconds,
+                prefetched.per_device[0].pipeline.serialized_seconds
             );
 
             // Streamed with prefetch (and read-ahead batch generation) equals
@@ -436,10 +442,16 @@ fn host_prefetch_fallback_on_a_one_thread_pool_is_byte_identical() {
         .with_host_prefetch(true);
     let reference = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
     let fallback = sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
-    assert!(!fallback.pipeline.host_prefetch);
+    assert!(!fallback.per_device[0].pipeline.host_prefetch);
     assert_eq!(fallback.decisions, reference.decisions);
-    assert_eq!(fallback.timing, reference.timing);
-    assert_eq!(fallback.batches, reference.batches);
+    assert_eq!(
+        fallback.per_device[0].timing,
+        reference.per_device[0].timing
+    );
+    assert_eq!(
+        fallback.per_device[0].batches,
+        reference.per_device[0].batches
+    );
 }
 
 #[test]

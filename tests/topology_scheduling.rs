@@ -8,7 +8,7 @@
 //! reproduce the pre-topology independent-link numbers bit-for-bit.
 
 use gatekeeper_gpu::core::config::EncodingActor;
-use gatekeeper_gpu::core::{FilterConfig, MultiGpuGateKeeper};
+use gatekeeper_gpu::core::{FilterConfig, GateKeeperGpu};
 use gatekeeper_gpu::gpusim::device::DeviceSpec;
 use gatekeeper_gpu::gpusim::topology::{weighted_partition, LinkSpec, Topology, TopologyKind};
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
@@ -65,7 +65,7 @@ proptest! {
             .with_chunk_pairs(chunk)
             .with_topology(kind)
             .with_topology_aware(aware);
-        let filter = MultiGpuGateKeeper::with_devices(device_mix(count, seed), config);
+        let filter = GateKeeperGpu::with_devices(device_mix(count, seed), config);
         let schedule = filter.schedule(total);
         prop_assert_eq!(schedule.assignments.len(), count);
         prop_assert_eq!(schedule.total_pairs(), total);
@@ -96,7 +96,7 @@ proptest! {
             .collect();
         let attach: Vec<usize> = (0..count).map(|d| (attach_seed >> d) % links).collect();
         let topology = Topology::custom("prop", link_specs, attach);
-        let filter = MultiGpuGateKeeper::with_devices(
+        let filter = GateKeeperGpu::with_devices(
             device_mix(count, attach_seed),
             FilterConfig::new(100, 2).with_topology_aware(true),
         );
@@ -154,9 +154,8 @@ proptest! {
         let set = DatasetProfile::set3().generate(pair_count, seed);
         let base = FilterConfig::new(100, 2).with_encoding(encoding);
         let run = |kind, aware| {
-            MultiGpuGateKeeper::new(
-                DeviceSpec::gtx_1080_ti(),
-                devices,
+            GateKeeperGpu::with_devices(
+                vec![DeviceSpec::gtx_1080_ti(); devices],
                 base.with_topology(kind).with_topology_aware(aware),
             )
             .filter_set(&set)
@@ -173,8 +172,8 @@ proptest! {
 
         // The naive sharder ignores the topology entirely: the pre-topology
         // timing fields are bit-for-bit identical across wirings.
-        prop_assert_eq!(naive_private.kernel_seconds, naive_shared.kernel_seconds);
-        prop_assert_eq!(naive_private.filter_seconds, naive_shared.filter_seconds);
+        prop_assert_eq!(naive_private.kernel_seconds(), naive_shared.kernel_seconds());
+        prop_assert_eq!(naive_private.filter_seconds(), naive_shared.filter_seconds());
 
         // On private links the contended replay IS the uncontended twin.
         for run in [&naive_private, &aware_private] {
@@ -211,10 +210,9 @@ fn aware_strictly_beats_naive_on_eight_shared_root_gpus() {
     let base = FilterConfig::new(100, 2)
         .with_encoding(EncodingActor::Device)
         .with_topology(TopologyKind::SharedRoot);
-    let naive = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base).filter_set(&set);
-    let aware =
-        MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base.with_topology_aware(true))
-            .filter_set(&set);
+    let eight = vec![DeviceSpec::gtx_1080_ti(); 8];
+    let naive = GateKeeperGpu::with_devices(eight.clone(), base).filter_set(&set);
+    let aware = GateKeeperGpu::with_devices(eight, base.with_topology_aware(true)).filter_set(&set);
     assert_eq!(naive.decisions, aware.decisions);
     assert!(
         aware.interconnect.makespan_seconds() < naive.interconnect.makespan_seconds(),
