@@ -8,7 +8,7 @@
 //! `encode_pair_batch` on the pool before the (smaller) simulated transfer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gk_core::config::FilterConfig;
+use gk_core::config::{EncodingActor, FilterConfig};
 use gk_core::gpu::GateKeeperGpu;
 use gk_seq::datasets::DatasetProfile;
 use std::hint::black_box;
@@ -21,16 +21,14 @@ fn bench_gpu_batches(c: &mut Criterion) {
     group.throughput(Throughput::Elements(set.len() as u64));
 
     for batch_size in [250usize, 1_000, 4_000] {
-        for device_encode in [true, false] {
-            let label = if device_encode {
-                "device_encode"
-            } else {
-                "host_encode"
-            };
+        for (label, encoding) in [
+            ("device_encode", EncodingActor::Device),
+            ("host_encode", EncodingActor::Host),
+        ] {
             group.bench_with_input(BenchmarkId::new(label, batch_size), &set, |b, set| {
                 let gpu = GateKeeperGpu::with_default_device(
                     FilterConfig::new(100, 5)
-                        .with_device_encode(device_encode)
+                        .with_encoding(encoding)
                         .with_max_reads_per_batch(batch_size),
                 );
                 b.iter(|| gpu.filter_set(black_box(set)).accepted())

@@ -9,7 +9,6 @@
 //! * `--genome N` — synthetic reference length for mapper experiments;
 //! * `--chunk N` — pipeline chunk size in pairs (0 = auto);
 //! * `--serialized` — disable stream overlap (three stages run back to back);
-//! * `--host-serial` — disable the host-side prefetch (serial host compute);
 //! * `--device-encode` — use the device-side encoding execution path (raw
 //!   1-byte-per-base uploads + fused encode+filter kernel) instead of host
 //!   `encode_pair_batch`;
@@ -39,9 +38,6 @@ pub struct HarnessArgs {
     pub full: bool,
     /// Disable stream overlap in the GPU batch pipeline.
     pub serialized: bool,
-    /// Disable the host-side prefetch (encode of chunk i+1 on the worker pool
-    /// while chunk i's kernel closure runs); the host computes chunks serially.
-    pub host_serial: bool,
     /// Use the device-side encoding execution path: upload raw reads and let
     /// the fused kernel do the 2-bit packing (no host `encode_pair_batch`).
     pub device_encode: bool,
@@ -75,7 +71,6 @@ impl HarnessArgs {
          \x20 --genome N         synthetic reference length for mapper experiments\n\
          \x20 --chunk N          pipeline chunk size in pairs (0 = auto-size)\n\
          \x20 --serialized       disable stream overlap (stages run back to back)\n\
-         \x20 --host-serial      disable the host-side prefetch (serial host compute)\n\
          \x20 --device-encode    device-side encoding path: upload raw reads, 2-bit pack\n\
          \x20                    inside the fused encode+filter kernel (~4x H2D bytes,\n\
          \x20                    zero host encode time); default is host encoding\n\
@@ -112,7 +107,6 @@ impl HarnessArgs {
                 },
                 "--aware" => parsed.aware = true,
                 "--serialized" => parsed.serialized = true,
-                "--host-serial" => parsed.host_serial = true,
                 "--device-encode" => parsed.device_encode = true,
                 "--scalar" => parsed.scalar = true,
                 "--full" => parsed.full = true,
@@ -191,15 +185,12 @@ mod tests {
             "--extra-sets".into(),
             "--full".into(),
             "--serialized".into(),
-            "--host-serial".into(),
             "--device-encode".into(),
             "--scalar".into(),
         ]);
         assert!(args.mapper_profiles && args.extra_sets && args.full && args.serialized);
-        assert!(args.host_serial);
         assert!(args.device_encode);
         assert!(args.scalar);
-        assert!(!HarnessArgs::parse_from(vec![]).host_serial);
         assert!(!HarnessArgs::parse_from(vec![]).device_encode);
         assert!(!HarnessArgs::parse_from(vec![]).scalar);
     }
@@ -221,7 +212,6 @@ mod tests {
             "--genome",
             "--chunk",
             "--serialized",
-            "--host-serial",
             "--device-encode",
             "--scalar",
             "--topology",

@@ -2,14 +2,11 @@
 //! the triple-buffered GPU batch pipeline without ever materializing the pair
 //! set (§3.4 multi-stream prefetch exploited end to end).
 //!
-//! The default run streams 1 million pairs **twice** — once with the real
-//! host-side prefetch (encode of chunk *i+1* on the worker pool while chunk
-//! *i*'s kernel closure runs; on pools with ≥ 3 workers the next source batch
-//! is also generated ahead on the pool) and once with the serial host path —
-//! and reports the measured host wall-clock of both next to the simulated
-//! timeline, verifying along the way that the decisions are byte-identical.
+//! The default run streams 1 million pairs once on the host-encode path and
+//! prints the FNV digest of the decision stream, the simulated timeline and
+//! the measured host wall-clock.
 //!
-//! `--device-encode` switches the comparison axis to the **encoding actor**:
+//! `--device-encode` compares the **encoding actors** instead:
 //! one pass on the device-side encoding path (raw 1-byte-per-base uploads,
 //! fused encode+filter kernel, zero host encode time) and one on the host
 //! path, same seeded stream, asserting digest-identical decisions and a
@@ -17,15 +14,13 @@
 //! emits a Markdown comparison table between `<!-- encode-modes:begin/end -->`
 //! markers so CI can lift it straight into the job summary.
 //!
-//! `--full` uses the paper's 30 million pairs in a single pass;
-//! `--host-serial` forces a single pass on the serial host path (no pool
-//! prefetch work is spawned at all). Memory stays bounded by the source batch
-//! size plus the bounded number of encoded chunks in flight regardless of
+//! `--full` uses the paper's 30 million pairs in a single pass. Memory stays
+//! bounded by the source batch size plus one prepped chunk regardless of
 //! `--pairs`.
 //!
 //! Usage: `cargo run --release -p gk-bench --bin streaming_scale
-//!         [--pairs N] [--full] [--chunk N] [--serialized] [--host-serial]
-//!         [--device-encode] [--help]`
+//!         [--pairs N] [--full] [--chunk N] [--serialized] [--device-encode]
+//!         [--help]`
 
 use gk_bench::datasets::PAPER_SET_SIZE;
 use gk_bench::runner::streaming_gpu_throughput_with;
@@ -74,7 +69,6 @@ struct RunSpec {
     threshold: u32,
     overlap: bool,
     chunk: usize,
-    host_prefetch: bool,
     encoding: EncodingActor,
 }
 
@@ -89,7 +83,6 @@ fn measure(profile: &DatasetProfile, spec: &RunSpec) -> MeasuredRun {
         spec.encoding,
         spec.overlap,
         spec.chunk,
-        spec.host_prefetch,
         |_, decisions| digest.update(decisions),
     );
     MeasuredRun {
@@ -103,6 +96,7 @@ fn print_run(label: &str, measured: &MeasuredRun) {
     let run = &measured.run;
     println!("--- {label} ---");
     println!("pairs filtered          : {}", run.pairs);
+    println!("decisions digest        : {:#018x}", measured.digest);
     println!("accepted                : {}", run.accepted);
     println!("rejected                : {}", run.rejected());
     println!("undefined pass-through  : {}", run.undefined);
@@ -110,7 +104,6 @@ fn print_run(label: &str, measured: &MeasuredRun) {
         "kernel launches (chunks): {} of {} pairs (resolved pipeline chunk)",
         run.batches, run.pipeline.chunk_pairs
     );
-    println!("host prefetch active    : {}", run.pipeline.host_prefetch);
     println!(
         "encoding actor          : {}",
         if run.pipeline.device_encode {
@@ -164,7 +157,7 @@ fn print_run(label: &str, measured: &MeasuredRun) {
         run.memory_stats.bytes_to_host as f64 / (1024.0 * 1024.0)
     );
     println!(
-        "measured host wall-clock: {} s (functional simulation; resident set bounded by one source\n                          batch plus the in-flight prepped chunks)",
+        "measured host wall-clock: {} s (functional simulation; resident set bounded by one source\n                          batch plus one prepped chunk)",
         fmt(measured.wall_seconds, 1)
     );
     println!();
@@ -268,20 +261,16 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    // --full and --host-serial are single passes (--host-serial must not spawn
-    // any pool prefetch work); otherwise the run compares two modes over the
-    // same seeded stream: encode device-vs-host with --device-encode, host
-    // prefetch on-vs-off without it.
-    let compare_modes = !args.full && !args.host_serial;
-    let primary_prefetch = !args.host_serial;
-    let spec = |encoding: EncodingActor, host_prefetch: bool, pairs: usize| RunSpec {
+    // --full is a single pass; --device-encode otherwise compares the two
+    // encode paths over the same seeded stream.
+    let compare_modes = args.device_encode && !args.full;
+    let spec = |encoding: EncodingActor, pairs: usize| RunSpec {
         pairs,
         seed,
         source_batch,
         threshold,
         overlap: !args.serialized,
         chunk,
-        host_prefetch,
         encoding,
     };
 
@@ -289,67 +278,24 @@ fn main() {
         // Throwaway warmup so neither measured run pays first-touch costs
         // (worker spawn-up, allocator warm-up) — the comparison would
         // otherwise be biased against whichever mode runs first.
-        let _ = measure(
-            &profile,
-            &spec(primary_encoding, primary_prefetch, pairs.min(250_000)),
-        );
+        let _ = measure(&profile, &spec(primary_encoding, pairs.min(250_000)));
     }
 
-    let primary = measure(&profile, &spec(primary_encoding, primary_prefetch, pairs));
+    let primary = measure(&profile, &spec(primary_encoding, pairs));
+    let host_label = "host encode (encode_pair_batch before the transfer)";
     print_run(
-        match (args.device_encode, primary_prefetch) {
-            (true, _) => "device encode (raw upload, fused encode+filter kernel)",
-            (false, true) => "host prefetch ON (encode of chunk i+1 overlaps chunk i's kernel)",
-            (false, false) => "host prefetch OFF (serial host compute)",
+        if args.device_encode {
+            "device encode (raw upload, fused encode+filter kernel)"
+        } else {
+            host_label
         },
         &primary,
     );
 
-    if compare_modes && args.device_encode {
-        let host = measure(
-            &profile,
-            &spec(EncodingActor::Host, primary_prefetch, pairs),
-        );
-        print_run("host encode (encode_pair_batch before the transfer)", &host);
+    if compare_modes {
+        let host = measure(&profile, &spec(EncodingActor::Host, pairs));
+        print_run(host_label, &host);
         compare_encode_modes(&primary, &host, pairs, threshold);
-    } else if compare_modes {
-        let secondary = measure(&profile, &spec(primary_encoding, !primary_prefetch, pairs));
-        print_run(
-            if primary_prefetch {
-                "host prefetch OFF (serial host compute)"
-            } else {
-                "host prefetch ON (encode of chunk i+1 overlaps chunk i's kernel)"
-            },
-            &secondary,
-        );
-
-        let (on, off) = if primary_prefetch {
-            (&primary, &secondary)
-        } else {
-            (&secondary, &primary)
-        };
-        assert_eq!(
-            on.digest, off.digest,
-            "decision streams diverged between host modes — prefetch bug"
-        );
-        assert_eq!(on.run.accepted, off.run.accepted);
-        assert_eq!(on.run.undefined, off.run.undefined);
-        println!("=== host prefetch on vs. off ===");
-        println!(
-            "decisions               : byte-identical (digest {:#018x})",
-            on.digest
-        );
-        println!(
-            "measured host wall-clock: {} s (on) vs {} s (off) — {}x",
-            fmt(on.wall_seconds, 1),
-            fmt(off.wall_seconds, 1),
-            fmt(off.wall_seconds / on.wall_seconds.max(1e-9), 2)
-        );
-        println!(
-            "simulated filter time   : identical either way ({} s)",
-            fmt(on.run.filter_seconds(), 4)
-        );
-        println!();
     }
 
     if args.device_encode {
@@ -359,11 +305,7 @@ fn main() {
     } else {
         println!("Expected shape (paper, §3.4): prefetching the next batch on separate streams while the");
         println!("kernel runs hides most of the transfer, so the overlapped filter time beats the serialized");
-        println!(
-            "sum on every multi-chunk run; the host-side prefetch makes the same trick real on the"
-        );
-        println!(
-            "host, shrinking measured wall-clock on multi-core machines with identical decisions."
-        );
+        println!("sum on every multi-chunk run. The overlap lives in the simulated timeline only: the host");
+        println!("computes the chunks one after another, so measured wall-clock does not shrink with it.");
     }
 }

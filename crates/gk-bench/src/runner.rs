@@ -151,16 +151,9 @@ pub fn cpu_throughput_with_mode(
 /// the filter configuration. `encoding` selects the execution path:
 /// [`EncodingActor::Device`] uploads raw reads and packs inside the fused
 /// encode+filter kernel (no host `encode_pair_batch` at all),
-/// [`EncodingActor::Host`] encodes on the pool before the transfer. With
-/// `host_prefetch` on, the pipeline preps
-/// chunk *i+1* on the worker pool while chunk *i*'s kernel closure runs — the
-/// measured-wall-clock counterpart of the simulated stream overlap. On pools
-/// with at least three workers the source additionally generates the next
-/// batch ahead on the pool (`PairBatches::read_ahead`); on smaller pools the
-/// serial generation hides under the in-flight encode tasks instead. Every
+/// [`EncodingActor::Host`] encodes on the pool before the transfer. Every
 /// chunk's pairs and decisions go to `sink` in input order (for callers that
 /// checksum or persist decisions without materializing them).
-#[allow(clippy::too_many_arguments)]
 pub fn streaming_gpu_throughput_with<F>(
     setup: &Setup,
     source: PairBatches,
@@ -168,7 +161,6 @@ pub fn streaming_gpu_throughput_with<F>(
     encoding: EncodingActor,
     overlap: bool,
     chunk_pairs: usize,
-    host_prefetch: bool,
     sink: F,
 ) -> StreamFilterRun
 where
@@ -177,18 +169,8 @@ where
     let config = FilterConfig::new(source.read_len(), threshold)
         .with_encoding(encoding)
         .with_overlap(overlap)
-        .with_chunk_pairs(chunk_pairs)
-        .with_host_prefetch(host_prefetch);
-    let gpu = GateKeeperGpu::new(setup.device(), config);
-    // Generating the next batch on the pool only pays off when a worker can be
-    // spared for it; on a 2-thread pool the generation task would monopolize a
-    // worker the encode/kernel fan-out needs, so the source stays inline there
-    // (its generation still hides under the in-flight encode tasks).
-    if host_prefetch && rayon::current_num_threads() >= 3 {
-        gpu.filter_stream_with(source.read_ahead(), sink)
-    } else {
-        gpu.filter_stream_with(source, sink)
-    }
+        .with_chunk_pairs(chunk_pairs);
+    GateKeeperGpu::new(setup.device(), config).filter_stream_with(source, sink)
 }
 
 /// Speedup of `baseline_seconds` over `improved_seconds` (≥ 1 means faster).
@@ -279,7 +261,6 @@ mod tests {
                 EncodingActor::Host,
                 overlap,
                 500,
-                false,
                 |_, _| {},
             )
         };
@@ -292,53 +273,6 @@ mod tests {
         // Same chunking, same decisions — strictly lower overlapped filter time.
         assert!(overlapped.filter_seconds() < serialized.filter_seconds());
         assert!(overlapped.pipeline.savings_seconds() > 0.0);
-    }
-
-    #[test]
-    fn host_prefetch_streaming_run_matches_serial_host() {
-        use gk_seq::datasets::DatasetProfile;
-        let profile = DatasetProfile::set3();
-        let stream = || profile.stream_batches(4_000, 99, 800);
-        let mut serial_hash = 0u64;
-        let serial = streaming_gpu_throughput_with(
-            &SETUP1,
-            stream(),
-            3,
-            EncodingActor::Host,
-            true,
-            400,
-            false,
-            |_, decisions| {
-                for d in decisions {
-                    serial_hash = serial_hash
-                        .wrapping_mul(1_099_511_628_211)
-                        .wrapping_add((u64::from(d.accepted) << 1) | u64::from(d.undefined));
-                }
-            },
-        );
-        let mut prefetch_hash = 0u64;
-        let prefetched = streaming_gpu_throughput_with(
-            &SETUP1,
-            stream(),
-            3,
-            EncodingActor::Host,
-            true,
-            400,
-            true,
-            |_, decisions| {
-                for d in decisions {
-                    prefetch_hash = prefetch_hash
-                        .wrapping_mul(1_099_511_628_211)
-                        .wrapping_add((u64::from(d.accepted) << 1) | u64::from(d.undefined));
-                }
-            },
-        );
-        assert_eq!(serial.pairs, prefetched.pairs);
-        assert_eq!(serial.accepted, prefetched.accepted);
-        assert_eq!(serial.undefined, prefetched.undefined);
-        assert_eq!(serial_hash, prefetch_hash);
-        assert_eq!(serial.timing, prefetched.timing);
-        assert_eq!(serial.batches, prefetched.batches);
     }
 
     #[test]

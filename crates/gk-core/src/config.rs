@@ -64,15 +64,6 @@ pub struct FilterConfig {
     /// capacity when serialized, a third of it when overlapping so the three
     /// in-flight buffer slots fit the same memory budget).
     pub chunk_pairs: usize,
-    /// Dispatch the prep+encode of the *next* pipeline chunk as a task on the
-    /// shared worker pool while the current chunk's kernel closure executes —
-    /// real wall-clock overlap on the host, the measured counterpart of the
-    /// simulated §3.4 stream overlap. At most `BUFFER_SLOTS − 1` encoded
-    /// chunks are kept in flight so memory stays bounded. Decisions and the
-    /// simulated timing splits are byte-identical either way; only
-    /// `TimingBreakdown::host_wall_seconds` changes. Falls back to the serial
-    /// path when the pool is sequential (`RAYON_NUM_THREADS=1`).
-    pub host_prefetch: bool,
     /// SIMD lane selection for the filter kernels: the 4-lane struct-of-arrays
     /// path, the per-bit scalar reference, or `Auto` (the default), which
     /// consults the `GK_SIMD` environment variable. Decisions are
@@ -104,41 +95,24 @@ impl FilterConfig {
             max_reads_per_batch: 100_000,
             overlap: false,
             chunk_pairs: 0,
-            host_prefetch: false,
             simd: SimdMode::Auto,
             topology: TopologyKind::Independent,
             topology_aware: false,
         }
     }
 
-    /// Sets the encoding actor.
+    /// Sets the encoding actor, which selects the execution path. With
+    /// [`EncodingActor::Device`] the pipeline's prep stage skips
+    /// `encode_pair_batch` entirely: chunks are gathered into raw
+    /// 1-byte-per-base transfer arenas (`gk_seq::raw::RawPairBatch`), the H2D
+    /// transfer carries ~4× the bytes, and each kernel thread packs its own
+    /// pair at the top of a fused encode+filter kernel
+    /// (`TimingBreakdown::encode_device_seconds` reports that in-kernel
+    /// share). Decisions are byte-identical to the host path in every mode
+    /// combination.
     pub fn with_encoding(mut self, encoding: EncodingActor) -> FilterConfig {
         self.encoding = encoding;
         self
-    }
-
-    /// Selects the **device-side encoding execution path** (`true`) or the
-    /// host-encode path (`false`). With device encode on, the pipeline's prep
-    /// stage skips `encode_pair_batch` entirely: chunks are gathered into raw
-    /// 1-byte-per-base transfer arenas (`gk_seq::raw::RawPairBatch`, sliced
-    /// zero-copy), the H2D transfer carries ~4× the bytes, and each kernel
-    /// thread packs its own pair at the top of a fused encode+filter kernel
-    /// (`TimingBreakdown::encode_device_seconds` reports that in-kernel
-    /// share). Decisions are byte-identical to the host path in every mode
-    /// combination. This is sugar over [`FilterConfig::with_encoding`]: the
-    /// encoding actor *is* the execution-path switch.
-    pub fn with_device_encode(mut self, device: bool) -> FilterConfig {
-        self.encoding = if device {
-            EncodingActor::Device
-        } else {
-            EncodingActor::Host
-        };
-        self
-    }
-
-    /// True when the device-side encoding execution path is selected.
-    pub fn device_encode(&self) -> bool {
-        self.encoding == EncodingActor::Device
     }
 
     /// Sets the maximum number of reads per batch.
@@ -156,13 +130,6 @@ impl FilterConfig {
     /// Sets an explicit pipeline chunk size in pairs (`0` restores auto-sizing).
     pub fn with_chunk_pairs(mut self, chunk_pairs: usize) -> FilterConfig {
         self.chunk_pairs = chunk_pairs;
-        self
-    }
-
-    /// Enables or disables real host-side prefetch: encoding the next chunk on
-    /// the worker pool while the current chunk's kernel closure runs.
-    pub fn with_host_prefetch(mut self, host_prefetch: bool) -> FilterConfig {
-        self.host_prefetch = host_prefetch;
         self
     }
 
@@ -259,18 +226,10 @@ mod tests {
         assert_eq!(config.encoding, EncodingActor::Host);
         assert_eq!(config.max_reads_per_batch, 5_000);
         assert_eq!(FilterConfig::new(100, 4).encoding, EncodingActor::Device);
-    }
-
-    #[test]
-    fn device_encode_knob_is_the_encoding_actor() {
-        assert!(FilterConfig::new(100, 4).device_encode());
-        let host = FilterConfig::new(100, 4).with_device_encode(false);
-        assert_eq!(host.encoding, EncodingActor::Host);
-        assert!(!host.device_encode());
-        assert!(host.with_device_encode(true).device_encode());
-        assert!(!FilterConfig::new(100, 4)
-            .with_encoding(EncodingActor::Host)
-            .device_encode());
+        assert_eq!(
+            config.with_encoding(EncodingActor::Device).encoding,
+            EncodingActor::Device
+        );
     }
 
     #[test]
@@ -283,12 +242,6 @@ mod tests {
         let defaults = FilterConfig::new(100, 4);
         assert!(!defaults.overlap);
         assert_eq!(defaults.chunk_pairs, 0);
-        assert!(!defaults.host_prefetch);
-        assert!(
-            FilterConfig::new(100, 4)
-                .with_host_prefetch(true)
-                .host_prefetch
-        );
     }
 
     #[test]

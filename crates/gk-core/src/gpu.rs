@@ -30,34 +30,32 @@
 //!   `gk_seq::pairs::encode_pair_batch` on the worker pool and the device
 //!   stage consumes packed words; the H2D buffers carry 2-bit words and the
 //!   host pays `TimingBreakdown::encode_seconds`;
-//! * **device encode** ([`EncodingActor::Device`],
-//!   [`FilterConfig::with_device_encode`]) — the prep stage only *gathers*
-//!   chunks into raw 1-byte-per-base transfer arenas
-//!   ([`gk_seq::raw::RawPairBatch`], sliced zero-copy per chunk), the H2D
-//!   buffers carry ~4× the bytes, and every thread of a **fused
-//!   encode+filter kernel** packs its own pair before filtering — the encode
-//!   cost lands inside the kernel time
+//! * **device encode** ([`EncodingActor::Device`]) — the prep stage only
+//!   *gathers* each chunk into a raw 1-byte-per-base transfer arena
+//!   ([`gk_seq::raw::RawPairBatch`]), the H2D buffers carry ~4× the bytes,
+//!   and every thread of a **fused encode+filter kernel** packs its own pair
+//!   before filtering — the encode cost lands inside the kernel time
 //!   (`TimingBreakdown::encode_device_seconds`, per-base cycle model in
 //!   `gk_gpusim::encode`) and the host never touches a packed word.
 //!
 //! Decisions are byte-identical between the two paths for every chunk size,
-//! overlap setting, prefetch setting and device count — the root
-//! `encode_mode_equivalence` suite proptests exactly that.
+//! overlap setting and device count — the root `encode_mode_equivalence`
+//! suite proptests exactly that.
 //!
 //! Execution is organised as the chunked three-stage pipeline of
 //! [`crate::pipeline`]: every run — [`GateKeeperGpu::filter_set`] over a
 //! materialized [`PairSet`], or [`GateKeeperGpu::filter_stream_with`] over
 //! batches produced on the fly — feeds plan-sized chunks through encode+H2D,
-//! kernel, and D2H read-back stages. With [`FilterConfig::overlap`] on, the
-//! stages of adjacent chunks overlap on separate simulated streams (§3.4) and
-//! the reported filter time is the pipeline makespan; decisions are
+//! kernel, and D2H read-back stages. The host runs those stages one chunk
+//! after another, in input order. With [`FilterConfig::overlap`] on, the
+//! stages of adjacent chunks overlap on separate *simulated* streams (§3.4)
+//! and the reported filter time is the pipeline makespan; decisions are
 //! byte-identical either way.
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
 use crate::multi_gpu::MultiGpuSchedule;
 use crate::pipeline::{
     ChunkPlan, ChunkStageSeconds, PipelineReport, PipelineSchedule, StreamFilterRun,
-    PREFETCH_IN_FLIGHT,
 };
 use crate::timing::{InterconnectReport, TimingBreakdown};
 use gk_filters::gatekeeper::GateKeeperConfig;
@@ -72,11 +70,10 @@ use gk_gpusim::power::PowerReport;
 use gk_gpusim::profiler::Profiler;
 use gk_gpusim::topology::ChunkLoad;
 use gk_seq::pairs::{encode_pair_batch, PairSet, SequencePair};
-use gk_seq::raw::{RawPairBatch, RawPairSlice};
+use gk_seq::raw::RawPairBatch;
 use gk_seq::PackedSeq;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Host-side buffer preparation cost per pair (gathering reads and candidate
@@ -331,7 +328,6 @@ impl GateKeeperGpu {
             for &(start, end) in &assignment.ranges {
                 engine.feed(&pairs[start..end], &mut sink);
             }
-            engine.flush(&mut sink);
             per_device.push(engine.finish());
         }
         (decisions, per_device)
@@ -368,9 +364,8 @@ impl GateKeeperGpu {
             sink(chunk, &chunk_decisions);
         };
         for batch in batches {
-            engine.feed_owned(batch, &mut counting_sink);
+            engine.feed(&batch, &mut counting_sink);
         }
-        engine.flush(&mut counting_sink);
         // The per-chunk loads are dropped here on purpose: the streaming entry
         // point promises bounded memory regardless of stream length.
         let run = engine.finish();
@@ -415,12 +410,12 @@ impl DevicePipeline<'_> {
 
     /// Runs the device side of one pipeline chunk (unified-memory traffic,
     /// kernel launch, result read-back) over its prepared input: packed words
-    /// in host-encoded mode, a zero-copy raw-arena view in device-encoded
-    /// mode (where the kernel is the fused encode+filter variant).
+    /// in host-encoded mode, the raw arena in device-encoded mode (where the
+    /// kernel is the fused encode+filter variant).
     fn device_stage(
         &self,
         batch_len: usize,
-        input: ChunkInput<'_>,
+        input: &ChunkData,
         memory: &mut UnifiedMemory,
         profiler: &mut Profiler,
     ) -> DeviceOutcome {
@@ -431,11 +426,11 @@ impl DevicePipeline<'_> {
         // device-encoded mode, so the arena is the single source of truth
         // for raw-mode transfer accounting.
         memory.reset();
-        let input_bytes = match &input {
-            ChunkInput::Encoded(_) => {
+        let input_bytes = match input {
+            ChunkData::Encoded(_) => {
                 2 * self.config.words_per_sequence() as u64 * 4 * batch_len as u64
             }
-            ChunkInput::Raw(raw) => raw.h2d_bytes(),
+            ChunkData::Raw(raw) => raw.h2d_bytes(),
         };
         let result_bytes = 8 * batch_len as u64;
         let reads_buffer = memory
@@ -489,7 +484,7 @@ impl DevicePipeline<'_> {
         // the same 2-bit sequences.
         let kernel_config = GateKeeperConfig::gpu(self.config.threshold);
         let decisions: Vec<FilterDecision> = match input {
-            ChunkInput::Encoded(encoded) => encoded
+            ChunkData::Encoded(encoded) => encoded
                 .par_chunks(LANE_BLOCK_PAIRS)
                 .flat_map(|block| {
                     let refs: Vec<(&PackedSeq, &PackedSeq)> = block
@@ -499,7 +494,8 @@ impl DevicePipeline<'_> {
                     gatekeeper_filter_block_packed(&refs, &kernel_config, self.simd)
                 })
                 .collect(),
-            ChunkInput::Raw(raw) => {
+            ChunkData::Raw(raw) => {
+                let raw = raw.view();
                 let starts: Vec<usize> = (0..raw.len()).step_by(LANE_BLOCK_PAIRS).collect();
                 starts
                     .into_par_iter()
@@ -600,8 +596,7 @@ struct DeviceOutcome {
     d2h_bytes: u64,
 }
 
-/// Owned output of one chunk's prep stage — what travels through the prefetch
-/// executor's pool tasks.
+/// Output of one chunk's prep stage, as the device stage consumes it.
 enum ChunkData {
     /// Host-encoded mode: the packed 2-bit words, ready for the plain kernel.
     Encoded(Vec<(PackedSeq, PackedSeq)>),
@@ -609,49 +604,18 @@ enum ChunkData {
     Raw(RawPairBatch),
 }
 
-impl ChunkData {
-    fn as_input(&self) -> ChunkInput<'_> {
-        match self {
-            ChunkData::Encoded(encoded) => ChunkInput::Encoded(encoded),
-            ChunkData::Raw(raw) => ChunkInput::Raw(raw.view()),
-        }
-    }
-}
-
-/// Borrowed view of one chunk's prepared input, as the device stage consumes
-/// it.
-enum ChunkInput<'a> {
-    /// Packed 2-bit words (host-encoded mode).
-    Encoded(&'a [(PackedSeq, PackedSeq)]),
-    /// Raw 1-byte-per-base arena view (device-encoded mode).
-    Raw(RawPairSlice<'a>),
-}
-
-/// Owned prepped chunk produced ahead of time by the prefetch executor.
-struct PreppedChunk {
-    pairs: Vec<SequencePair>,
-    data: ChunkData,
-    host_prep_seconds: f64,
-    encode_seconds: f64,
-}
-
 /// The host stage of one chunk: buffer preparation, plus — in host-encoded
 /// mode only — the 2-bit packing. In device-encoded mode the host merely
 /// *gathers* the raw bases into the flat transfer arena; no `PackedSeq` is
-/// ever built on the host, which is the whole point of the path. A free
-/// function over owned/`Copy` inputs so the prefetch executor can run it as a
-/// `'static` task on the worker pool.
-fn prep_stage(
-    batch: &[SequencePair],
-    read_len: usize,
-    encoding: EncodingActor,
-) -> (ChunkData, f64, f64) {
+/// ever built on the host, which is the whole point of the path. Returns the
+/// prepared input with its modelled prep and encode seconds.
+fn prep_stage(batch: &[SequencePair], config: &FilterConfig) -> (ChunkData, f64, f64) {
     let host_prep_seconds = batch.len() as f64 * HOST_PREP_SECONDS_PER_PAIR;
-    match encoding {
+    match config.encoding {
         EncodingActor::Host => {
             let encoded: Vec<(PackedSeq, PackedSeq)> = encode_pair_batch(batch);
             let encode_seconds =
-                2.0 * batch.len() as f64 * read_len as f64 / HOST_ENCODE_BASES_PER_SECOND;
+                2.0 * batch.len() as f64 * config.read_len as f64 / HOST_ENCODE_BASES_PER_SECOND;
             (
                 ChunkData::Encoded(encoded),
                 host_prep_seconds,
@@ -668,15 +632,10 @@ fn prep_stage(
 
 /// Stateful chunked execution of one filtering run on one device: owns the
 /// unified-memory arena, the profiler and the pipeline schedule, and is fed
-/// pair slices in input order by the `filter_*` entry points.
-///
-/// With [`FilterConfig::host_prefetch`] on (and a parallel worker pool), the
-/// engine is a *wall-clock* prefetch executor: each chunk's prep+encode is
-/// dispatched as a task on the shared pool, so chunk *i+1* encodes while chunk
-/// *i*'s kernel closure runs on the caller. At most [`PREFETCH_IN_FLIGHT`]
-/// encoded chunks exist at any moment, keeping memory bounded, and chunks are
-/// drained strictly in input order so decisions, sink calls and the simulated
-/// timeline are byte-identical to the serial path.
+/// pair slices in input order by the `filter_*` entry points. Each chunk runs
+/// prep, device stage and sink one after another on the calling thread; the
+/// stage work inside (`encode_pair_batch`, the lane kernel) fans out on the
+/// worker pool.
 struct PipelineEngine<'g> {
     pipeline: DevicePipeline<'g>,
     plan: ChunkPlan,
@@ -687,12 +646,6 @@ struct PipelineEngine<'g> {
     /// One [`ChunkLoad`] per completed chunk, in pipeline order, for the
     /// multi-GPU contention replay.
     chunk_loads: Vec<ChunkLoad>,
-    /// True when the engine actually dispatches encode tasks to the pool
-    /// (knob on *and* the pool is parallel — under `RAYON_NUM_THREADS=1` the
-    /// engine keeps today's serial path).
-    prefetch: bool,
-    /// Prep tasks in flight, oldest chunk first.
-    pending: VecDeque<rayon::JoinHandle<PreppedChunk>>,
     wall_start: Instant,
 }
 
@@ -705,162 +658,57 @@ impl<'g> PipelineEngine<'g> {
             schedule: PipelineSchedule::new(),
             timing: TimingBreakdown::default(),
             chunk_loads: Vec::new(),
-            prefetch: pipeline.config.host_prefetch && rayon::current_num_threads() > 1,
-            pending: VecDeque::with_capacity(PREFETCH_IN_FLIGHT),
             wall_start: Instant::now(),
             pipeline,
         }
     }
 
     /// Cuts `pairs` into plan-sized chunks and runs each through the three
-    /// stages, handing every chunk's decisions to `sink` in input order. In
-    /// prefetch mode the encode of the newest chunk runs on the pool while
-    /// older chunks' kernel closures execute here; callers must [`Self::flush`]
-    /// after the last `feed` to drain what is still in flight.
+    /// stages, handing every chunk's decisions to `sink` in input order, and
+    /// records its stages on the simulated timeline. One prep per chunk in
+    /// both encode modes: a whole-slice raw arena would copy exactly the same
+    /// bytes while holding the entire fed slice live, breaking the
+    /// bounded-memory contract for big materialized sets.
     fn feed<F>(&mut self, pairs: &[SequencePair], sink: &mut F)
     where
         F: FnMut(&[SequencePair], Vec<FilterDecision>),
     {
-        let size = self.plan.chunk_pairs.max(1);
-        if self.prefetch {
-            for chunk in pairs.chunks(size) {
-                self.spawn_prep(chunk.to_vec());
-                while self.pending.len() >= PREFETCH_IN_FLIGHT {
-                    self.drain_one(sink);
-                }
-            }
-        } else {
-            // One prep per chunk in both encode modes: a whole-slice raw
-            // arena would copy exactly the same bytes while holding the
-            // entire fed slice live, breaking the bounded-memory contract
-            // for big materialized sets.
-            let config = self.pipeline.config;
-            for chunk in pairs.chunks(size) {
-                let (data, host_prep_seconds, encode_seconds) =
-                    prep_stage(chunk, config.read_len, config.encoding);
-                self.complete_chunk(
-                    chunk,
-                    data.as_input(),
-                    host_prep_seconds,
-                    encode_seconds,
-                    sink,
-                );
-            }
-        }
-    }
-
-    /// Like [`Self::feed`], but takes ownership of the batch so prefetch-mode
-    /// chunks *move* into their encode tasks instead of being cloned — the
-    /// whole-genome streaming path, where batches are produced owned anyway.
-    fn feed_owned<F>(&mut self, batch: Vec<SequencePair>, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        if !self.prefetch {
-            return self.feed(&batch, sink);
-        }
-        let size = self.plan.chunk_pairs.max(1);
-        let mut source = batch.into_iter();
-        loop {
-            let chunk: Vec<SequencePair> = source.by_ref().take(size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            self.spawn_prep(chunk);
-            while self.pending.len() >= PREFETCH_IN_FLIGHT {
-                self.drain_one(sink);
-            }
-        }
-    }
-
-    /// Dispatches one owned chunk's prep (gather, plus encode in host mode)
-    /// as a task on the worker pool.
-    fn spawn_prep(&mut self, owned: Vec<SequencePair>) {
-        let read_len = self.pipeline.config.read_len;
-        let encoding = self.pipeline.config.encoding;
-        self.pending.push_back(rayon::spawn(move || {
-            let (data, host_prep_seconds, encode_seconds) = prep_stage(&owned, read_len, encoding);
-            PreppedChunk {
-                pairs: owned,
-                data,
-                host_prep_seconds,
-                encode_seconds,
-            }
-        }));
-    }
-
-    /// Drains every prep task still in flight, in input order.
-    fn flush<F>(&mut self, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        while !self.pending.is_empty() {
-            self.drain_one(sink);
-        }
-    }
-
-    fn drain_one<F>(&mut self, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        if let Some(handle) = self.pending.pop_front() {
-            let chunk = handle.join();
-            self.complete_chunk(
-                &chunk.pairs,
-                chunk.data.as_input(),
-                chunk.host_prep_seconds,
-                chunk.encode_seconds,
-                sink,
+        for chunk in pairs.chunks(self.plan.chunk_pairs.max(1)) {
+            let (input, host_prep_seconds, encode_seconds) =
+                prep_stage(chunk, &self.pipeline.config);
+            let device = self.pipeline.device_stage(
+                chunk.len(),
+                &input,
+                &mut self.memory,
+                &mut self.profiler,
             );
+            // Page faults sit on the kernel's critical path (§4.3) even though
+            // reporting accounts them as transfer time.
+            let stages = ChunkStageSeconds {
+                h2d_seconds: host_prep_seconds + encode_seconds + device.prefetch_seconds,
+                kernel_seconds: device.fault_seconds + device.kernel_seconds,
+                d2h_seconds: device.readback_seconds,
+            };
+            self.schedule.record_chunk(&stages);
+            self.chunk_loads.push(ChunkLoad {
+                host_seconds: host_prep_seconds + encode_seconds,
+                h2d_bytes: device.h2d_bytes,
+                kernel_seconds: device.fault_seconds + device.kernel_seconds,
+                d2h_bytes: device.d2h_bytes,
+            });
+            self.timing.host_prep_seconds += host_prep_seconds;
+            self.timing.encode_seconds += encode_seconds;
+            self.timing.encode_device_seconds += device.encode_device_seconds;
+            self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
+            self.timing.kernel_seconds += device.kernel_seconds;
+            self.timing.readback_seconds += device.readback_seconds;
+            sink(chunk, device.decisions);
         }
-    }
-
-    /// Runs the device side of one encoded chunk and records its stages on the
-    /// simulated timeline — identical bookkeeping whether the encode happened
-    /// inline or ahead of time on the pool.
-    fn complete_chunk<F>(
-        &mut self,
-        pairs: &[SequencePair],
-        input: ChunkInput<'_>,
-        host_prep_seconds: f64,
-        encode_seconds: f64,
-        sink: &mut F,
-    ) where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        let device =
-            self.pipeline
-                .device_stage(pairs.len(), input, &mut self.memory, &mut self.profiler);
-        // Page faults sit on the kernel's critical path (§4.3) even though
-        // reporting accounts them as transfer time.
-        let stages = ChunkStageSeconds {
-            h2d_seconds: host_prep_seconds + encode_seconds + device.prefetch_seconds,
-            kernel_seconds: device.fault_seconds + device.kernel_seconds,
-            d2h_seconds: device.readback_seconds,
-        };
-        self.schedule.record_chunk(&stages);
-        self.chunk_loads.push(ChunkLoad {
-            host_seconds: host_prep_seconds + encode_seconds,
-            h2d_bytes: device.h2d_bytes,
-            kernel_seconds: device.fault_seconds + device.kernel_seconds,
-            d2h_bytes: device.d2h_bytes,
-        });
-        self.timing.host_prep_seconds += host_prep_seconds;
-        self.timing.encode_seconds += encode_seconds;
-        self.timing.encode_device_seconds += device.encode_device_seconds;
-        self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
-        self.timing.kernel_seconds += device.kernel_seconds;
-        self.timing.readback_seconds += device.readback_seconds;
-        sink(pairs, device.decisions);
     }
 
     /// Closes the run: the overlapped makespan, the measured wall clock, the
     /// pipeline report and the profiler/memory aggregates.
     fn finish(mut self) -> DeviceRun {
-        debug_assert!(
-            self.pending.is_empty(),
-            "pipeline engine finished with encode tasks still in flight"
-        );
         let config = self.pipeline.config;
         if config.overlap && self.schedule.chunks() > 0 {
             self.timing.overlapped_seconds = Some(self.schedule.overlapped_seconds());
@@ -883,8 +731,7 @@ impl<'g> PipelineEngine<'g> {
             pipeline: self.schedule.report(
                 self.plan.chunk_pairs,
                 config.overlap,
-                self.prefetch,
-                config.device_encode(),
+                config.encoding == EncodingActor::Device,
             ),
             chunk_loads: self.chunk_loads,
         }
@@ -992,15 +839,16 @@ mod tests {
             let base = FilterConfig::new(100, 5)
                 .with_chunk_pairs(chunk)
                 .with_overlap(true);
-            let host =
-                GateKeeperGpu::with_default_device(base.with_device_encode(false)).filter_set(&set);
+            let host = GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Host))
+                .filter_set(&set);
             let device =
-                GateKeeperGpu::with_default_device(base.with_device_encode(true)).filter_set(&set);
+                GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Device))
+                    .filter_set(&set);
             assert_eq!(host.decisions, device.decisions, "chunk {chunk}");
             assert_eq!(host.per_device[0].batches, device.per_device[0].batches);
 
             // Streamed device-encode equals materialized device-encode.
-            let gpu = GateKeeperGpu::with_default_device(base.with_device_encode(true));
+            let gpu = GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Device));
             let mut streamed_decisions = Vec::new();
             let streamed = gpu
                 .filter_stream_with(profile.stream_batches(1_100, 19, 400), |_, decisions| {
@@ -1148,6 +996,9 @@ mod tests {
         assert!(overlapped.per_device[0].timing.overlap_savings_seconds() > 0.0);
         assert!(overlapped.per_device[0].pipeline.overlap);
         assert!(overlapped.per_device[0].pipeline.speedup() > 1.0);
+        // Both runs measured real wall clock next to the simulated splits.
+        assert!(serialized.per_device[0].timing.host_wall_seconds > 0.0);
+        assert!(overlapped.per_device[0].timing.host_wall_seconds > 0.0);
         // The serialized run still reports what overlap *would* save.
         assert!(
             serialized.per_device[0].pipeline.overlapped_seconds
@@ -1196,83 +1047,6 @@ mod tests {
         // also cut chunks, so the stream sees more kernel launches.
         assert!(streamed.batches >= run.per_device[0].batches);
         assert!(streamed.filter_seconds() > 0.0);
-    }
-
-    #[test]
-    fn host_prefetch_keeps_everything_but_wall_clock_identical() {
-        let set = pairs(3_000);
-        for encoding in [EncodingActor::Host, EncodingActor::Device] {
-            let base = FilterConfig::new(100, 4)
-                .with_encoding(encoding)
-                .with_chunk_pairs(250)
-                .with_overlap(true);
-            let serial = GateKeeperGpu::with_default_device(base).filter_set(&set);
-            let prefetched =
-                GateKeeperGpu::with_default_device(base.with_host_prefetch(true)).filter_set(&set);
-            // Byte-identical decisions and simulated accounting (TimingBreakdown
-            // equality deliberately excludes the measured wall clock).
-            assert_eq!(serial.decisions, prefetched.decisions);
-            assert_eq!(serial.per_device[0].timing, prefetched.per_device[0].timing);
-            assert_eq!(
-                serial.per_device[0].batches,
-                prefetched.per_device[0].batches
-            );
-            assert_eq!(serial.memory_stats, prefetched.memory_stats);
-            assert_eq!(
-                serial.per_device[0].pipeline.overlapped_seconds,
-                prefetched.per_device[0].pipeline.overlapped_seconds
-            );
-            assert_eq!(
-                serial.per_device[0].pipeline.serialized_seconds,
-                prefetched.per_device[0].pipeline.serialized_seconds
-            );
-            // Both runs measured real wall clock.
-            assert!(serial.per_device[0].timing.host_wall_seconds > 0.0);
-            assert!(prefetched.per_device[0].timing.host_wall_seconds > 0.0);
-            assert!(!serial.per_device[0].pipeline.host_prefetch);
-            if rayon::current_num_threads() > 1 {
-                assert!(prefetched.per_device[0].pipeline.host_prefetch);
-            }
-        }
-    }
-
-    #[test]
-    fn host_prefetch_falls_back_to_serial_on_a_one_thread_pool() {
-        let set = pairs(800);
-        let config = FilterConfig::new(100, 4)
-            .with_chunk_pairs(100)
-            .with_host_prefetch(true);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("one-thread pool");
-        let run = pool.install(|| GateKeeperGpu::with_default_device(config).filter_set(&set));
-        // The engine reports that no prefetching actually happened…
-        assert!(!run.per_device[0].pipeline.host_prefetch);
-        // …and the output matches the parallel-pool prefetched run exactly.
-        let reference = GateKeeperGpu::with_default_device(config).filter_set(&set);
-        assert_eq!(run.decisions, reference.decisions);
-        assert_eq!(run.per_device[0].timing, reference.per_device[0].timing);
-    }
-
-    #[test]
-    fn host_prefetch_streaming_matches_materialized() {
-        let profile = DatasetProfile::set3();
-        let set = profile.generate(2_400, 55);
-        let config = FilterConfig::new(100, 5)
-            .with_chunk_pairs(300)
-            .with_overlap(true)
-            .with_host_prefetch(true);
-        let gpu = GateKeeperGpu::with_default_device(config);
-        let materialized = gpu.filter_set(&set);
-        let mut streamed_decisions = Vec::new();
-        let streamed = gpu
-            .filter_stream_with(profile.stream_batches(2_400, 55, 700), |_, decisions| {
-                streamed_decisions.extend_from_slice(decisions)
-            });
-        assert_eq!(streamed.pairs, set.len());
-        assert_eq!(streamed_decisions, materialized.decisions);
-        assert_eq!(streamed.accepted, materialized.accepted());
         assert_eq!(streamed.pipeline.timing_anomalies, 0);
     }
 

@@ -356,24 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn host_prefetch_does_not_change_multi_gpu_results() {
-        let set = pairs(3_000);
-        let config = FilterConfig::new(100, 2)
-            .with_encoding(EncodingActor::Host)
-            .with_chunk_pairs(200)
-            .with_overlap(true);
-        let serial = gtx(4, config).filter_set(&set);
-        let prefetched = gtx(4, config.with_host_prefetch(true)).filter_set(&set);
-        assert_eq!(serial.decisions, prefetched.decisions);
-        assert_eq!(serial.kernel_seconds(), prefetched.kernel_seconds());
-        assert_eq!(serial.filter_seconds(), prefetched.filter_seconds());
-        for (a, b) in serial.per_device.iter().zip(prefetched.per_device.iter()) {
-            assert_eq!(a.timing, b.timing);
-            assert_eq!(a.batches, b.batches);
-        }
-    }
-
-    #[test]
     fn device_encode_shards_identically_to_host_encode() {
         // The encoding execution path must be transparent to the round-robin
         // sharding: same decisions on 1 and 4 devices, in both modes, and the

@@ -18,14 +18,11 @@
 //! resolves the chunk size from the [`FilterConfig`] knobs and the
 //! system-configuration step's batch capacity.
 //!
-//! The types here account *simulated time*: decisions are computed chunk by
-//! chunk in input order and are byte-identical whether overlap is on or off.
-//! The engine driving them (`gk-core::gpu`) additionally overlaps real host
-//! work when [`FilterConfig::host_prefetch`] is set — chunk *i+1*'s prep+encode
-//! runs as a worker-pool task while chunk *i*'s kernel closure executes, with
-//! at most [`PREFETCH_IN_FLIGHT`] encoded chunks in flight — shrinking the
-//! *measured* wall-clock (`TimingBreakdown::host_wall_seconds`) without
-//! touching the simulated splits.
+//! The types here account *simulated time* only. The engine driving them
+//! (`gk-core::gpu`) computes the chunks one after another in input order, and
+//! overlap changes only the simulated timeline, never a decision. The
+//! measured host wall-clock (`TimingBreakdown::host_wall_seconds`) is a
+//! separate clock that the overlap model never touches.
 
 use crate::config::{FilterConfig, SystemConfig};
 use crate::timing::TimingBreakdown;
@@ -38,13 +35,6 @@ use std::collections::VecDeque;
 /// Number of buffer slots rotating through the three pipeline stages: chunk
 /// *i*'s upload may only start once chunk *i − 3*'s read-back has freed a slot.
 pub const BUFFER_SLOTS: usize = 3;
-
-/// Maximum number of *encoded* chunks the host-side prefetch keeps in flight:
-/// one being consumed by the kernel closure plus one encoding ahead on the
-/// worker pool. Bounded at `BUFFER_SLOTS − 1` so real memory usage mirrors the
-/// simulated buffer-slot rotation (the third slot is the drained read-back,
-/// which holds no encoded input).
-pub const PREFETCH_IN_FLIGHT: usize = BUFFER_SLOTS - 1;
 
 /// Smallest chunk the contention-aware refinement will shrink to: below a few
 /// hundred pairs the fixed kernel-launch overhead starts to dominate whatever
@@ -152,11 +142,6 @@ pub struct PipelineReport {
     pub overlapped_seconds: f64,
     /// The same work executed stage after stage, chunk after chunk.
     pub serialized_seconds: f64,
-    /// Whether the run's host side actually prefetched: chunk *i+1*'s
-    /// prep+encode executed on the worker pool while chunk *i*'s kernel
-    /// closure ran. `false` when the knob was off *or* the pool was
-    /// sequential (`RAYON_NUM_THREADS=1` fallback).
-    pub host_prefetch: bool,
     /// Whether the run used the device-side encoding execution path (raw
     /// 1-byte-per-base uploads + fused encode+filter kernel) instead of host
     /// `encode_pair_batch`.
@@ -271,20 +256,13 @@ impl PipelineSchedule {
     }
 
     /// Builds the report for a finished run.
-    pub fn report(
-        &self,
-        chunk_pairs: usize,
-        overlap: bool,
-        host_prefetch: bool,
-        device_encode: bool,
-    ) -> PipelineReport {
+    pub fn report(&self, chunk_pairs: usize, overlap: bool, device_encode: bool) -> PipelineReport {
         PipelineReport {
             chunks: self.chunks,
             chunk_pairs,
             overlap,
             overlapped_seconds: self.overlapped_seconds(),
             serialized_seconds: self.serialized_seconds(),
-            host_prefetch,
             device_encode,
             timing_anomalies: self.timeline.anomalies(),
         }
@@ -332,6 +310,7 @@ impl StreamFilterRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EncodingActor;
     use gk_gpusim::device::DeviceSpec;
 
     fn plan(config: FilterConfig) -> (ChunkPlan, SystemConfig) {
@@ -371,16 +350,16 @@ mod tests {
         // With device encode the buffer slots hold raw 1-byte-per-base
         // sequences (~4× the packed words), so when the *memory budget* is the
         // binding constraint the auto-sized chunks must shrink accordingly.
-        let unbounded = |device: bool| {
+        let unbounded = |encoding: EncodingActor| {
             plan(
                 FilterConfig::new(100, 5)
                     .with_overlap(true)
-                    .with_device_encode(device)
+                    .with_encoding(encoding)
                     .with_max_reads_per_batch(usize::MAX),
             )
         };
-        let (host_plan, host_system) = unbounded(false);
-        let (device_plan, device_system) = unbounded(true);
+        let (host_plan, host_system) = unbounded(EncodingActor::Host);
+        let (device_plan, device_system) = unbounded(EncodingActor::Device);
         assert!(device_system.thread_load_bytes > host_system.thread_load_bytes);
         assert!(
             device_plan.chunk_pairs < host_plan.chunk_pairs,
@@ -459,8 +438,7 @@ mod tests {
             schedule.record_chunk(&stages);
         }
         assert_eq!(schedule.chunks(), 8);
-        let report = schedule.report(100, true, false, false);
-        assert!(!report.host_prefetch);
+        let report = schedule.report(100, true, false);
         assert!(!report.device_encode);
         assert_eq!(report.timing_anomalies, 0);
         assert!((report.serialized_seconds - 8.0).abs() < 1e-12);

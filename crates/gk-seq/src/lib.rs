@@ -28,8 +28,8 @@
 //! * [`raw`] — the raw 1-byte-per-base transfer representation of the
 //!   device-side encoding path: flat stride-addressed arenas with zero-copy
 //!   pair-granular slicing, as a `cudaMemcpy` of unencoded reads would move.
-//! * [`stream`] — streaming pair sources: deterministic iterators of (optionally
-//!   2-bit encoded or raw-gathered) pair batches, so 30-million-pair runs never
+//! * [`stream`] — streaming pair sources: deterministic iterators of pair
+//!   batches (optionally raw-gathered), so 30-million-pair runs never
 //!   materialize a full set.
 //! * [`frame`] — the length-prefixed binary wire format of the `gk-serve`
 //!   filter service: request/cancel/response frames and the packed decision
@@ -55,4 +55,4 @@ pub use pairs::{encode_pair_batch, PairSet, SequencePair};
 pub use raw::{RawPairBatch, RawPairBatches, RawPairSlice};
 pub use reference::{Reference, ReferenceBuilder};
 pub use simulate::{ErrorProfile, ReadSimulator, SimulatedRead};
-pub use stream::{EncodedPairBatches, PairBatches};
+pub use stream::PairBatches;

@@ -143,21 +143,13 @@ pub struct SoaGroup {
 }
 
 impl SoaGroup {
-    /// Transposes up to [`SOA_LANES`] pairs into the lane layout.
+    /// Transposes up to [`SOA_LANES`] raw ASCII `(read, reference)` pairs
+    /// into the lane layout.
     ///
     /// Returns `None` when the group is not lane-eligible: empty, more pairs
     /// than lanes, any sequence length differing from the first read's, a zero
     /// length, or any base outside `ACGT`/`acgt` (undefined pairs keep their
     /// scalar undefined-pass handling).
-    pub fn encode(pairs: &[&SequencePair]) -> Option<SoaGroup> {
-        let slices: Vec<(&[u8], &[u8])> = pairs
-            .iter()
-            .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-            .collect();
-        SoaGroup::encode_slices(&slices)
-    }
-
-    /// [`SoaGroup::encode`] over raw ASCII `(read, reference)` slices.
     pub fn encode_slices(pairs: &[(&[u8], &[u8])]) -> Option<SoaGroup> {
         let mut group = SoaGroup::scratch();
         group.encode_slices_into(pairs).then_some(group)
@@ -213,7 +205,7 @@ impl SoaGroup {
 
     /// Transposes up to [`SOA_LANES`] already-packed pairs into the lane
     /// layout, reversing each `u32`'s MSB-first 2-bit fields into the
-    /// LSB-first lane order. Eligibility mirrors [`SoaGroup::encode`]:
+    /// LSB-first lane order. Eligibility mirrors [`SoaGroup::encode_slices`]:
     /// uniform nonzero length and no undefined sequences.
     pub fn from_packed(pairs: &[(&PackedSeq, &PackedSeq)]) -> Option<SoaGroup> {
         let lanes = pairs.len();

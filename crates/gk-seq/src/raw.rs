@@ -179,8 +179,7 @@ impl<'a> RawPairSlice<'a> {
 }
 
 /// Adapter turning an iterator of pair batches into an iterator of raw
-/// transfer batches (the device-encoding counterpart of
-/// [`crate::stream::EncodedPairBatches`]).
+/// transfer batches (the device-encoding layout).
 #[derive(Debug, Clone)]
 pub struct RawPairBatches<I> {
     inner: I,

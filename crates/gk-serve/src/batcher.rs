@@ -943,30 +943,51 @@ mod tests {
     #[test]
     fn cancel_drops_queued_work() {
         // Hold the executor on a first batch so a second request stays queued.
-        struct Slow(Arc<dyn FilterBackend>);
-        impl FilterBackend for Slow {
+        // The gated backend signals when a batch starts, then blocks until the
+        // test drops its hold on the gate.
+        struct Gated {
+            inner: Arc<dyn FilterBackend>,
+            started: mpsc::Sender<()>,
+            gate: Mutex<()>,
+        }
+        impl FilterBackend for Gated {
             fn name(&self) -> &str {
-                "slow"
+                "gated"
             }
             fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-                std::thread::sleep(Duration::from_millis(60));
-                self.0.run(job)
+                let _ = self.started.send(());
+                let _hold = self.gate.lock();
+                self.inner.run(job)
             }
         }
+        // A flush interval far longer than the test: request 1 leaves the
+        // queue by the idle trigger, and request 2 (arriving while request 1
+        // executes) by nothing but `cancel`.
+        let hour = Duration::from_secs(3600);
+        let (started_tx, started) = mpsc::channel();
+        let gated = Arc::new(Gated {
+            inner: backend(),
+            started: started_tx,
+            gate: Mutex::new(()),
+        });
         let batcher = Batcher::start(
-            BatcherConfig::default().with_flush_interval(Duration::from_micros(50)),
-            Arc::new(Slow(backend())),
+            BatcherConfig::default().with_flush_interval(hour),
+            gated.clone(),
         );
+        let hold = gated.gate.lock().expect("gate");
         let (tx1, rx1) = mpsc::channel();
         let (tx2, rx2) = mpsc::channel();
         batcher
             .submit(1, request(0, pairs(8, 1)), responder(tx1))
             .expect("admitted");
-        // Give the idle flush a moment to hand request 1 to the executor.
-        std::thread::sleep(Duration::from_millis(20));
-        batcher
-            .submit(2, request(0, pairs(8, 2)), responder(tx2))
-            .expect("admitted");
+        started
+            .recv_timeout(Duration::from_secs(5))
+            .expect("request 1 reached the executor");
+        let queued = Request {
+            deadline: hour,
+            ..request(0, pairs(8, 2))
+        };
+        batcher.submit(2, queued, responder(tx2)).expect("admitted");
         assert!(batcher.cancel(2), "request 2 was still queued");
         assert!(!batcher.cancel(2), "double cancel is a no-op");
         assert!(!batcher.cancel(99), "unknown ticket is a no-op");
@@ -974,6 +995,7 @@ mod tests {
             Outcome::Cancelled => {}
             other => panic!("unexpected outcome {other:?}"),
         }
+        drop(hold);
         match rx1.recv_timeout(Duration::from_secs(5)).expect("outcome") {
             Outcome::Done(decisions) => assert_eq!(decisions.len(), 8),
             other => panic!("unexpected outcome {other:?}"),

@@ -23,9 +23,11 @@
 //! sequential debugging fallback** — no workers are spawned and every
 //! operation runs inline on the calling thread. Per-call-site counts go
 //! through `ThreadPoolBuilder::new().num_threads(n).build()` and
-//! [`ThreadPool::install`], exactly like the real crate. Swap in real rayon by
-//! pointing the `rayon` entry of `[workspace.dependencies]` at crates.io — no
-//! source changes are needed.
+//! [`ThreadPool::install`], exactly like the real crate. There is no
+//! shim-only entry point (the `schedule` module exists only in test-audit
+//! builds): every call a workspace crate makes is one real rayon offers, so
+//! swapping in real rayon is a matter of pointing the `rayon` entry of
+//! `[workspace.dependencies]` at crates.io — no source changes are needed.
 
 pub mod iter;
 mod pool;
@@ -36,7 +38,7 @@ mod pool;
 pub mod schedule;
 pub mod slice;
 
-pub use pool::{JoinHandle, Scope};
+pub use pool::Scope;
 
 pub mod prelude {
     pub use crate::iter::{
@@ -115,20 +117,6 @@ impl ThreadPool {
     pub fn current_num_threads(&self) -> usize {
         self.registry.num_threads()
     }
-
-    /// Spawns `f` as one task on this pool and returns a [`JoinHandle`] to its
-    /// result — the handle-returning variant of `rayon::ThreadPool::spawn`
-    /// that the host-side prefetch pipeline is built on. The task starts as
-    /// soon as a worker is free; `join` blocks until it completes and
-    /// re-throws its panic. On a one-thread pool (the sequential fallback) the
-    /// closure runs inline before `spawn` returns.
-    pub fn spawn<T, F>(&self, f: F) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        pool::spawn_task(self.registry.clone(), f)
-    }
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -147,23 +135,6 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
-}
-
-/// Spawns `f` on the pool the calling thread currently targets (the global
-/// pool unless inside [`ThreadPool::install`]) and returns a [`JoinHandle`] to
-/// its result. Under the `RAYON_NUM_THREADS=1` sequential fallback the closure
-/// runs inline on the caller before this returns.
-///
-/// ```
-/// let handle = rayon::spawn(|| 6 * 7);
-/// assert_eq!(handle.join(), 42);
-/// ```
-pub fn spawn<T, F>(f: F) -> JoinHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    pool::spawn_current(f)
 }
 
 /// Mirrors `rayon::current_num_threads`: the thread count of the pool the

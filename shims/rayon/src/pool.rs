@@ -476,8 +476,9 @@ impl Registry {
     /// the injector. Used by joining non-workers: deque entries are the *sub*
     /// tasks of operations already running on a worker, so they are small and
     /// finish quickly, while the injector holds whole top-level tasks (a
-    /// complete prefetch encode, a future parallel operation) that would trap
-    /// the joiner long past its own latch completing.
+    /// detached spawn, a future parallel operation) that would trap the
+    /// joiner long past its own latch completing.
+    #[cfg(any(test, gk_schedules))]
     fn steal_subtask(&self) -> Option<Task> {
         for queue in &self.workers {
             self.sched(SchedPoint::Steal);
@@ -491,14 +492,13 @@ impl Registry {
     /// Waits until `latch` completes, executing queued work in the meantime
     /// **even when the caller is not a pool worker**. This is the wait used by
     /// `JoinHandle::join`: a thread that blocks on a spawned task donates its
-    /// cycles to the pool instead of idling, which is what lets a prefetch
-    /// pipeline (caller consuming chunk *i*, pool producing chunk *i+1*) keep
-    /// every core busy on machines with no spare workers. A worker of this
-    /// registry helps normally (own deque, injector, steals); a non-worker
-    /// only steals deque subtasks so it cannot get stuck inside an unrelated
-    /// top-level task. Parallel-iterator waits keep the stricter
-    /// [`Registry::help_until`] behaviour so a pool configured with
-    /// `num_threads(n)` still computes on exactly `n` threads.
+    /// cycles to the pool instead of idling. A worker of this registry helps
+    /// normally (own deque, injector, steals); a non-worker only steals deque
+    /// subtasks so it cannot get stuck inside an unrelated top-level task.
+    /// Parallel-iterator waits keep the stricter [`Registry::help_until`]
+    /// behaviour so a pool configured with `num_threads(n)` still computes on
+    /// exactly `n` threads.
+    #[cfg(any(test, gk_schedules))]
     fn help_any_until(self: &Arc<Self>, latch: &OpLatch) {
         let me = current_worker_index(self);
         loop {
@@ -635,34 +635,24 @@ where
     }
 }
 
-/// Handle to one fire-and-join task spawned with `spawn_task`: joining blocks
-/// until the task has run (helping the pool if the caller is one of its
-/// workers), re-throws the task's panic, and returns its result.
-pub struct JoinHandle<T> {
+/// Handle to one detached task spawned with `spawn_task`: joining blocks
+/// until the task has run (helping the pool meanwhile), re-throws the task's
+/// panic, and returns its result. Real rayon's `spawn` returns nothing, so
+/// the public API has no such handle; it exists for the schedule audit's
+/// detached-task phase only.
+#[cfg(any(test, gk_schedules))]
+pub(crate) struct JoinHandle<T> {
     registry: Arc<Registry>,
     latch: Arc<OpLatch>,
     result: Arc<Mutex<Option<T>>>,
 }
 
-impl<T> std::fmt::Debug for JoinHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JoinHandle")
-            .field("finished", &self.latch.is_done())
-            .finish()
-    }
-}
-
+#[cfg(any(test, gk_schedules))]
 impl<T: Send + 'static> JoinHandle<T> {
-    /// True once the task has finished (successfully or by panicking).
-    pub fn is_finished(&self) -> bool {
-        self.latch.is_done()
-    }
-
     /// Waits for the task and returns its result, re-throwing its panic. The
     /// joining thread executes queued pool work while it waits (whether or not
-    /// it is a pool worker), so join-based pipelines stay fully utilized even
-    /// when every worker is busy.
-    pub fn join(self) -> T {
+    /// it is a pool worker).
+    pub(crate) fn join(self) -> T {
         self.registry.help_any_until(&self.latch);
         self.latch.propagate_panic();
         self.result
@@ -674,30 +664,20 @@ impl<T: Send + 'static> JoinHandle<T> {
 }
 
 /// Spawns `f` as one stealable task on `registry` and returns a handle to its
-/// result. On a sequential registry (the `RAYON_NUM_THREADS=1` fallback) the
-/// task runs inline on the caller before the handle is returned, so spawn-based
-/// pipelines degrade to plain serial execution.
+/// result. The registry must have workers: a sequential registry would leave
+/// the task in its injector, where a non-worker joiner never looks.
+#[cfg(any(test, gk_schedules))]
 pub(crate) fn spawn_task<T, F>(registry: Arc<Registry>, f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    assert!(
+        !registry.is_sequential(),
+        "spawn_task needs a pool with workers"
+    );
     let latch = Arc::new(OpLatch::new(1));
     let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    if registry.is_sequential() {
-        match panic::catch_unwind(AssertUnwindSafe(f)) {
-            Ok(value) => {
-                *result.lock().unwrap() = Some(value);
-                latch.complete(None);
-            }
-            Err(payload) => latch.complete(Some(payload)),
-        }
-        return JoinHandle {
-            registry,
-            latch,
-            result,
-        };
-    }
     let task_latch = latch.clone();
     let task_result = result.clone();
     registry.push(Box::new(move || {
@@ -714,16 +694,6 @@ where
         latch,
         result,
     }
-}
-
-/// Spawns `f` on the registry parallel operations on this thread currently
-/// target (the backing of the top-level `rayon::spawn`).
-pub(crate) fn spawn_current<T, F>(f: F) -> JoinHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    spawn_task(current_registry(), f)
 }
 
 /// A scope for spawning borrowed tasks, mirroring `rayon::scope`.

@@ -7,7 +7,7 @@ use rayon::slice::ParallelSlice;
 use std::collections::HashSet;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -441,115 +441,5 @@ fn repeated_runs_are_flake_free() {
             .map(|&x| x)
             .reduce(|| 0, |a, b| a.wrapping_add(b));
         assert_eq!(left + right, total, "round {round}");
-    }
-}
-
-#[test]
-fn spawn_handle_returns_the_task_result() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let handle = pool.spawn(|| (0..100u64).sum::<u64>());
-    assert_eq!(handle.join(), 4_950);
-
-    // Top-level spawn targets the current (global) pool the same way.
-    let global = rayon::spawn(|| "done".to_string());
-    assert_eq!(global.join(), "done");
-}
-
-#[test]
-fn spawn_runs_inline_on_a_sequential_pool() {
-    // On a one-thread pool (the RAYON_NUM_THREADS=1 fallback) the closure runs
-    // before spawn returns, so spawn-based pipelines degrade to serial order.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let ran = Arc::new(AtomicUsize::new(0));
-    let flag = ran.clone();
-    let handle = pool.spawn(move || flag.fetch_add(1, Ordering::SeqCst));
-    assert_eq!(ran.load(Ordering::SeqCst), 1, "task should have run inline");
-    assert!(handle.is_finished());
-    handle.join();
-}
-
-#[test]
-fn spawn_panics_propagate_on_join() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    let handle = pool.spawn(|| -> usize { panic!("spawned task exploded") });
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
-    let payload = outcome.expect_err("panic must propagate through join");
-    let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-    assert_eq!(message, "spawned task exploded");
-}
-
-#[test]
-fn spawned_prefetch_overlaps_with_caller_work() {
-    // The host-prefetch pattern: the caller processes chunk i while the pool
-    // encodes chunk i+1. Both sides make progress; results come back in order.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    let mut pending = std::collections::VecDeque::new();
-    let mut results = Vec::new();
-    for chunk in 0..16u64 {
-        pending.push_back(pool.spawn(move || chunk * chunk));
-        if pending.len() >= 2 {
-            results.push(pending.pop_front().unwrap().join());
-        }
-    }
-    while let Some(handle) = pending.pop_front() {
-        results.push(handle.join());
-    }
-    let expected: Vec<u64> = (0..16u64).map(|c| c * c).collect();
-    assert_eq!(results, expected);
-}
-
-#[test]
-fn many_spawns_complete_under_contention() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(3)
-        .build()
-        .unwrap();
-    let handles: Vec<rayon::JoinHandle<u64>> =
-        (0..500u64).map(|i| pool.spawn(move || i * 3)).collect();
-    let total: u64 = handles.into_iter().map(|h| h.join()).sum();
-    assert_eq!(total, 3 * (0..500u64).sum::<u64>());
-}
-
-#[test]
-fn panic_propagation_survives_a_hundred_spawn_join_cycles() {
-    // Satellite of the concurrency audit: ×100 stress over JoinHandle panic
-    // propagation. Each round spawns a mix of panicking and clean tasks on
-    // the pool this process is configured with (the CI thread matrix runs
-    // this file under RAYON_NUM_THREADS ∈ {1, 2, 4}, so the sequential
-    // fallback, a minimal pool and an oversubscribed pool all see it) and
-    // asserts that every panic surfaces through exactly its own handle and
-    // that the pool stays fully usable afterwards.
-    for round in 0..100u64 {
-        let doomed = rayon::spawn(move || -> u64 {
-            panic!("round {round}: doomed task");
-        });
-        let survivors: Vec<rayon::JoinHandle<u64>> = (0..4u64)
-            .map(|i| rayon::spawn(move || round * 10 + i))
-            .collect();
-        let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| doomed.join()));
-        let payload = outcome.expect_err("panic must propagate through join");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(message, format!("round {round}: doomed task"));
-        for (i, handle) in survivors.into_iter().enumerate() {
-            assert_eq!(handle.join(), round * 10 + i as u64);
-        }
-        // The pool must not be poisoned by the panic it just delivered.
-        let sum: u64 = (0..64u64).into_par_iter().map(|x| x + round).sum();
-        assert_eq!(sum, (0..64u64).sum::<u64>() + 64 * round);
     }
 }

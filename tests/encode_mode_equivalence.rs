@@ -1,5 +1,5 @@
 //! Property suite for the device-side encoding execution path: for **any**
-//! dataset profile, chunk size, overlap/prefetch setting and error threshold
+//! dataset profile, chunk size, overlap setting and error threshold
 //! (including the `e ≥ read_len` clamp region hardened in PR 4), the
 //! device-encode path (raw 1-byte-per-base uploads + fused encode+filter
 //! kernel) and the host-encode path (`encode_pair_batch` before the transfer)
@@ -8,7 +8,7 @@
 //! only thing allowed to differ: zero host encode time and a positive
 //! in-kernel encode share on the device path, the reverse on the host path.
 
-use gatekeeper_gpu::core::{FilterConfig, GateKeeperGpu};
+use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperGpu};
 use gatekeeper_gpu::mapper::pipeline::{MapperConfig, PreFilter, ReadMapper};
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
 use gatekeeper_gpu::seq::fastq::FastqRecord;
@@ -77,7 +77,6 @@ proptest! {
         pair_count in 120usize..320,
         seed in 0u64..1_000_000,
         overlap in proptest::sample::select(vec![false, true]),
-        prefetch in proptest::sample::select(vec![false, true]),
         undefined_pct in 0usize..12,
     ) {
         let mut profile = profiles()[profile_idx].clone();
@@ -87,11 +86,10 @@ proptest! {
 
         let base = FilterConfig::new(profile.read_len, threshold)
             .with_chunk_pairs(chunk)
-            .with_overlap(overlap)
-            .with_host_prefetch(prefetch);
-        let host = GateKeeperGpu::with_default_device(base.with_device_encode(false))
+            .with_overlap(overlap);
+        let host = GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Host))
             .filter_set(&set);
-        let device = GateKeeperGpu::with_default_device(base.with_device_encode(true))
+        let device = GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Device))
             .filter_set(&set);
 
         // The tentpole contract: byte-identical decisions …
@@ -109,7 +107,7 @@ proptest! {
 
         // Streaming the same pairs through the device path chunk-by-chunk
         // reproduces the materialized decisions exactly.
-        let gpu = GateKeeperGpu::with_default_device(base.with_device_encode(true));
+        let gpu = GateKeeperGpu::with_default_device(base.with_encoding(EncodingActor::Device));
         let mut streamed_decisions = Vec::new();
         let source_batch = (pair_count / 3).max(1);
         let streamed = gpu.filter_stream_with(
@@ -151,13 +149,13 @@ proptest! {
         let host = mapper.map_reads(
             &reads,
             &PreFilter::Gpu(GateKeeperGpu::with_default_device(
-                base.with_device_encode(false),
+                base.with_encoding(EncodingActor::Host),
             )),
         );
         let device = mapper.map_reads(
             &reads,
             &PreFilter::Gpu(GateKeeperGpu::with_default_device(
-                base.with_device_encode(true),
+                base.with_encoding(EncodingActor::Device),
             )),
         );
 
@@ -177,7 +175,7 @@ proptest! {
 fn device_encode_survives_the_max_threshold_clamp() {
     let set = DatasetProfile::set3().generate(200, 9);
     let run = GateKeeperGpu::with_default_device(
-        FilterConfig::new(100, u32::MAX).with_device_encode(true),
+        FilterConfig::new(100, u32::MAX).with_encoding(EncodingActor::Device),
     )
     .filter_set(&set);
     // Everything within u32::MAX edits is accepted.

@@ -7,10 +7,9 @@
 //! per-device timing components, batch count, memory statistics, occupancy
 //! and efficiency, power, pipeline report and chunk loads; the run's combined
 //! kernel time and memory statistics; both interconnect replays; and the
-//! decision digest. Two measured values are skipped because they follow the
-//! host clock and the pool width: `TimingBreakdown::host_wall_seconds` and
-//! `PipelineReport::host_prefetch`. The combined filter time is pinned in its
-//! own column, next to the digest of everything else.
+//! decision digest. The one measured value, `TimingBreakdown::host_wall_seconds`,
+//! is skipped because it follows the host clock. The combined filter time is
+//! pinned in its own column, next to the digest of everything else.
 //!
 //! The matrix: one device (GTX 1080 Ti, Tesla K20X) × host/device encode ×
 //! overlap off/on × auto/137-pair chunks, plus 2, 4 and 8 GTX 1080 Ti boards

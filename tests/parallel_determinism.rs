@@ -106,11 +106,11 @@ fn simd_lanes_and_scalar_fallback_are_byte_identical_end_to_end() {
                     "seed {seed}, e = {threshold}, threads {threads}"
                 );
             }
-            for device_encode in [false, true] {
+            for encoding in [EncodingActor::Host, EncodingActor::Device] {
                 let base = FilterConfig::new(100, threshold)
                     .with_chunk_pairs(333)
                     .with_overlap(true)
-                    .with_device_encode(device_encode);
+                    .with_encoding(encoding);
                 let lanes =
                     GateKeeperGpu::with_default_device(base.with_simd_mode(SimdMode::Lanes))
                         .filter_set(&pairs);
@@ -119,7 +119,7 @@ fn simd_lanes_and_scalar_fallback_are_byte_identical_end_to_end() {
                         .filter_set(&pairs);
                 assert_eq!(
                     lanes.decisions, scalar_gpu.decisions,
-                    "seed {seed}, e = {threshold}, device_encode {device_encode}"
+                    "seed {seed}, e = {threshold}, {encoding:?}"
                 );
                 assert_eq!(lanes.accepted(), scalar_gpu.accepted());
             }
@@ -229,13 +229,20 @@ fn filter_batch_is_identical_to_sequential() {
 fn simulated_gpu_run_is_identical_to_sequential() {
     // The whole GPU-system result (decisions + modelled timing + kernel stats)
     // is derived from counts, not wall clock, so parallel and sequential runs
-    // must agree exactly.
+    // must agree exactly — on one chunk and on an overlapped multi-chunk run.
     for seed in SEEDS {
         let pairs = DatasetProfile::set3().generate(1_500, seed);
-        let config = FilterConfig::new(100, 4).with_encoding(EncodingActor::Host);
-        let parallel = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
-        let fallback = sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
-        assert_eq!(parallel, fallback, "seed {seed}");
+        let single = FilterConfig::new(100, 4).with_encoding(EncodingActor::Host);
+        for config in [single, single.with_chunk_pairs(90).with_overlap(true)] {
+            let parallel = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
+            let fallback =
+                sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
+            assert_eq!(
+                parallel, fallback,
+                "seed {seed}, chunk {}",
+                config.chunk_pairs
+            );
+        }
     }
 }
 
@@ -349,59 +356,6 @@ fn streamed_filtering_matches_materialized_filtering_at_every_chunk_size() {
 }
 
 #[test]
-fn host_prefetch_never_changes_decisions_or_timing_splits() {
-    // The wall-clock prefetch executor (encode of chunk i+1 on the pool while
-    // chunk i's kernel closure runs) may only change measured wall-clock:
-    // decisions, counts and every simulated split must be byte-identical at
-    // every chunk size, materialized and streamed.
-    for seed in SEEDS {
-        let mut profile = DatasetProfile::set3();
-        profile.undefined_fraction = 0.03;
-        let pairs = profile.generate(900, seed);
-        for chunk in CHUNK_SIZES {
-            let base = FilterConfig::new(100, 4)
-                .with_chunk_pairs(chunk)
-                .with_overlap(true);
-            let serial = GateKeeperGpu::with_default_device(base).filter_set(&pairs);
-            let prefetched = GateKeeperGpu::with_default_device(base.with_host_prefetch(true))
-                .filter_set(&pairs);
-            assert_eq!(
-                serial.decisions, prefetched.decisions,
-                "seed {seed}, chunk {chunk}"
-            );
-            // TimingBreakdown equality covers the simulated splits only (the
-            // measured host wall-clock is deliberately excluded).
-            assert_eq!(serial.per_device[0].timing, prefetched.per_device[0].timing);
-            assert_eq!(
-                serial.per_device[0].batches,
-                prefetched.per_device[0].batches
-            );
-            assert_eq!(serial.memory_stats, prefetched.memory_stats);
-            assert_eq!(
-                serial.per_device[0].pipeline.overlapped_seconds,
-                prefetched.per_device[0].pipeline.overlapped_seconds
-            );
-            assert_eq!(
-                serial.per_device[0].pipeline.serialized_seconds,
-                prefetched.per_device[0].pipeline.serialized_seconds
-            );
-
-            // Streamed with prefetch (and read-ahead batch generation) equals
-            // materialized without, chunk for chunk.
-            let gpu = GateKeeperGpu::with_default_device(base.with_host_prefetch(true));
-            let mut streamed_decisions = Vec::new();
-            let streamed = gpu.filter_stream_with(
-                profile.stream_batches(900, seed, 450).read_ahead(),
-                |_, decisions| streamed_decisions.extend_from_slice(decisions),
-            );
-            assert_eq!(streamed.pairs, 900, "seed {seed}, chunk {chunk}");
-            assert_eq!(streamed_decisions, serial.decisions);
-            assert_eq!(streamed.accepted, serial.accepted());
-        }
-    }
-}
-
-#[test]
 fn device_encode_is_identical_to_sequential_and_to_host_encode() {
     // The raw-upload + fused-kernel path fans its per-pair packing out on the
     // pool inside the kernel closure, so it needs the same two guarantees as
@@ -415,81 +369,20 @@ fn device_encode_is_identical_to_sequential_and_to_host_encode() {
             let device_config = FilterConfig::new(100, 4)
                 .with_chunk_pairs(chunk)
                 .with_overlap(true)
-                .with_device_encode(true);
+                .with_encoding(EncodingActor::Device);
             let parallel = GateKeeperGpu::with_default_device(device_config).filter_set(&pairs);
             let fallback =
                 sequential(|| GateKeeperGpu::with_default_device(device_config).filter_set(&pairs));
             assert_eq!(parallel, fallback, "seed {seed}, chunk {chunk}");
-            let host = GateKeeperGpu::with_default_device(device_config.with_device_encode(false))
-                .filter_set(&pairs);
+            let host = GateKeeperGpu::with_default_device(
+                device_config.with_encoding(EncodingActor::Host),
+            )
+            .filter_set(&pairs);
             assert_eq!(
                 parallel.decisions, host.decisions,
                 "seed {seed}, chunk {chunk}"
             );
         }
-    }
-}
-
-#[test]
-fn host_prefetch_fallback_on_a_one_thread_pool_is_byte_identical() {
-    // Inside a one-thread pool (the same mode RAYON_NUM_THREADS=1 selects) the
-    // engine must keep today's serial path: identical output, and the report
-    // must say no prefetching happened.
-    let pairs = DatasetProfile::set3().generate(700, 31);
-    let config = FilterConfig::new(100, 4)
-        .with_chunk_pairs(90)
-        .with_overlap(true)
-        .with_host_prefetch(true);
-    let reference = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
-    let fallback = sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
-    assert!(!fallback.per_device[0].pipeline.host_prefetch);
-    assert_eq!(fallback.decisions, reference.decisions);
-    assert_eq!(
-        fallback.per_device[0].timing,
-        reference.per_device[0].timing
-    );
-    assert_eq!(
-        fallback.per_device[0].batches,
-        reference.per_device[0].batches
-    );
-}
-
-#[test]
-fn mapper_records_are_identical_with_host_prefetch_on_or_off() {
-    let reference = ReferenceBuilder::new(60_000)
-        .seed(321)
-        .repeat_fraction(0.25)
-        .n_gaps(0, 0)
-        .build();
-    let reads: Vec<FastqRecord> = ReadSimulator::new(100, ErrorProfile::illumina())
-        .seed(11)
-        .simulate(&reference, 70)
-        .iter()
-        .map(|r| r.to_fastq())
-        .collect();
-    let mapper = ReadMapper::new(reference, MapperConfig::new(3));
-
-    let baseline = mapper.map_reads(
-        &reads,
-        &PreFilter::Gpu(GateKeeperGpu::with_default_device(FilterConfig::new(
-            100, 3,
-        ))),
-    );
-    for chunk in [1usize, 64, 10_000] {
-        let config = FilterConfig::new(100, 3)
-            .with_chunk_pairs(chunk)
-            .with_overlap(true)
-            .with_host_prefetch(true);
-        let filter = PreFilter::Gpu(GateKeeperGpu::with_default_device(config));
-        let outcome = mapper.map_reads(&reads, &filter);
-        assert_eq!(outcome.records, baseline.records, "chunk {chunk}");
-        assert_eq!(outcome.stats.mappings, baseline.stats.mappings);
-        assert_eq!(outcome.stats.mapped_reads, baseline.stats.mapped_reads);
-        assert_eq!(
-            outcome.stats.verification_pairs,
-            baseline.stats.verification_pairs
-        );
-        assert_eq!(outcome.stats.rejected_pairs, baseline.stats.rejected_pairs);
     }
 }
 
