@@ -226,8 +226,15 @@ mod tests {
         assert_eq!(config.encoding, EncodingActor::Host);
         assert_eq!(config.max_reads_per_batch, 5_000);
         assert_eq!(FilterConfig::new(100, 4).encoding, EncodingActor::Device);
+    }
+
+    #[test]
+    fn device_encode_knob_is_the_encoding_actor() {
+        assert_eq!(FilterConfig::new(100, 4).encoding, EncodingActor::Device);
+        let host = FilterConfig::new(100, 4).with_encoding(EncodingActor::Host);
+        assert_eq!(host.encoding, EncodingActor::Host);
         assert_eq!(
-            config.with_encoding(EncodingActor::Device).encoding,
+            host.with_encoding(EncodingActor::Device).encoding,
             EncodingActor::Device
         );
     }
