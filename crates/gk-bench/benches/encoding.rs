@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gk_seq::datasets::DatasetProfile;
 use gk_seq::packed::{encode_batch_parallel, PackedSeq};
 use gk_seq::pairs::encode_pair_batch;
+use gk_seq::raw::RawPairBatch;
 use std::hint::black_box;
 
 fn bench_encoding(c: &mut Criterion) {
@@ -49,7 +50,7 @@ fn bench_encoding(c: &mut Criterion) {
 /// The per-batch host prep of the two execution paths, head to head: the
 /// host-encode path runs `encode_pair_batch` (2-bit packing), the
 /// device-encode path only gathers the raw transfer arenas
-/// (`PairBatches::raw()`) and leaves the packing to the fused kernel.
+/// (`RawPairBatch::from_pairs`) and leaves the packing to the fused kernel.
 fn bench_prep_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("prep_paths");
     group.sample_size(20);
@@ -71,8 +72,7 @@ fn bench_prep_paths(c: &mut Criterion) {
         b.iter(|| {
             profile
                 .stream_batches(pairs, 11, batch)
-                .raw()
-                .map(|arena| black_box(arena.h2d_bytes()))
+                .map(|chunk| black_box(RawPairBatch::from_pairs(&chunk).h2d_bytes()))
                 .sum::<u64>()
         })
     });

@@ -7,8 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gk_filters::{
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter,
-    SneakySnakeFilter,
+    GateKeeperFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter, SneakySnakeFilter,
 };
 use gk_seq::datasets::DatasetProfile;
 use std::hint::black_box;
@@ -21,13 +20,10 @@ fn bench_filters(c: &mut Criterion) {
         let threshold = (read_len / 25) as u32;
         let set = DatasetProfile::low_edit(read_len).generate(64, 7);
         let filters: Vec<(&str, Box<dyn PreAlignmentFilter>)> = vec![
-            (
-                "gatekeeper_gpu",
-                Box::new(GateKeeperGpuFilter::new(threshold)),
-            ),
+            ("gatekeeper_gpu", Box::new(GateKeeperFilter::gpu(threshold))),
             (
                 "gatekeeper_fpga",
-                Box::new(GateKeeperFpgaFilter::new(threshold)),
+                Box::new(GateKeeperFilter::fpga(threshold)),
             ),
             ("shouji", Box::new(ShoujiFilter::new(threshold))),
             ("magnet", Box::new(MagnetFilter::new(threshold))),

@@ -20,8 +20,13 @@
 //! * `--full` — run the complete sweep instead of the representative subset;
 //! * `--mapper-profiles` / `--extra-sets` — experiment-specific extensions;
 //! * `--help` / `-h` — print the flag reference and exit.
+//!
+//! An unknown flag, or a flag whose value is missing or does not parse, is
+//! an error: the binary prints it with the flag reference and exits 2.
 
 use gk_gpusim::topology::TopologyKind;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parsed harness arguments.
 #[derive(Debug, Clone, Default)]
@@ -52,14 +57,21 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses from the process arguments. `--help` / `-h` prints the shared
-    /// flag reference and exits.
+    /// flag reference and exits; a bad flag prints the error and the
+    /// reference and exits 2.
     pub fn parse() -> HarnessArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", HarnessArgs::usage());
             std::process::exit(0);
         }
-        HarnessArgs::parse_from(args)
+        match HarnessArgs::parse_from(args) {
+            Ok(parsed) => parsed,
+            Err(err) => {
+                eprintln!("error: {err}\n\n{}", HarnessArgs::usage());
+                std::process::exit(2);
+            }
+        }
     }
 
     /// The shared flag reference printed by `--help`.
@@ -90,21 +102,18 @@ impl HarnessArgs {
          \x20     --pairs 1000000 --device-encode"
     }
 
-    /// Parses from an explicit argument list (used in tests).
-    pub fn parse_from(args: Vec<String>) -> HarnessArgs {
+    /// Parses from an explicit argument list (used in tests). An unknown
+    /// flag, or a flag whose value is missing or does not parse, is an error.
+    pub fn parse_from(args: Vec<String>) -> Result<HarnessArgs, String> {
         let mut parsed = HarnessArgs::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--pairs" => parsed.pairs = iter.next().and_then(|v| v.parse().ok()),
-                "--reads" => parsed.reads = iter.next().and_then(|v| v.parse().ok()),
-                "--genome" => parsed.genome = iter.next().and_then(|v| v.parse().ok()),
-                "--chunk" => parsed.chunk = iter.next().and_then(|v| v.parse().ok()),
-                "--topology" => match iter.next().map(|v| v.parse::<TopologyKind>()) {
-                    Some(Ok(kind)) => parsed.topology = Some(kind),
-                    Some(Err(err)) => eprintln!("warning: {err}"),
-                    None => eprintln!("warning: --topology needs a value"),
-                },
+                "--pairs" => parsed.pairs = Some(flag_value(&arg, iter.next())?),
+                "--reads" => parsed.reads = Some(flag_value(&arg, iter.next())?),
+                "--genome" => parsed.genome = Some(flag_value(&arg, iter.next())?),
+                "--chunk" => parsed.chunk = Some(flag_value(&arg, iter.next())?),
+                "--topology" => parsed.topology = Some(flag_value(&arg, iter.next())?),
                 "--aware" => parsed.aware = true,
                 "--serialized" => parsed.serialized = true,
                 "--device-encode" => parsed.device_encode = true,
@@ -112,10 +121,10 @@ impl HarnessArgs {
                 "--full" => parsed.full = true,
                 "--mapper-profiles" => parsed.mapper_profiles = true,
                 "--extra-sets" => parsed.extra_sets = true,
-                other => eprintln!("warning: ignoring unknown argument `{other}`"),
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        parsed
+        Ok(parsed)
     }
 
     /// Number of pairs to generate, defaulting to `default`.
@@ -156,51 +165,77 @@ impl HarnessArgs {
     }
 }
 
+/// Parses the value that follows `flag`.
+fn flag_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|err| format!("{flag} `{value}`: {err}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn unknown_arguments_are_ignored() {
-        let args = HarnessArgs::parse_from(vec!["--bogus".into(), "--reads".into(), "7".into()]);
-        assert_eq!(args.reads(1), 7);
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()).collect())
     }
 
     #[test]
-    fn malformed_numbers_fall_back_to_defaults() {
-        let args = HarnessArgs::parse_from(vec!["--pairs".into(), "abc".into()]);
-        assert_eq!(args.pairs(99), 99);
+    fn unknown_arguments_are_rejected() {
+        let err = parse(&["--bogus", "--reads", "7"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        assert_eq!(parse(&["--reads", "7"]).unwrap().reads(1), 7);
+    }
+
+    #[test]
+    fn malformed_and_missing_values_are_rejected() {
+        for args in [
+            &["--pairs", "abc"][..],
+            &["--pairs", "1e6"],
+            &["--reads", "-3"],
+            &["--chunk"],
+            &["--genome"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(args[0]), "{args:?}: {err}");
+        }
     }
 
     #[test]
     fn genome_has_a_floor() {
-        let args = HarnessArgs::parse_from(vec!["--genome".into(), "5".into()]);
+        let args = parse(&["--genome", "5"]).unwrap();
         assert_eq!(args.genome(1_000_000), 10_000);
     }
 
     #[test]
     fn flags_are_detected() {
-        let args = HarnessArgs::parse_from(vec![
-            "--mapper-profiles".into(),
-            "--extra-sets".into(),
-            "--full".into(),
-            "--serialized".into(),
-            "--device-encode".into(),
-            "--scalar".into(),
-        ]);
+        let args = parse(&[
+            "--mapper-profiles",
+            "--extra-sets",
+            "--full",
+            "--serialized",
+            "--device-encode",
+            "--scalar",
+        ])
+        .unwrap();
         assert!(args.mapper_profiles && args.extra_sets && args.full && args.serialized);
         assert!(args.device_encode);
         assert!(args.scalar);
-        assert!(!HarnessArgs::parse_from(vec![]).device_encode);
-        assert!(!HarnessArgs::parse_from(vec![]).scalar);
+        assert!(!parse(&[]).unwrap().device_encode);
+        assert!(!parse(&[]).unwrap().scalar);
     }
 
     #[test]
     fn scalar_flag_selects_the_simd_mode() {
         use gk_filters::SimdMode;
-        let scalar = HarnessArgs::parse_from(vec!["--scalar".into()]);
+        let scalar = parse(&["--scalar"]).unwrap();
         assert_eq!(scalar.simd_mode(), SimdMode::Scalar);
-        assert_eq!(HarnessArgs::parse_from(vec![]).simd_mode(), SimdMode::Auto);
+        assert_eq!(parse(&[]).unwrap().simd_mode(), SimdMode::Auto);
     }
 
     #[test]
@@ -227,26 +262,22 @@ mod tests {
 
     #[test]
     fn topology_flag_parses_every_spelling() {
-        let shared = HarnessArgs::parse_from(vec!["--topology".into(), "shared".into()]);
+        let shared = parse(&["--topology", "shared"]).unwrap();
         assert_eq!(shared.topology(), TopologyKind::SharedRoot);
-        let switch = HarnessArgs::parse_from(vec!["--topology".into(), "switch:2".into()]);
+        let switch = parse(&["--topology", "switch:2"]).unwrap();
         assert_eq!(switch.topology(), TopologyKind::Switch { fanout: 2 });
-        // Default and malformed values fall back to private links.
-        assert_eq!(
-            HarnessArgs::parse_from(vec![]).topology(),
-            TopologyKind::Independent
-        );
-        let bad = HarnessArgs::parse_from(vec!["--topology".into(), "bogus".into()]);
-        assert_eq!(bad.topology(), TopologyKind::Independent);
-        assert!(!bad.aware);
-        let aware = HarnessArgs::parse_from(vec!["--aware".into()]);
+        // The default is private links; a malformed value is an error.
+        assert_eq!(parse(&[]).unwrap().topology(), TopologyKind::Independent);
+        assert!(parse(&["--topology", "bogus"]).is_err());
+        assert!(parse(&["--topology"]).is_err());
+        let aware = parse(&["--aware"]).unwrap();
         assert!(aware.aware);
     }
 
     #[test]
     fn chunk_parses_with_auto_default() {
-        let args = HarnessArgs::parse_from(vec!["--chunk".into(), "250000".into()]);
+        let args = parse(&["--chunk", "250000"]).unwrap();
         assert_eq!(args.chunk(0), 250_000);
-        assert_eq!(HarnessArgs::parse_from(vec![]).chunk(0), 0);
+        assert_eq!(parse(&[]).unwrap().chunk(0), 0);
     }
 }

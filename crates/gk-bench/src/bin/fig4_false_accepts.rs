@@ -12,7 +12,7 @@ use gk_bench::datasets::{accuracy_set, bwa_mem_set, minimap2_set};
 use gk_bench::table::{fmt, fmt_count, Table};
 use gk_bench::HarnessArgs;
 use gk_filters::accuracy::{evaluate_with_truth, ground_truth_distances, UndefinedPolicy};
-use gk_filters::GateKeeperGpuFilter;
+use gk_filters::GateKeeperFilter;
 use gk_seq::pairs::PairSet;
 
 fn report_for_set(set: &PairSet, thresholds: &[u32]) {
@@ -36,7 +36,7 @@ fn report_for_set(set: &PairSet, thresholds: &[u32]) {
     ));
 
     for &e in thresholds {
-        let filter = GateKeeperGpuFilter::new(e);
+        let filter = GateKeeperFilter::gpu(e);
         let report = evaluate_with_truth(&filter, set, &truth, UndefinedPolicy::Exclude);
         table.row(vec![
             e.to_string(),

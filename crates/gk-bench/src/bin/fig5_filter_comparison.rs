@@ -11,16 +11,15 @@ use gk_bench::table::{fmt_count, Table};
 use gk_bench::HarnessArgs;
 use gk_filters::accuracy::{evaluate_with_truth, ground_truth_distances, UndefinedPolicy};
 use gk_filters::{
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, MagnetFilter, PreAlignmentFilter, ShdFilter,
-    ShoujiFilter, SneakySnakeFilter,
+    GateKeeperFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter, SneakySnakeFilter,
 };
 use gk_seq::pairs::PairSet;
 
 fn filters_for(e: u32) -> Vec<Box<dyn PreAlignmentFilter>> {
     vec![
-        Box::new(GateKeeperGpuFilter::new(e)),
-        Box::new(GateKeeperFpgaFilter::new(e)),
-        Box::new(ShdFilter::new(e)),
+        Box::new(GateKeeperFilter::gpu(e)),
+        Box::new(GateKeeperFilter::fpga(e)),
+        Box::new(GateKeeperFilter::shd(e)),
         Box::new(ShoujiFilter::new(e)),
         Box::new(MagnetFilter::new(e)),
         Box::new(SneakySnakeFilter::new(e)),

@@ -50,10 +50,11 @@ mod tests {
 
     #[test]
     fn args_parse_defaults_and_overrides() {
-        let args = HarnessArgs::parse_from(vec!["--pairs".into(), "1234".into(), "--full".into()]);
+        let args = HarnessArgs::parse_from(vec!["--pairs".into(), "1234".into(), "--full".into()])
+            .unwrap();
         assert_eq!(args.pairs(5), 1234);
         assert!(args.full);
-        let defaults = HarnessArgs::parse_from(vec![]);
+        let defaults = HarnessArgs::parse_from(vec![]).unwrap();
         assert_eq!(defaults.pairs(5), 5);
         assert!(!defaults.full);
     }

@@ -31,7 +31,7 @@
 use crate::config::FilterConfig;
 use crate::gpu::GateKeeperGpu;
 use gk_filters::gatekeeper::GateKeeperConfig;
-use gk_filters::simd::{SimdMode, LANE_BLOCK_PAIRS};
+use gk_filters::simd::{filter_blocks, SimdMode};
 use gk_filters::traits::FilterDecision;
 use gk_filters::{
     gatekeeper_filter_block, magnet_filter_block, shouji_filter_block, sneaky_snake_filter_block,
@@ -234,14 +234,7 @@ impl FilterBackend for CpuSimdBackend {
     }
 
     fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-        use rayon::prelude::*;
-        let mode = self.mode;
-        let filter = || {
-            job.pairs
-                .par_chunks(LANE_BLOCK_PAIRS)
-                .flat_map(|block| run_cpu_block(job, block, mode))
-                .collect()
-        };
+        let filter = || filter_blocks(job.pairs, |block| run_cpu_block(job, block, self.mode));
         match &self.pool {
             Some(pool) => pool.install(filter),
             None => filter(),

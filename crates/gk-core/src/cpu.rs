@@ -10,7 +10,7 @@
 
 use crate::timing::TimingBreakdown;
 use gk_filters::gatekeeper::{gatekeeper_kernel_reference, GateKeeperConfig};
-use gk_filters::simd::{gatekeeper_filter_block, SimdMode, LANE_BLOCK_PAIRS};
+use gk_filters::simd::{filter_blocks, gatekeeper_filter_block, SimdMode};
 use gk_filters::traits::FilterDecision;
 use gk_seq::pairs::{encode_pair_batch, PairSet};
 use gk_seq::PackedSeq;
@@ -139,12 +139,9 @@ impl GateKeeperCpu {
         let start = Instant::now();
         let config = self.kernel_config;
         let decisions: Vec<FilterDecision> = self.pool.install(|| {
-            use rayon::prelude::*;
-            pairs
-                .pairs
-                .par_chunks(LANE_BLOCK_PAIRS)
-                .flat_map(|block| gatekeeper_filter_block(block, &config, SimdMode::Lanes))
-                .collect()
+            filter_blocks(&pairs.pairs, |block| {
+                gatekeeper_filter_block(block, &config, SimdMode::Lanes)
+            })
         });
         let end = Instant::now();
         let elapsed = (end - start).as_secs_f64();

@@ -60,7 +60,7 @@ use crate::pipeline::{
 use crate::timing::{InterconnectReport, TimingBreakdown};
 use gk_filters::gatekeeper::GateKeeperConfig;
 use gk_filters::simd::{
-    gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode, LANE_BLOCK_PAIRS,
+    filter_blocks, gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode,
 };
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
 use gk_gpusim::device::DeviceSpec;
@@ -72,7 +72,6 @@ use gk_gpusim::topology::ChunkLoad;
 use gk_seq::pairs::{encode_pair_batch, PairSet, SequencePair};
 use gk_seq::raw::RawPairBatch;
 use gk_seq::PackedSeq;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -484,29 +483,24 @@ impl DevicePipeline<'_> {
         // the same 2-bit sequences.
         let kernel_config = GateKeeperConfig::gpu(self.config.threshold);
         let decisions: Vec<FilterDecision> = match input {
-            ChunkData::Encoded(encoded) => encoded
-                .par_chunks(LANE_BLOCK_PAIRS)
-                .flat_map(|block| {
-                    let refs: Vec<(&PackedSeq, &PackedSeq)> = block
-                        .iter()
-                        .map(|(read, reference)| (read, reference))
-                        .collect();
-                    gatekeeper_filter_block_packed(&refs, &kernel_config, self.simd)
-                })
-                .collect(),
+            ChunkData::Encoded(encoded) => filter_blocks(encoded, |block| {
+                let refs: Vec<(&PackedSeq, &PackedSeq)> = block
+                    .iter()
+                    .map(|(read, reference)| (read, reference))
+                    .collect();
+                gatekeeper_filter_block_packed(&refs, &kernel_config, self.simd)
+            }),
             ChunkData::Raw(raw) => {
-                let raw = raw.view();
-                let starts: Vec<usize> = (0..raw.len()).step_by(LANE_BLOCK_PAIRS).collect();
-                starts
-                    .into_par_iter()
-                    .flat_map(|start| {
-                        let end = (start + LANE_BLOCK_PAIRS).min(raw.len());
-                        let slices: Vec<(&[u8], &[u8])> = (start..end)
-                            .map(|i| (raw.read(i), raw.reference(i)))
-                            .collect();
-                        gatekeeper_filter_block_slices(&slices, &kernel_config, self.simd)
-                    })
-                    .collect()
+                // Fan out pair indices: each block builds only its own
+                // slice list, never one for the whole chunk.
+                let indices: Vec<usize> = (0..raw.len()).collect();
+                filter_blocks(&indices, |block| {
+                    let slices: Vec<(&[u8], &[u8])> = block
+                        .iter()
+                        .map(|&i| (raw.read(i), raw.reference(i)))
+                        .collect();
+                    gatekeeper_filter_block_slices(&slices, &kernel_config, self.simd)
+                })
             }
         };
 
@@ -747,16 +741,16 @@ impl PreAlignmentFilter for GateKeeperGpu {
         self.config.threshold
     }
 
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
         let kernel_config = GateKeeperConfig::gpu(self.config.threshold);
-        gatekeeper_filter_block_slices(&[(read, reference)], &kernel_config, self.simd)[0]
+        gatekeeper_filter_block_slices(pairs, &kernel_config, self.simd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gk_filters::GateKeeperGpuFilter;
+    use gk_filters::GateKeeperFilter;
     use gk_seq::datasets::DatasetProfile;
 
     fn pairs(count: usize) -> PairSet {
@@ -773,7 +767,7 @@ mod tests {
     fn decisions_match_the_reference_filter_implementation() {
         let set = pairs(1_500);
         let run = gpu(5, EncodingActor::Device).filter_set(&set);
-        let reference = GateKeeperGpuFilter::new(5);
+        let reference = GateKeeperFilter::gpu(5);
         for (pair, decision) in set.pairs.iter().zip(run.decisions.iter()) {
             let expected = reference.filter_pair(&pair.read, &pair.reference);
             assert_eq!(decision.accepted, expected.accepted);

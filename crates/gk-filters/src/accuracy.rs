@@ -194,7 +194,7 @@ pub fn evaluate_filter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gatekeeper::{GateKeeperFpgaFilter, GateKeeperGpuFilter};
+    use crate::gatekeeper::GateKeeperFilter;
     use crate::sneaky_snake::SneakySnakeFilter;
     use gk_seq::datasets::DatasetProfile;
 
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn counters_are_internally_consistent() {
         let pairs = small_set();
-        let filter = GateKeeperGpuFilter::new(5);
+        let filter = GateKeeperFilter::gpu(5);
         let report = evaluate_filter(&filter, &pairs, UndefinedPolicy::Exclude);
         assert_eq!(
             report.total_pairs,
@@ -226,7 +226,7 @@ mod tests {
         let pairs = small_set();
         let truth = ground_truth_distances(&pairs);
         for e in [0u32, 2, 5] {
-            let filter = GateKeeperGpuFilter::new(e);
+            let filter = GateKeeperFilter::gpu(e);
             let report = evaluate_with_truth(&filter, &pairs, &truth, UndefinedPolicy::Exclude);
             assert_eq!(report.false_rejects, 0, "e = {e}");
         }
@@ -237,13 +237,13 @@ mod tests {
         let pairs = small_set();
         let truth = ground_truth_distances(&pairs);
         let gpu = evaluate_with_truth(
-            &GateKeeperGpuFilter::new(4),
+            &GateKeeperFilter::gpu(4),
             &pairs,
             &truth,
             UndefinedPolicy::CountAsAccepted,
         );
         let fpga = evaluate_with_truth(
-            &GateKeeperFpgaFilter::new(4),
+            &GateKeeperFilter::fpga(4),
             &pairs,
             &truth,
             UndefinedPolicy::CountAsAccepted,
@@ -262,7 +262,7 @@ mod tests {
             UndefinedPolicy::Exclude,
         );
         let gpu = evaluate_with_truth(
-            &GateKeeperGpuFilter::new(4),
+            &GateKeeperFilter::gpu(4),
             &pairs,
             &truth,
             UndefinedPolicy::Exclude,
@@ -278,7 +278,7 @@ mod tests {
         let pairs = profile.generate(300, 5);
         let undefined = pairs.undefined_count();
         assert!(undefined > 0);
-        let filter = GateKeeperGpuFilter::new(3);
+        let filter = GateKeeperFilter::gpu(3);
         let excluded = evaluate_filter(&filter, &pairs, UndefinedPolicy::Exclude);
         let included = evaluate_filter(&filter, &pairs, UndefinedPolicy::CountAsAccepted);
         assert_eq!(excluded.total_pairs, pairs.len() - undefined);
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn rates_are_in_unit_interval() {
         let pairs = small_set();
-        let filter = GateKeeperGpuFilter::new(2);
+        let filter = GateKeeperFilter::gpu(2);
         let report = evaluate_filter(&filter, &pairs, UndefinedPolicy::Exclude);
         assert!((0.0..=1.0).contains(&report.false_accept_rate()));
         assert!((0.0..=1.0).contains(&report.true_reject_rate()));
@@ -301,7 +301,7 @@ mod tests {
     #[should_panic(expected = "ground truth length")]
     fn mismatched_truth_length_panics() {
         let pairs = small_set();
-        let filter = GateKeeperGpuFilter::new(2);
+        let filter = GateKeeperFilter::gpu(2);
         evaluate_with_truth(&filter, &pairs, &[1, 2, 3], UndefinedPolicy::Exclude);
     }
 
@@ -316,7 +316,7 @@ mod tests {
             read_len: 0,
             pairs: Vec::new(),
         };
-        let filter = GateKeeperGpuFilter::new(3);
+        let filter = GateKeeperFilter::gpu(3);
         let report = evaluate_filter(&filter, &empty, UndefinedPolicy::Exclude);
         assert_eq!(report.total_pairs, 0);
         for rate in [report.false_accept_rate(), report.true_reject_rate()] {
@@ -327,11 +327,7 @@ mod tests {
         // Identical pairs at a generous threshold: the ground truth rejects
         // nothing, so the reject-side denominators are zero.
         let pairs = DatasetProfile::low_edit(60).generate(50, 3);
-        let report = evaluate_filter(
-            &GateKeeperGpuFilter::new(60),
-            &pairs,
-            UndefinedPolicy::Exclude,
-        );
+        let report = evaluate_filter(&GateKeeperFilter::gpu(60), &pairs, UndefinedPolicy::Exclude);
         assert_eq!(report.edlib_rejected, 0);
         assert!(report.false_accept_rate().is_finite());
         assert!(report.true_reject_rate().is_finite());

@@ -34,14 +34,10 @@
 //! errors and are rejected. The raw popcount is available as
 //! [`EditCounting::Popcount`] for ablation studies.
 
-use crate::simd::{
-    gatekeeper_filter_block, gatekeeper_filter_block_slices, SimdMode, LANE_BLOCK_PAIRS,
-};
+use crate::simd::{gatekeeper_filter_block_slices, SimdMode};
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{shift_left_bases, shift_right_bases, xor_to_base_mask_reference};
-use gk_seq::pairs::SequencePair;
 use gk_seq::PackedSeq;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How the errors remaining in the final bitvector are counted.
@@ -184,143 +180,74 @@ pub fn gatekeeper_kernel_reference(
     }
 }
 
-/// Shared implementation behind the three GateKeeper-family filter types.
+/// A GateKeeper-family pre-alignment filter: one mask pipeline, three
+/// configurations the paper compares.
+///
+/// This type runs the *algorithm* on the host; the batched, device-simulated
+/// system (configuration, unified-memory buffers, kernel launches, multi-GPU)
+/// lives in the `gk-core` crate and runs the same block functions
+/// ([`crate::simd::gatekeeper_filter_block_packed`] and
+/// [`crate::simd::gatekeeper_filter_block_slices`]).
 #[derive(Debug, Clone)]
-struct GateKeeperFamily {
+pub struct GateKeeperFilter {
     name: &'static str,
     config: GateKeeperConfig,
     /// Resolved against `GK_SIMD` once, at construction — not per pair.
     simd: SimdMode,
 }
 
-impl GateKeeperFamily {
-    fn new(name: &'static str, config: GateKeeperConfig) -> GateKeeperFamily {
-        GateKeeperFamily {
+impl GateKeeperFilter {
+    /// GateKeeper-GPU (this paper): the improved algorithm with the
+    /// leading/trailing-bit fix of §3.4, for error threshold `e`.
+    pub fn gpu(threshold: u32) -> GateKeeperFilter {
+        GateKeeperFilter::with_config(GateKeeperConfig::gpu(threshold))
+    }
+
+    /// The original FPGA GateKeeper (no leading/trailing fix, no `N`
+    /// handling), for error threshold `e`.
+    pub fn fpga(threshold: u32) -> GateKeeperFilter {
+        GateKeeperFilter::named("GateKeeper-FPGA", GateKeeperConfig::fpga(threshold))
+    }
+
+    /// Shifted Hamming Distance (SHD), for error threshold `e`. The
+    /// bit-parallel algorithm is the one GateKeeper was built from; its
+    /// accept/reject decisions match GateKeeper-FPGA (the paper's comparison
+    /// tables list identical false-accept counts for the two).
+    pub fn shd(threshold: u32) -> GateKeeperFilter {
+        GateKeeperFilter::named("SHD", GateKeeperConfig::fpga(threshold))
+    }
+
+    /// A GateKeeper-GPU filter with a fully custom configuration (for
+    /// ablation).
+    pub fn with_config(config: GateKeeperConfig) -> GateKeeperFilter {
+        GateKeeperFilter::named("GateKeeper-GPU", config)
+    }
+
+    fn named(name: &'static str, config: GateKeeperConfig) -> GateKeeperFilter {
+        GateKeeperFilter {
             name,
             config,
             simd: SimdMode::Auto.resolve(),
         }
     }
 
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        gatekeeper_filter_block_slices(&[(read, reference)], &self.config, self.simd)[0]
-    }
-
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| gatekeeper_filter_block(block, &self.config, self.simd))
-            .collect()
-    }
-}
-
-/// The GateKeeper-GPU pre-alignment filter (improved GateKeeper algorithm).
-///
-/// This type implements the *algorithm* on the host; the batched, device-simulated
-/// system (configuration, unified-memory buffers, kernel launches, multi-GPU) lives
-/// in the `gk-core` crate and runs the same block drivers
-/// ([`crate::simd::gatekeeper_filter_block_packed`] and
-/// [`crate::simd::gatekeeper_filter_block_slices`]).
-#[derive(Debug, Clone)]
-pub struct GateKeeperGpuFilter {
-    inner: GateKeeperFamily,
-}
-
-impl GateKeeperGpuFilter {
-    /// Creates a GateKeeper-GPU filter for error threshold `e`.
-    pub fn new(threshold: u32) -> GateKeeperGpuFilter {
-        GateKeeperGpuFilter {
-            inner: GateKeeperFamily::new("GateKeeper-GPU", GateKeeperConfig::gpu(threshold)),
-        }
-    }
-
-    /// Creates a filter with a fully custom configuration (for ablation).
-    pub fn with_config(config: GateKeeperConfig) -> GateKeeperGpuFilter {
-        GateKeeperGpuFilter {
-            inner: GateKeeperFamily::new("GateKeeper-GPU", config),
-        }
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &GateKeeperConfig {
-        &self.inner.config
+        &self.config
     }
 }
 
-impl PreAlignmentFilter for GateKeeperGpuFilter {
+impl PreAlignmentFilter for GateKeeperFilter {
     fn name(&self) -> &str {
-        self.inner.name
+        self.name
     }
+
     fn threshold(&self) -> u32 {
-        self.inner.config.threshold
+        self.config.threshold
     }
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        self.inner.filter_pair(read, reference)
-    }
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        self.inner.filter_batch(pairs)
-    }
-}
 
-/// The original FPGA GateKeeper filter (no leading/trailing fix, no `N` handling).
-#[derive(Debug, Clone)]
-pub struct GateKeeperFpgaFilter {
-    inner: GateKeeperFamily,
-}
-
-impl GateKeeperFpgaFilter {
-    /// Creates a GateKeeper-FPGA-semantics filter for error threshold `e`.
-    pub fn new(threshold: u32) -> GateKeeperFpgaFilter {
-        GateKeeperFpgaFilter {
-            inner: GateKeeperFamily::new("GateKeeper-FPGA", GateKeeperConfig::fpga(threshold)),
-        }
-    }
-}
-
-impl PreAlignmentFilter for GateKeeperFpgaFilter {
-    fn name(&self) -> &str {
-        self.inner.name
-    }
-    fn threshold(&self) -> u32 {
-        self.inner.config.threshold
-    }
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        self.inner.filter_pair(read, reference)
-    }
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        self.inner.filter_batch(pairs)
-    }
-}
-
-/// Shifted Hamming Distance (SHD). The bit-parallel algorithm is the one GateKeeper
-/// was built from; its accept/reject decisions match GateKeeper-FPGA (the paper's
-/// comparison tables list identical false-accept counts for the two).
-#[derive(Debug, Clone)]
-pub struct ShdFilter {
-    inner: GateKeeperFamily,
-}
-
-impl ShdFilter {
-    /// Creates an SHD filter for error threshold `e`.
-    pub fn new(threshold: u32) -> ShdFilter {
-        ShdFilter {
-            inner: GateKeeperFamily::new("SHD", GateKeeperConfig::fpga(threshold)),
-        }
-    }
-}
-
-impl PreAlignmentFilter for ShdFilter {
-    fn name(&self) -> &str {
-        self.inner.name
-    }
-    fn threshold(&self) -> u32 {
-        self.inner.config.threshold
-    }
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        self.inner.filter_pair(read, reference)
-    }
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        self.inner.filter_batch(pairs)
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+        gatekeeper_filter_block_slices(pairs, &self.config, self.simd)
     }
 }
 
@@ -339,7 +266,7 @@ mod tests {
     fn exact_match_is_accepted_at_every_threshold() {
         let seq: Vec<u8> = (0..100).map(|i| b"ACGT"[i % 4]).collect();
         for e in [0u32, 2, 5, 10] {
-            let filter = GateKeeperGpuFilter::new(e);
+            let filter = GateKeeperFilter::gpu(e);
             let d = filter.filter_pair(&seq, &seq);
             assert!(d.accepted, "e = {e}");
             assert_eq!(d.estimated_edits, 0);
@@ -350,7 +277,7 @@ mod tests {
     fn zero_threshold_is_exact_hamming_match() {
         let a: Vec<u8> = (0..100).map(|i| b"ACGT"[i % 4]).collect();
         let mut b = a.clone();
-        let filter = GateKeeperGpuFilter::new(0);
+        let filter = GateKeeperFilter::gpu(0);
         assert!(filter.filter_pair(&a, &b).accepted);
         b[50] = if b[50] == b'A' { b'C' } else { b'A' };
         assert!(!filter.filter_pair(&a, &b).accepted);
@@ -370,7 +297,7 @@ mod tests {
                 _ => b'A',
             };
         }
-        let filter = GateKeeperGpuFilter::new(3);
+        let filter = GateKeeperFilter::gpu(3);
         let d = filter.filter_pair(&b, &a);
         assert!(d.accepted);
         assert!(d.estimated_edits <= 3);
@@ -384,7 +311,7 @@ mod tests {
         let mut read = a.clone();
         read.remove(40);
         read.push(b'A');
-        let filter = GateKeeperGpuFilter::new(2);
+        let filter = GateKeeperFilter::gpu(2);
         assert!(filter.filter_pair(&read, &a).accepted);
     }
 
@@ -393,7 +320,7 @@ mod tests {
         let a = vec![b'A'; 100];
         let b: Vec<u8> = (0..100).map(|i| b"CGTC"[i % 4]).collect();
         for e in [1u32, 3, 5] {
-            let filter = GateKeeperGpuFilter::new(e);
+            let filter = GateKeeperFilter::gpu(e);
             assert!(!filter.filter_pair(&a, &b).accepted, "e = {e}");
         }
     }
@@ -410,7 +337,7 @@ mod tests {
             let read = gk_seq::simulate::mutate_with_edits(&reference, e as usize, 0.3, &mut rng);
             let true_distance = edit_distance(&read, &reference);
             if true_distance <= e {
-                let filter = GateKeeperGpuFilter::new(e);
+                let filter = GateKeeperFilter::gpu(e);
                 let d = filter.filter_pair(&read, &reference);
                 assert!(
                     d.accepted,
@@ -433,13 +360,13 @@ mod tests {
             let edits = rng.gen_range(0usize..20);
             let read = gk_seq::simulate::mutate_with_edits(&reference, edits, 0.4, &mut rng);
             let e = rng.gen_range(1u32..=10);
-            if GateKeeperGpuFilter::new(e)
+            if GateKeeperFilter::gpu(e)
                 .filter_pair(&read, &reference)
                 .accepted
             {
                 gpu_accepts += 1;
             }
-            if GateKeeperFpgaFilter::new(e)
+            if GateKeeperFilter::fpga(e)
                 .filter_pair(&read, &reference)
                 .accepted
             {
@@ -456,9 +383,9 @@ mod tests {
     fn undefined_pairs_pass_through_gpu_but_not_fpga() {
         let read = b"ACGTNACGTACGTACGTACG".to_vec();
         let reference = b"TTTTTTTTTTTTTTTTTTTT".to_vec();
-        let gpu = GateKeeperGpuFilter::new(2).filter_pair(&read, &reference);
+        let gpu = GateKeeperFilter::gpu(2).filter_pair(&read, &reference);
         assert!(gpu.accepted && gpu.undefined);
-        let fpga = GateKeeperFpgaFilter::new(2).filter_pair(&read, &reference);
+        let fpga = GateKeeperFilter::fpga(2).filter_pair(&read, &reference);
         assert!(!fpga.undefined);
         assert!(!fpga.accepted); // the N encodes as A and the pair is hugely different
     }
@@ -471,8 +398,8 @@ mod tests {
             let edits = rng.gen_range(0usize..25);
             let read = gk_seq::simulate::mutate_with_edits(&reference, edits, 0.3, &mut rng);
             let e = rng.gen_range(0u32..=15);
-            let shd = ShdFilter::new(e).filter_pair(&read, &reference);
-            let fpga = GateKeeperFpgaFilter::new(e).filter_pair(&read, &reference);
+            let shd = GateKeeperFilter::shd(e).filter_pair(&read, &reference);
+            let fpga = GateKeeperFilter::fpga(e).filter_pair(&read, &reference);
             assert_eq!(shd.accepted, fpga.accepted);
             assert_eq!(shd.estimated_edits, fpga.estimated_edits);
         }
@@ -489,8 +416,8 @@ mod tests {
                 counting: EditCounting::Popcount,
                 ..runs_cfg
             };
-            let runs = GateKeeperGpuFilter::with_config(runs_cfg).filter_pair(&read, &reference);
-            let pop = GateKeeperGpuFilter::with_config(pop_cfg).filter_pair(&read, &reference);
+            let runs = GateKeeperFilter::with_config(runs_cfg).filter_pair(&read, &reference);
+            let pop = GateKeeperFilter::with_config(pop_cfg).filter_pair(&read, &reference);
             if pop.accepted {
                 assert!(runs.accepted);
             }
@@ -503,7 +430,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let reference = random_seq(250, &mut rng);
         let read = gk_seq::simulate::mutate_with_edits(&reference, 5, 0.2, &mut rng);
-        let filter = GateKeeperGpuFilter::new(10);
+        let filter = GateKeeperFilter::gpu(10);
         let d = filter.filter_pair(&read, &reference);
         if d.accepted {
             assert!(d.estimated_edits <= 10);
@@ -512,7 +439,7 @@ mod tests {
 
     #[test]
     fn empty_pair_is_accepted() {
-        let filter = GateKeeperGpuFilter::new(3);
+        let filter = GateKeeperFilter::gpu(3);
         assert!(filter.filter_pair(b"", b"").accepted);
     }
 
@@ -528,9 +455,9 @@ mod tests {
         for _ in 0..50 {
             let a = random_seq(len, &mut rng);
             let b = random_seq(len, &mut rng);
-            let reference = GateKeeperGpuFilter::new(len as u32 - 1).filter_pair(&a, &b);
+            let reference = GateKeeperFilter::gpu(len as u32 - 1).filter_pair(&a, &b);
             for e in [len as u32, len as u32 + 1, 4 * len as u32] {
-                let d = GateKeeperGpuFilter::new(e).filter_pair(&a, &b);
+                let d = GateKeeperFilter::gpu(e).filter_pair(&a, &b);
                 // e ≥ len: true distance ≤ len ≤ e, so everything is accepted…
                 assert!(d.accepted, "e = {e} must accept");
                 assert!(d.estimated_edits <= len as u32);
@@ -539,8 +466,8 @@ mod tests {
                 assert_eq!(d.estimated_edits, reference.estimated_edits);
             }
             // The FPGA variant's masks for k < len are unchanged by the clamp.
-            let fpga_low = GateKeeperFpgaFilter::new(len as u32 - 1).filter_pair(&a, &b);
-            let fpga_high = GateKeeperFpgaFilter::new(2 * len as u32).filter_pair(&a, &b);
+            let fpga_low = GateKeeperFilter::fpga(len as u32 - 1).filter_pair(&a, &b);
+            let fpga_high = GateKeeperFilter::fpga(2 * len as u32).filter_pair(&a, &b);
             assert!(fpga_high.accepted);
             assert!(fpga_low.estimated_edits >= fpga_high.estimated_edits);
         }
@@ -554,10 +481,10 @@ mod tests {
         let read = b"ACGTACGTACGTACGT";
         let reference = b"TGCATGCATGCATGCA";
         for e in [100_000u32, u32::MAX] {
-            let d = GateKeeperGpuFilter::new(e).filter_pair(read, reference);
+            let d = GateKeeperFilter::gpu(e).filter_pair(read, reference);
             assert!(d.accepted, "e = {e}");
             assert!(d.estimated_edits <= read.len() as u32);
-            let fpga = GateKeeperFpgaFilter::new(e).filter_pair(read, reference);
+            let fpga = GateKeeperFilter::fpga(e).filter_pair(read, reference);
             assert!(fpga.accepted, "e = {e}");
         }
     }
@@ -565,9 +492,9 @@ mod tests {
     #[test]
     fn single_base_pairs_survive_any_threshold() {
         for e in [0u32, 1, 2, 100] {
-            let same = GateKeeperGpuFilter::new(e).filter_pair(b"A", b"A");
+            let same = GateKeeperFilter::gpu(e).filter_pair(b"A", b"A");
             assert!(same.accepted, "e = {e}");
-            let diff = GateKeeperGpuFilter::new(e).filter_pair(b"A", b"T");
+            let diff = GateKeeperFilter::gpu(e).filter_pair(b"A", b"T");
             // A single substitution: rejected only under exact matching.
             assert_eq!(diff.accepted, e >= 1, "e = {e}");
         }
@@ -575,11 +502,11 @@ mod tests {
 
     #[test]
     fn filter_metadata() {
-        let f = GateKeeperGpuFilter::new(4);
+        let f = GateKeeperFilter::gpu(4);
         assert_eq!(f.name(), "GateKeeper-GPU");
         assert_eq!(f.threshold(), 4);
         assert!(f.config().improved_boundaries);
-        assert_eq!(GateKeeperFpgaFilter::new(2).name(), "GateKeeper-FPGA");
-        assert_eq!(ShdFilter::new(2).name(), "SHD");
+        assert_eq!(GateKeeperFilter::fpga(2).name(), "GateKeeper-FPGA");
+        assert_eq!(GateKeeperFilter::shd(2).name(), "SHD");
     }
 }

@@ -9,13 +9,14 @@
 //! A useful filter must never reject a pair that would verify (no false rejects)
 //! and should reject as many hopeless pairs as possible (few false accepts).
 //!
-//! Implemented filters (all behind [`PreAlignmentFilter`]):
+//! Implemented filters (all behind [`PreAlignmentFilter`], which each type
+//! implements as one block method):
 //!
 //! | Filter | Paper | Notes |
 //! |---|---|---|
-//! | [`GateKeeperGpuFilter`] | this paper | GateKeeper with the leading/trailing-bit fix of §3.4 |
-//! | [`GateKeeperFpgaFilter`] | Alser et al. 2017 | original GateKeeper semantics (no boundary fix) |
-//! | [`ShdFilter`] | Xin et al. 2015 | Shifted Hamming Distance; same mask pipeline as GateKeeper |
+//! | [`GateKeeperFilter::gpu`] | this paper | GateKeeper with the leading/trailing-bit fix of §3.4 |
+//! | [`GateKeeperFilter::fpga`] | Alser et al. 2017 | original GateKeeper semantics (no boundary fix) |
+//! | [`GateKeeperFilter::shd`] | Xin et al. 2015 | Shifted Hamming Distance; same mask pipeline as GateKeeper |
 //! | [`MagnetFilter`] | Alser et al. 2017 (MAGNET) | greedy extraction of longest zero segments |
 //! | [`ShoujiFilter`] | Alser et al. 2019 | sliding-window neighborhood-map filter |
 //! | [`SneakySnakeFilter`] | Alser et al. 2020 | single-net-routing greedy, exact lower bound |
@@ -39,8 +40,7 @@ pub mod words;
 pub use accuracy::{evaluate_filter, evaluate_with_truth, ground_truth_distances, AccuracyReport};
 pub use bitvec::BaseMask;
 pub use gatekeeper::{
-    gatekeeper_kernel_reference, EditCounting, GateKeeperConfig, GateKeeperFpgaFilter,
-    GateKeeperGpuFilter, ShdFilter,
+    gatekeeper_kernel_reference, EditCounting, GateKeeperConfig, GateKeeperFilter,
 };
 pub use magnet::{
     magnet_filter_block, magnet_filter_block_slices, magnet_kernel_x4,
@@ -51,8 +51,8 @@ pub use shouji::{
     shouji_pair_decision_reference, ShoujiFilter,
 };
 pub use simd::{
-    gatekeeper_filter_block, gatekeeper_filter_block_packed, gatekeeper_filter_block_slices,
-    gatekeeper_kernel_x4, LaneMask, SimdMode, SIMD_MODE_ENV,
+    filter_blocks, gatekeeper_filter_block, gatekeeper_filter_block_packed,
+    gatekeeper_filter_block_slices, gatekeeper_kernel_x4, LaneMask, SimdMode, SIMD_MODE_ENV,
 };
 pub use sneaky_snake::{
     sneaky_snake_filter_block, sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4,

@@ -21,14 +21,13 @@
 
 use crate::bitvec::{zero_runs_in_words, BaseMask};
 use crate::simd::{
-    build_mask_rows, filter_block_slices_with, lane_alphabet, lane_words, set_range_rows, shl_rows,
-    shr_rows, LaneMask, LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    build_mask_rows, filter_block_with, lane_alphabet, lane_words, pair_slices, set_range_rows,
+    shl_rows, shr_rows, LaneMask, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{shift_left_bases, shift_right_bases, xor_to_base_mask_reference};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
 /// The MAGNET pre-alignment filter.
@@ -483,12 +482,12 @@ pub fn magnet_filter_block_slices(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    filter_block_slices_with(
+    filter_block_with(
         pairs,
         mode,
-        |read, reference| lane_alphabet(read) && lane_alphabet(reference),
+        |(read, reference)| lane_alphabet(read) && lane_alphabet(reference),
         |group| magnet_kernel_x4(group, threshold),
-        |read, reference| magnet_pair_decision_reference(read, reference, threshold),
+        |(read, reference)| magnet_pair_decision_reference(read, reference, threshold),
     )
 }
 
@@ -498,11 +497,7 @@ pub fn magnet_filter_block(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    magnet_filter_block_slices(&slices, threshold, mode)
+    magnet_filter_block_slices(&pair_slices(pairs), threshold, mode)
 }
 
 impl PreAlignmentFilter for MagnetFilter {
@@ -514,22 +509,15 @@ impl PreAlignmentFilter for MagnetFilter {
         self.threshold
     }
 
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        magnet_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
-    }
-
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| magnet_filter_block(block, self.threshold, self.simd))
-            .collect()
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+        magnet_filter_block_slices(pairs, self.threshold, self.simd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gatekeeper::GateKeeperGpuFilter;
+    use crate::gatekeeper::GateKeeperFilter;
     use gk_align::edit_distance;
     use gk_seq::simulate::mutate_with_edits;
     use rand::rngs::StdRng;
@@ -761,7 +749,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let e = 5u32;
         let magnet = MagnetFilter::new(e);
-        let gk = GateKeeperGpuFilter::new(e);
+        let gk = GateKeeperFilter::gpu(e);
         let mut magnet_accepts = 0;
         let mut gk_accepts = 0;
         for _ in 0..300 {

@@ -16,13 +16,12 @@
 
 use crate::bitvec::BaseMask;
 use crate::simd::{
-    build_mask_rows, canonical_acgt, filter_block_slices_with, set_range_rows, shl_rows, shr_rows,
-    LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    build_mask_rows, canonical_acgt, filter_block_with, pair_slices, set_range_rows, shl_rows,
+    shr_rows, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{nibble_min, nibble_popcounts, sum_nibbles};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
-use rayon::prelude::*;
 
 /// Width of the sliding search window, as in the Shouji paper.
 const WINDOW: usize = 4;
@@ -214,12 +213,12 @@ pub fn shouji_filter_block_slices(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    filter_block_slices_with(
+    filter_block_with(
         pairs,
         mode,
-        |read, reference| canonical_acgt(read) && canonical_acgt(reference),
+        |(read, reference)| canonical_acgt(read) && canonical_acgt(reference),
         |group| shouji_kernel_x4(group, threshold),
-        |read, reference| shouji_pair_decision_reference(read, reference, threshold),
+        |(read, reference)| shouji_pair_decision_reference(read, reference, threshold),
     )
 }
 
@@ -229,11 +228,7 @@ pub fn shouji_filter_block(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    shouji_filter_block_slices(&slices, threshold, mode)
+    shouji_filter_block_slices(&pair_slices(pairs), threshold, mode)
 }
 
 impl PreAlignmentFilter for ShoujiFilter {
@@ -245,22 +240,15 @@ impl PreAlignmentFilter for ShoujiFilter {
         self.threshold
     }
 
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        shouji_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
-    }
-
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| shouji_filter_block(block, self.threshold, self.simd))
-            .collect()
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+        shouji_filter_block_slices(pairs, self.threshold, self.simd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gatekeeper::GateKeeperFpgaFilter;
+    use crate::gatekeeper::GateKeeperFilter;
     use gk_align::edit_distance;
     use gk_seq::simulate::mutate_with_edits;
     use rand::rngs::StdRng;
@@ -390,7 +378,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let e = 5u32;
         let shouji = ShoujiFilter::new(e);
-        let fpga = GateKeeperFpgaFilter::new(e);
+        let fpga = GateKeeperFilter::fpga(e);
         let mut shouji_accepts = 0;
         let mut fpga_accepts = 0;
         for _ in 0..300 {

@@ -10,13 +10,16 @@
 //! are portable `[u64; 4]` arrays the compiler auto-vectorizes.
 //!
 //! Every filter has exactly two decision paths: its `*_kernel_x4` lane kernel
-//! and its per-bit `*_reference` twin. The block drivers put lane-eligible
-//! pairs on the lanes and run the reference for everything else (ragged,
-//! empty or undefined pairs); a single pair is a one-pair block. [`SimdMode`]
-//! selects between the lane path and the all-reference path at runtime
-//! (`GK_SIMD=scalar` forces the latter; the CI matrix keeps both green).
-//! Decisions are byte-identical across modes: the differential property
-//! suite and the `simd_speedup` bench assert it.
+//! and its per-bit `*_reference` twin. One grouping loop backs every block
+//! function (`*_filter_block*`): it puts lane-eligible pairs on the lanes and
+//! runs the reference for everything else (ragged, empty or undefined
+//! pairs); a single pair is a one-pair block. [`filter_blocks`] is the one
+//! fan-out of a batch into blocks across the work-stealing pool, and the
+//! block size is private to this module. [`SimdMode`] selects between the
+//! lane path and the all-reference path at runtime (`GK_SIMD=scalar` forces
+//! the latter; the CI matrix keeps both green). Decisions are byte-identical
+//! across modes: the differential property suite and the `simd_speedup`
+//! bench assert it.
 
 use crate::bitvec::count_edits_windowed_in_words;
 use crate::gatekeeper::{gatekeeper_kernel_reference, EditCounting, GateKeeperConfig};
@@ -24,6 +27,7 @@ use crate::traits::FilterDecision;
 use gk_seq::alphabet::has_undefined;
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -129,11 +133,32 @@ pub(crate) type LaneRow = [u64; SOA_LANES];
 pub(crate) const WORD_BITS: usize = 64;
 const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
-/// Pairs handed to one lane-parallel block task — by the filters'
-/// `filter_batch` overrides and by every `gk-core` path that splits a batch
-/// into blocks: large enough to amortise the struct-of-arrays transpose,
-/// small enough to keep the work-stealing queue full.
-pub const LANE_BLOCK_PAIRS: usize = 256;
+/// Pairs handed to one lane-parallel block task by [`filter_blocks`]: large
+/// enough to amortise the struct-of-arrays transpose, small enough to keep
+/// the work-stealing queue full.
+const LANE_BLOCK_PAIRS: usize = 256;
+
+/// Splits a batch into lane blocks across the work-stealing pool: `block`
+/// decides one block of items, and the decisions come back in input order,
+/// identical to one sequential pass at any pool size. Every batch path — the
+/// [`crate::PreAlignmentFilter`] provided `filter_batch`, the CPU backends
+/// and the simulated device stage — fans out through here.
+pub fn filter_blocks<T, F>(items: &[T], block: F) -> Vec<FilterDecision>
+where
+    T: Sync,
+    F: Fn(&[T]) -> Vec<FilterDecision> + Sync + Send,
+{
+    items.par_chunks(LANE_BLOCK_PAIRS).flat_map(block).collect()
+}
+
+/// Borrows owned pairs as the `(read, reference)` slices the block functions
+/// take.
+pub(crate) fn pair_slices(pairs: &[SequencePair]) -> Vec<(&[u8], &[u8])> {
+    pairs
+        .iter()
+        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
+        .collect()
+}
 
 /// Per-lane active mask for divergent lane-parallel loops.
 ///
@@ -502,8 +527,35 @@ fn scalar_pair_decision(
     )
 }
 
-/// Generic lane-parallel block driver over raw ASCII pairs, shared by the
-/// block paths of all four filters.
+/// A pair the grouping loop can put on a lane: raw ASCII slices or packed
+/// 2-bit sequences, each with its [`SoaGroup`] encoder.
+pub(crate) trait LanePair: Copy {
+    /// Read and reference lengths in bases.
+    fn lens(self) -> (usize, usize);
+    /// Transposes `members` into `group`; false when they are not
+    /// lane-eligible.
+    fn encode(group: &mut SoaGroup, members: &[Self]) -> bool;
+}
+
+impl LanePair for (&[u8], &[u8]) {
+    fn lens(self) -> (usize, usize) {
+        (self.0.len(), self.1.len())
+    }
+    fn encode(group: &mut SoaGroup, members: &[Self]) -> bool {
+        group.encode_slices_into(members)
+    }
+}
+
+impl LanePair for (&PackedSeq, &PackedSeq) {
+    fn lens(self) -> (usize, usize) {
+        (self.0.len(), self.1.len())
+    }
+    fn encode(group: &mut SoaGroup, members: &[Self]) -> bool {
+        group.encode_packed_into(members)
+    }
+}
+
+/// The grouping loop behind every block function of all four filters.
 ///
 /// In lane mode, consecutive runs of lane-eligible pairs (nonzero equal
 /// lengths plus the filter's own `eligible_pair` predicate) are transposed
@@ -511,63 +563,62 @@ fn scalar_pair_decision(
 /// runs `scalar` (the filter's per-bit reference) per pair. In scalar (or
 /// unresolved-to-scalar) mode every pair runs `scalar`. Output order matches
 /// input order.
-pub(crate) fn filter_block_slices_with<E, K, S>(
-    pairs: &[(&[u8], &[u8])],
+pub(crate) fn filter_block_with<P, E, K, S>(
+    pairs: &[P],
     mode: SimdMode,
     eligible_pair: E,
     mut kernel: K,
     mut scalar: S,
 ) -> Vec<FilterDecision>
 where
-    E: Fn(&[u8], &[u8]) -> bool,
+    P: LanePair,
+    E: Fn(P) -> bool,
     K: FnMut(&SoaGroup) -> [FilterDecision; SOA_LANES],
-    S: FnMut(&[u8], &[u8]) -> FilterDecision,
+    S: FnMut(P) -> FilterDecision,
 {
     if !mode.use_lanes() {
-        return pairs
-            .iter()
-            .map(|(read, reference)| scalar(read, reference))
-            .collect();
+        return pairs.iter().map(|&pair| scalar(pair)).collect();
     }
 
     let mut decisions = vec![FilterDecision::accept(0); pairs.len()];
     let mut eligible: Vec<usize> = Vec::with_capacity(pairs.len());
-    for (i, (read, reference)) in pairs.iter().enumerate() {
-        let lane_ok =
-            !read.is_empty() && read.len() == reference.len() && eligible_pair(read, reference);
-        if lane_ok {
+    for (i, &pair) in pairs.iter().enumerate() {
+        let (read_len, ref_len) = pair.lens();
+        if read_len > 0 && read_len == ref_len && eligible_pair(pair) {
             eligible.push(i);
         } else {
-            decisions[i] = scalar(read, reference);
+            decisions[i] = scalar(pair);
         }
     }
 
     // One scratch group and member array reused across every group in the
     // block: the grouping loop itself never touches the allocator.
+    let Some(&first) = eligible.first() else {
+        return decisions;
+    };
     let mut group = SoaGroup::scratch();
-    let mut members: [(&[u8], &[u8]); SOA_LANES] = [(&[], &[]); SOA_LANES];
+    let mut members = [pairs[first]; SOA_LANES];
     let mut start = 0;
     while start < eligible.len() {
-        let len0 = pairs[eligible[start]].0.len();
+        let len0 = pairs[eligible[start]].lens().0;
         let mut end = start + 1;
         while end < eligible.len()
             && end - start < SOA_LANES
-            && pairs[eligible[end]].0.len() == len0
+            && pairs[eligible[end]].lens().0 == len0
         {
             end += 1;
         }
         for (slot, &i) in members.iter_mut().zip(eligible[start..end].iter()) {
             *slot = pairs[i];
         }
-        if group.encode_slices_into(&members[..end - start]) {
+        if P::encode(&mut group, &members[..end - start]) {
             let lane_decisions = kernel(&group);
             for (lane, &i) in eligible[start..end].iter().enumerate() {
                 decisions[i] = lane_decisions[lane];
             }
         } else {
             for &i in &eligible[start..end] {
-                let (read, reference) = pairs[i];
-                decisions[i] = scalar(read, reference);
+                decisions[i] = scalar(pairs[i]);
             }
         }
         start = end;
@@ -602,12 +653,12 @@ pub fn gatekeeper_filter_block_slices(
     config: &GateKeeperConfig,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    filter_block_slices_with(
+    filter_block_with(
         pairs,
         mode,
-        |read, reference| lane_alphabet(read) && lane_alphabet(reference),
+        |(read, reference)| lane_alphabet(read) && lane_alphabet(reference),
         |group| gatekeeper_kernel_x4(group, config),
-        |read, reference| scalar_pair_decision(read, reference, config),
+        |(read, reference)| scalar_pair_decision(read, reference, config),
     )
 }
 
@@ -617,11 +668,7 @@ pub fn gatekeeper_filter_block(
     config: &GateKeeperConfig,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    gatekeeper_filter_block_slices(&slices, config, mode)
+    gatekeeper_filter_block_slices(&pair_slices(pairs), config, mode)
 }
 
 /// Filters a block of already-encoded pairs, lane-parallel where possible —
@@ -633,56 +680,13 @@ pub fn gatekeeper_filter_block_packed(
     config: &GateKeeperConfig,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    if !mode.use_lanes() {
-        return pairs
-            .iter()
-            .map(|(read, reference)| packed_pair_decision(read, reference, config))
-            .collect();
-    }
-
-    let mut decisions = vec![FilterDecision::accept(0); pairs.len()];
-    let mut eligible: Vec<usize> = Vec::with_capacity(pairs.len());
-    for (i, (read, reference)) in pairs.iter().enumerate() {
-        let lane_ok = !read.is_empty()
-            && read.len() == reference.len()
-            && !read.is_undefined()
-            && !reference.is_undefined();
-        if lane_ok {
-            eligible.push(i);
-        } else {
-            decisions[i] = packed_pair_decision(read, reference, config);
-        }
-    }
-
-    let mut start = 0;
-    while start < eligible.len() {
-        let len0 = pairs[eligible[start]].0.len();
-        let mut end = start + 1;
-        while end < eligible.len()
-            && end - start < SOA_LANES
-            && pairs[eligible[end]].0.len() == len0
-        {
-            end += 1;
-        }
-        let members: Vec<(&PackedSeq, &PackedSeq)> =
-            eligible[start..end].iter().map(|&i| pairs[i]).collect();
-        match SoaGroup::from_packed(&members) {
-            Some(group) => {
-                let lane_decisions = gatekeeper_kernel_x4(&group, config);
-                for (lane, &i) in eligible[start..end].iter().enumerate() {
-                    decisions[i] = lane_decisions[lane];
-                }
-            }
-            None => {
-                for &i in &eligible[start..end] {
-                    let (read, reference) = pairs[i];
-                    decisions[i] = packed_pair_decision(read, reference, config);
-                }
-            }
-        }
-        start = end;
-    }
-    decisions
+    filter_block_with(
+        pairs,
+        mode,
+        |(read, reference)| !read.is_undefined() && !reference.is_undefined(),
+        |group| gatekeeper_kernel_x4(group, config),
+        |(read, reference)| packed_pair_decision(read, reference, config),
+    )
 }
 
 #[cfg(test)]
@@ -992,8 +996,8 @@ mod tests {
             .collect();
         for mode in [SimdMode::Lanes, SimdMode::Scalar] {
             let from_ascii = gatekeeper_filter_block_slices(&slices, &config, mode);
-            let from_packed = gatekeeper_filter_block_packed(&packed_refs, &config, mode);
-            assert_eq!(from_ascii, from_packed, "mode = {mode}");
+            let packed_decisions = gatekeeper_filter_block_packed(&packed_refs, &config, mode);
+            assert_eq!(from_ascii, packed_decisions, "mode = {mode}");
         }
     }
 

@@ -13,12 +13,11 @@
 
 use crate::bitvec::{zero_run_length_in_words_reference, BaseMask};
 use crate::simd::{
-    build_mask_rows, canonical_acgt, filter_block_slices_with, set_range_rows, shl_rows, shr_rows,
-    LaneMask, LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    build_mask_rows, canonical_acgt, filter_block_with, pair_slices, set_range_rows, shl_rows,
+    shr_rows, LaneMask, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
-use rayon::prelude::*;
 
 /// The SneakySnake pre-alignment filter.
 #[derive(Debug, Clone)]
@@ -237,12 +236,12 @@ pub fn sneaky_snake_filter_block_slices(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    filter_block_slices_with(
+    filter_block_with(
         pairs,
         mode,
-        |read, reference| canonical_acgt(read) && canonical_acgt(reference),
+        |(read, reference)| canonical_acgt(read) && canonical_acgt(reference),
         |group| sneaky_snake_kernel_x4(group, threshold),
-        |read, reference| sneaky_snake_pair_decision_reference(read, reference, threshold),
+        |(read, reference)| sneaky_snake_pair_decision_reference(read, reference, threshold),
     )
 }
 
@@ -252,11 +251,7 @@ pub fn sneaky_snake_filter_block(
     threshold: u32,
     mode: SimdMode,
 ) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    sneaky_snake_filter_block_slices(&slices, threshold, mode)
+    sneaky_snake_filter_block_slices(&pair_slices(pairs), threshold, mode)
 }
 
 impl PreAlignmentFilter for SneakySnakeFilter {
@@ -268,15 +263,8 @@ impl PreAlignmentFilter for SneakySnakeFilter {
         self.threshold
     }
 
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
-        sneaky_snake_filter_block_slices(&[(read, reference)], self.threshold, self.simd)[0]
-    }
-
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| sneaky_snake_filter_block(block, self.threshold, self.simd))
-            .collect()
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+        sneaky_snake_filter_block_slices(pairs, self.threshold, self.simd)
     }
 }
 
@@ -395,11 +383,11 @@ mod tests {
 
     #[test]
     fn accepts_fewer_pairs_than_gatekeeper_on_divergent_population() {
-        use crate::gatekeeper::GateKeeperGpuFilter;
+        use crate::gatekeeper::GateKeeperFilter;
         let mut rng = StdRng::seed_from_u64(3);
         let e = 5u32;
         let snake = SneakySnakeFilter::new(e);
-        let gk = GateKeeperGpuFilter::new(e);
+        let gk = GateKeeperFilter::gpu(e);
         let mut snake_accepts = 0;
         let mut gk_accepts = 0;
         for _ in 0..300 {

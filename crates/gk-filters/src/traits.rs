@@ -1,7 +1,7 @@
 //! The common interface every pre-alignment filter implements.
 
+use crate::simd::{filter_blocks, pair_slices};
 use gk_seq::pairs::SequencePair;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of filtering one (read, reference segment) pair.
@@ -63,6 +63,11 @@ pub fn decision_digest(decisions: &[FilterDecision]) -> u64 {
 
 /// A pre-alignment filter: decides per pair whether expensive verification can be
 /// skipped. Implementations carry their error threshold.
+///
+/// A filter implements one method, [`PreAlignmentFilter::filter_block`], over
+/// a block of borrowed `(read, reference)` slices. A single pair is a
+/// one-pair block, and a batch fans out into blocks through
+/// [`crate::simd::filter_blocks`]; no implementation overrides either.
 pub trait PreAlignmentFilter: Sync {
     /// Human-readable filter name, as used in the paper's tables.
     fn name(&self) -> &str;
@@ -70,26 +75,20 @@ pub trait PreAlignmentFilter: Sync {
     /// The error threshold `e` this filter instance was configured with.
     fn threshold(&self) -> u32;
 
-    /// Filters a single pair.
-    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision;
+    /// Filters one block of pairs, decisions in input order.
+    fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision>;
 
-    /// Filters a batch of pairs in parallel. The default implementation fans the
-    /// pairs out across the work-stealing pool (chunked, order-preserving — the
-    /// decisions vector is identical to a sequential pass), which is also how
-    /// the multicore GateKeeper-CPU baseline of the paper is organised.
-    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_iter()
-            .map(|p| self.filter_pair(&p.read, &p.reference))
-            .collect()
+    /// Filters a single pair (a one-pair block).
+    fn filter_pair(&self, read: &[u8], reference: &[u8]) -> FilterDecision {
+        self.filter_block(&[(read, reference)])[0]
     }
 
-    /// Convenience: number of accepted pairs in a batch.
-    fn count_accepted(&self, pairs: &[SequencePair]) -> usize {
-        self.filter_batch(pairs)
-            .iter()
-            .filter(|d| d.accepted)
-            .count()
+    /// Filters a batch of pairs in parallel: lane blocks across the
+    /// work-stealing pool, order-preserving, so the decisions vector is
+    /// identical to a sequential pass — also how the multicore GateKeeper-CPU
+    /// baseline of the paper is organised.
+    fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
+        filter_blocks(pairs, |block| self.filter_block(&pair_slices(block)))
     }
 }
 
@@ -105,8 +104,8 @@ mod tests {
         fn threshold(&self) -> u32 {
             0
         }
-        fn filter_pair(&self, _read: &[u8], _reference: &[u8]) -> FilterDecision {
-            FilterDecision::accept(0)
+        fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+            vec![FilterDecision::accept(0); pairs.len()]
         }
     }
 
@@ -118,8 +117,8 @@ mod tests {
         fn threshold(&self) -> u32 {
             0
         }
-        fn filter_pair(&self, _read: &[u8], _reference: &[u8]) -> FilterDecision {
-            FilterDecision::reject(99)
+        fn filter_block(&self, pairs: &[(&[u8], &[u8])]) -> Vec<FilterDecision> {
+            vec![FilterDecision::reject(99); pairs.len()]
         }
     }
 
@@ -139,16 +138,22 @@ mod tests {
 
     #[test]
     fn default_batch_filtering_matches_per_pair() {
-        let filter = AcceptAll;
-        let batch = filter.filter_batch(&pairs(37));
-        assert_eq!(batch.len(), 37);
-        assert!(batch.iter().all(|d| d.accepted));
-        assert_eq!(filter.count_accepted(&pairs(37)), 37);
-    }
-
-    #[test]
-    fn count_accepted_with_reject_all_is_zero() {
-        assert_eq!(RejectAll.count_accepted(&pairs(10)), 0);
+        for n in [0, 37, 600] {
+            let batch = AcceptAll.filter_batch(&pairs(n));
+            assert_eq!(batch.len(), n);
+            assert!(batch.iter().all(|d| d.accepted));
+            let rejected = RejectAll.filter_batch(&pairs(n));
+            assert_eq!(rejected.len(), n);
+            assert!(rejected.iter().all(|d| !d.accepted));
+        }
+        assert_eq!(
+            AcceptAll.filter_pair(b"ACGT", b"TTTT"),
+            FilterDecision::accept(0)
+        );
+        assert_eq!(
+            RejectAll.filter_pair(b"ACGT", b"ACGT"),
+            FilterDecision::reject(99)
+        );
     }
 
     #[test]

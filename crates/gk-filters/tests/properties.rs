@@ -19,8 +19,7 @@ use gk_filters::{
     decision_digest, magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision_reference,
     shouji_filter_block_slices, shouji_kernel_x4, shouji_pair_decision_reference,
     sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4, sneaky_snake_pair_decision_reference,
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, MagnetFilter, PreAlignmentFilter, ShdFilter,
-    ShoujiFilter, SneakySnakeFilter,
+    GateKeeperFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter, SneakySnakeFilter,
 };
 use gk_seq::pairs::{SequencePair, SoaGroup};
 use gk_seq::PackedSeq;
@@ -37,9 +36,9 @@ fn dna(len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// substitution-only pairs — see `shouji_has_no_false_rejects_on_substitutions`.
 fn sound_filters(e: u32) -> Vec<Box<dyn PreAlignmentFilter>> {
     vec![
-        Box::new(GateKeeperGpuFilter::new(e)),
-        Box::new(GateKeeperFpgaFilter::new(e)),
-        Box::new(ShdFilter::new(e)),
+        Box::new(GateKeeperFilter::gpu(e)),
+        Box::new(GateKeeperFilter::fpga(e)),
+        Box::new(GateKeeperFilter::shd(e)),
         Box::new(SneakySnakeFilter::new(e)),
     ]
 }
@@ -110,7 +109,7 @@ proptest! {
     fn gatekeeper_gpu_has_no_false_rejects((read, reference) in edited_pair(100, 8), e in 0u32..=10) {
         let truth = edit_distance(&read, &reference);
         if truth <= e {
-            let decision = GateKeeperGpuFilter::new(e).filter_pair(&read, &reference);
+            let decision = GateKeeperFilter::gpu(e).filter_pair(&read, &reference);
             prop_assert!(decision.accepted, "truth = {truth}, e = {e}");
         }
     }
@@ -120,7 +119,7 @@ proptest! {
     fn no_false_rejects_at_longer_read_lengths((read, reference) in edited_pair(250, 12), e in 0u32..=25) {
         let truth = edit_distance(&read, &reference);
         if truth <= e {
-            let decision = GateKeeperGpuFilter::new(e).filter_pair(&read, &reference);
+            let decision = GateKeeperFilter::gpu(e).filter_pair(&read, &reference);
             prop_assert!(decision.accepted, "truth = {truth}, e = {e}");
         }
     }
@@ -140,9 +139,9 @@ proptest! {
     #[test]
     fn exact_matches_always_pass(reference in dna(100), e in 0u32..=10) {
         let filters: Vec<Box<dyn PreAlignmentFilter>> = vec![
-            Box::new(GateKeeperGpuFilter::new(e)),
-            Box::new(GateKeeperFpgaFilter::new(e)),
-            Box::new(ShdFilter::new(e)),
+            Box::new(GateKeeperFilter::gpu(e)),
+            Box::new(GateKeeperFilter::fpga(e)),
+            Box::new(GateKeeperFilter::shd(e)),
             Box::new(MagnetFilter::new(e)),
             Box::new(SneakySnakeFilter::new(e)),
         ];
@@ -159,8 +158,8 @@ proptest! {
     /// every larger threshold.
     #[test]
     fn gatekeeper_acceptance_is_monotone_in_threshold((read, reference) in edited_pair(100, 10), e in 0u32..=8) {
-        let at_e = GateKeeperGpuFilter::new(e).filter_pair(&read, &reference).accepted;
-        let at_e_plus = GateKeeperGpuFilter::new(e + 2).filter_pair(&read, &reference).accepted;
+        let at_e = GateKeeperFilter::gpu(e).filter_pair(&read, &reference).accepted;
+        let at_e_plus = GateKeeperFilter::gpu(e + 2).filter_pair(&read, &reference).accepted;
         if at_e {
             prop_assert!(at_e_plus, "accepted at e = {e} but rejected at e = {}", e + 2);
         }
@@ -169,8 +168,8 @@ proptest! {
     /// SHD and GateKeeper-FPGA implement the same algorithm and must agree.
     #[test]
     fn shd_equals_gatekeeper_fpga((read, reference) in edited_pair(150, 10), e in 0u32..=15) {
-        let shd = ShdFilter::new(e).filter_pair(&read, &reference);
-        let fpga = GateKeeperFpgaFilter::new(e).filter_pair(&read, &reference);
+        let shd = GateKeeperFilter::shd(e).filter_pair(&read, &reference);
+        let fpga = GateKeeperFilter::fpga(e).filter_pair(&read, &reference);
         prop_assert_eq!(shd.accepted, fpga.accepted);
         prop_assert_eq!(shd.estimated_edits, fpga.estimated_edits);
     }
@@ -223,7 +222,7 @@ proptest! {
     /// The filter decision only depends on the pair contents (purity / determinism).
     #[test]
     fn decisions_are_deterministic((read, reference) in edited_pair(100, 6), e in 0u32..=10) {
-        let filter = GateKeeperGpuFilter::new(e);
+        let filter = GateKeeperFilter::gpu(e);
         let a = filter.filter_pair(&read, &reference);
         let b = filter.filter_pair(&read, &reference);
         prop_assert_eq!(a, b);
@@ -242,7 +241,7 @@ proptest! {
             .into_iter()
             .map(|(read, reference)| SequencePair::new(read, reference))
             .collect();
-        let filter = GateKeeperGpuFilter::new(e);
+        let filter = GateKeeperFilter::gpu(e);
         let whole = filter.filter_batch(&pairs);
         let chunked: Vec<_> = pairs
             .par_chunks(chunk_size)
@@ -546,7 +545,7 @@ proptest! {
             prop_assert_eq!(&lanes, &scalar, "e = {}", e);
             // The GateKeeper filters take their mode from `GK_SIMD`; the CI
             // scalar leg reruns this suite with `GK_SIMD=scalar`.
-            let filter = GateKeeperGpuFilter::with_config(config);
+            let filter = GateKeeperFilter::with_config(config);
             for (&(read, reference), block) in slices.iter().zip(&lanes) {
                 prop_assert_eq!(filter.filter_pair(read, reference), *block, "e = {}", e);
             }
@@ -576,12 +575,17 @@ proptest! {
             .map(|(r, f)| (PackedSeq::from_ascii(r), PackedSeq::from_ascii(f)))
             .collect();
         let refs: Vec<(&PackedSeq, &PackedSeq)> = packed.iter().map(|(r, f)| (r, f)).collect();
-        let from_packed = SoaGroup::from_packed(&refs).expect("eligible group");
+        // The packed group reuses a scratch that held a longer all-`T` group,
+        // so the dirt checks below also cover the buffer reset.
+        let mut packed_group = SoaGroup::scratch();
+        let dirt = PackedSeq::from_ascii(&[b'T'; 96]);
+        prop_assert!(packed_group.encode_packed_into(&[(&dirt, &dirt); 4]));
+        prop_assert!(packed_group.encode_packed_into(&refs), "eligible group");
 
         prop_assert_eq!(from_ascii.len, len);
-        prop_assert_eq!(from_packed.len, len);
+        prop_assert_eq!(packed_group.len, len);
         prop_assert_eq!(from_ascii.lanes, cut.len());
-        prop_assert_eq!(from_packed.lanes, cut.len());
+        prop_assert_eq!(packed_group.lanes, cut.len());
 
         let code_at = |rows: &[[u64; 4]], lane: usize, i: usize| -> u64 {
             (rows[i / 32][lane] >> (2 * (i % 32))) & 3
@@ -599,17 +603,17 @@ proptest! {
                 );
                 // Packed path: the paper's A=00, C=01, G=10, T=11 coding.
                 prop_assert_eq!(
-                    code_at(&from_packed.read_words, lane, i),
+                    code_at(&packed_group.read_words, lane, i),
                     u64::from(gk_seq::Base::from_ascii(read[i]).code().unwrap())
                 );
                 prop_assert_eq!(
-                    code_at(&from_packed.ref_words, lane, i),
+                    code_at(&packed_group.ref_words, lane, i),
                     u64::from(gk_seq::Base::from_ascii(reference[i]).code().unwrap())
                 );
             }
         }
         // Bases past `len` and the spare row must be zero in both layouts.
-        for group in [&from_ascii, &from_packed] {
+        for group in [&from_ascii, &packed_group] {
             for rows in [&group.read_words, &group.ref_words] {
                 for lane in 0..group.lanes {
                     for i in len..rows.len() * 32 {

@@ -26,11 +26,10 @@
 //!   so that every accuracy table and figure can be regenerated without access to
 //!   the original read archives.
 //! * [`raw`] — the raw 1-byte-per-base transfer representation of the
-//!   device-side encoding path: flat stride-addressed arenas with zero-copy
-//!   pair-granular slicing, as a `cudaMemcpy` of unencoded reads would move.
+//!   device-side encoding path: flat stride-addressed arenas read pair by
+//!   pair, as a `cudaMemcpy` of unencoded reads would move.
 //! * [`stream`] — streaming pair sources: deterministic iterators of pair
-//!   batches (optionally raw-gathered), so 30-million-pair runs never
-//!   materialize a full set.
+//!   batches, so 30-million-pair runs never materialize a full set.
 //! * [`frame`] — the length-prefixed binary wire format of the `gk-serve`
 //!   filter service: request/cancel/response frames and the packed decision
 //!   words clients receive.
@@ -52,7 +51,7 @@ pub mod stream;
 pub use alphabet::{complement, decode_base, encode_base, is_valid_base, normalize_sequence, Base};
 pub use packed::PackedSeq;
 pub use pairs::{encode_pair_batch, PairSet, SequencePair};
-pub use raw::{RawPairBatch, RawPairBatches, RawPairSlice};
+pub use raw::RawPairBatch;
 pub use reference::{Reference, ReferenceBuilder};
 pub use simulate::{ErrorProfile, ReadSimulator, SimulatedRead};
 pub use stream::PairBatches;

@@ -173,21 +173,56 @@ impl SoaGroup {
     /// identical; returns `false` — leaving `self` unspecified — when the
     /// group is not lane-eligible.
     pub fn encode_slices_into(&mut self, pairs: &[(&[u8], &[u8])]) -> bool {
-        let lanes = pairs.len();
-        if lanes == 0 || lanes > SOA_LANES {
+        let shape = pairs.iter().map(|(read, reference)| {
+            let undefined = has_undefined(read) || has_undefined(reference);
+            (read.len(), reference.len(), undefined)
+        });
+        if !self.reset(shape) {
             return false;
         }
-        let len = pairs[0].0.len();
-        if len == 0 {
+        for (lane, (read, reference)) in pairs.iter().enumerate() {
+            pack_ascii_lane(read, lane, &mut self.read_words);
+            pack_ascii_lane(reference, lane, &mut self.ref_words);
+        }
+        true
+    }
+
+    /// The packed twin of [`SoaGroup::encode_slices_into`]: re-encodes up to
+    /// [`SOA_LANES`] already-packed pairs into `self`, reversing each `u32`'s
+    /// MSB-first 2-bit fields into the LSB-first lane order. Eligibility and
+    /// the `false` return are the same as the ASCII twin's.
+    pub fn encode_packed_into(&mut self, pairs: &[(&PackedSeq, &PackedSeq)]) -> bool {
+        let shape = pairs.iter().map(|(read, reference)| {
+            let undefined = read.is_undefined() || reference.is_undefined();
+            (read.len(), reference.len(), undefined)
+        });
+        if !self.reset(shape) {
             return false;
         }
-        for (read, reference) in pairs {
-            if read.len() != len || reference.len() != len {
-                return false;
-            }
-            if has_undefined(read) || has_undefined(reference) {
-                return false;
-            }
+        for (lane, (read, reference)) in pairs.iter().enumerate() {
+            pack_words_lane(read.words(), lane, &mut self.read_words);
+            pack_words_lane(reference.words(), lane, &mut self.ref_words);
+        }
+        true
+    }
+
+    /// Checks a candidate group from each pair's `(read length, reference
+    /// length, undefined)`: 1..=[`SOA_LANES`] pairs, every sequence as long
+    /// as the first read, that length nonzero, no pair undefined. On success
+    /// sizes the group and zeroes its rows, which the lane packers OR into.
+    fn reset(&mut self, mut shape: impl ExactSizeIterator<Item = (usize, usize, bool)>) -> bool {
+        let lanes = shape.len();
+        let Some((len, first_ref_len, first_undefined)) = shape.next() else {
+            return false;
+        };
+        if lanes > SOA_LANES
+            || len == 0
+            || first_ref_len != len
+            || first_undefined
+            || shape
+                .any(|(read, reference, undefined)| read != len || reference != len || undefined)
+        {
+            return false;
         }
         let rows = len.div_ceil(SOA_BASES_PER_WORD) + 1;
         self.len = len;
@@ -196,47 +231,7 @@ impl SoaGroup {
         self.read_words.resize(rows, [0u64; SOA_LANES]);
         self.ref_words.clear();
         self.ref_words.resize(rows, [0u64; SOA_LANES]);
-        for (lane, (read, reference)) in pairs.iter().enumerate() {
-            pack_ascii_lane(read, lane, &mut self.read_words);
-            pack_ascii_lane(reference, lane, &mut self.ref_words);
-        }
         true
-    }
-
-    /// Transposes up to [`SOA_LANES`] already-packed pairs into the lane
-    /// layout, reversing each `u32`'s MSB-first 2-bit fields into the
-    /// LSB-first lane order. Eligibility mirrors [`SoaGroup::encode_slices`]:
-    /// uniform nonzero length and no undefined sequences.
-    pub fn from_packed(pairs: &[(&PackedSeq, &PackedSeq)]) -> Option<SoaGroup> {
-        let lanes = pairs.len();
-        if lanes == 0 || lanes > SOA_LANES {
-            return None;
-        }
-        let len = pairs[0].0.len();
-        if len == 0 {
-            return None;
-        }
-        for (read, reference) in pairs {
-            if read.len() != len || reference.len() != len {
-                return None;
-            }
-            if read.is_undefined() || reference.is_undefined() {
-                return None;
-            }
-        }
-        let rows = len.div_ceil(SOA_BASES_PER_WORD) + 1;
-        let mut read_words = vec![[0u64; SOA_LANES]; rows];
-        let mut ref_words = vec![[0u64; SOA_LANES]; rows];
-        for (lane, (read, reference)) in pairs.iter().enumerate() {
-            pack_words_lane(read.words(), lane, &mut read_words);
-            pack_words_lane(reference.words(), lane, &mut ref_words);
-        }
-        Some(SoaGroup {
-            len,
-            lanes,
-            read_words,
-            ref_words,
-        })
     }
 
     /// Number of meaningful (non-spare) 64-bit words per sequence.
@@ -312,6 +307,39 @@ mod tests {
 
     fn pair(read: &[u8], reference: &[u8]) -> SequencePair {
         SequencePair::new(read.to_vec(), reference.to_vec())
+    }
+
+    /// Both lane encoders reject the same shapes: no pairs, more pairs than
+    /// lanes, zero length, a ragged pair, lengths differing across lanes and
+    /// an undefined base.
+    #[test]
+    fn lane_encoders_reject_ineligible_groups() {
+        fn seqs(pairs: &[(&'static str, &'static str)]) -> Vec<(&'static [u8], &'static [u8])> {
+            pairs
+                .iter()
+                .map(|(r, s)| (r.as_bytes(), s.as_bytes()))
+                .collect()
+        }
+        let rejected = [
+            seqs(&[]),
+            seqs(&[("ACGT", "ACGT"); SOA_LANES + 1]),
+            seqs(&[("", "")]),
+            seqs(&[("ACGT", "ACG")]),
+            seqs(&[("ACGT", "ACGT"), ("ACGTA", "ACGTA")]),
+            seqs(&[("ACGT", "ACGT"), ("ACGT", "ACNT")]),
+        ];
+        let mut group = SoaGroup::scratch();
+        for pairs in &rejected {
+            assert!(!group.encode_slices_into(pairs), "{pairs:?}");
+            let packed: Vec<(PackedSeq, PackedSeq)> = pairs
+                .iter()
+                .map(|(r, s)| (PackedSeq::from_ascii(r), PackedSeq::from_ascii(s)))
+                .collect();
+            let refs: Vec<(&PackedSeq, &PackedSeq)> = packed.iter().map(|(r, s)| (r, s)).collect();
+            assert!(!group.encode_packed_into(&refs), "{pairs:?}");
+        }
+        assert!(group.encode_slices_into(&seqs(&[("ACGT", "acgt"); SOA_LANES])));
+        assert_eq!((group.len, group.lanes), (4, SOA_LANES));
     }
 
     #[test]

@@ -43,14 +43,6 @@ impl PairBatches {
     pub fn read_len(&self) -> usize {
         self.profile.read_len
     }
-
-    /// Adapts the source into an iterator of raw transfer batches
-    /// ([`crate::raw::RawPairBatch`]) — the device-encoding layout: the host
-    /// gathers each batch into flat 1-byte-per-base arenas but leaves the
-    /// 2-bit packing to the kernel.
-    pub fn raw(self) -> crate::raw::RawPairBatches<PairBatches> {
-        crate::raw::RawPairBatches::new(self)
-    }
 }
 
 impl Iterator for PairBatches {

@@ -7,8 +7,7 @@ use gatekeeper_gpu::filters::accuracy::{
     evaluate_with_truth, ground_truth_distances, UndefinedPolicy,
 };
 use gatekeeper_gpu::filters::{
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter,
-    SneakySnakeFilter,
+    GateKeeperFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter, SneakySnakeFilter,
 };
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
 
@@ -22,8 +21,8 @@ fn main() {
 
     let truth = ground_truth_distances(&pairs);
     let filters: Vec<Box<dyn PreAlignmentFilter>> = vec![
-        Box::new(GateKeeperGpuFilter::new(threshold)),
-        Box::new(GateKeeperFpgaFilter::new(threshold)),
+        Box::new(GateKeeperFilter::gpu(threshold)),
+        Box::new(GateKeeperFilter::fpga(threshold)),
         Box::new(ShoujiFilter::new(threshold)),
         Box::new(MagnetFilter::new(threshold)),
         Box::new(SneakySnakeFilter::new(threshold)),

@@ -4,9 +4,7 @@
 use gatekeeper_gpu::filters::accuracy::{
     evaluate_with_truth, ground_truth_distances, UndefinedPolicy,
 };
-use gatekeeper_gpu::filters::{
-    GateKeeperFpgaFilter, GateKeeperGpuFilter, ShdFilter, ShoujiFilter, SneakySnakeFilter,
-};
+use gatekeeper_gpu::filters::{GateKeeperFilter, ShoujiFilter, SneakySnakeFilter};
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
 
 #[test]
@@ -16,19 +14,19 @@ fn accuracy_ordering_matches_the_paper_on_low_edit_100bp() {
     let e = 4;
 
     let gpu = evaluate_with_truth(
-        &GateKeeperGpuFilter::new(e),
+        &GateKeeperFilter::gpu(e),
         &pairs,
         &truth,
         UndefinedPolicy::CountAsAccepted,
     );
     let fpga = evaluate_with_truth(
-        &GateKeeperFpgaFilter::new(e),
+        &GateKeeperFilter::fpga(e),
         &pairs,
         &truth,
         UndefinedPolicy::CountAsAccepted,
     );
     let shd = evaluate_with_truth(
-        &ShdFilter::new(e),
+        &GateKeeperFilter::shd(e),
         &pairs,
         &truth,
         UndefinedPolicy::CountAsAccepted,
@@ -69,7 +67,7 @@ fn gatekeeper_gpu_never_false_rejects_across_read_lengths_and_thresholds() {
         let truth = ground_truth_distances(&pairs);
         for &e in &thresholds {
             let report = evaluate_with_truth(
-                &GateKeeperGpuFilter::new(e),
+                &GateKeeperFilter::gpu(e),
                 &pairs,
                 &truth,
                 UndefinedPolicy::Exclude,
@@ -91,7 +89,7 @@ fn true_reject_rate_is_high_at_small_thresholds_and_decays_with_e() {
     let mut rates = Vec::new();
     for e in [1u32, 3, 5, 8, 10] {
         let report = evaluate_with_truth(
-            &GateKeeperGpuFilter::new(e),
+            &GateKeeperFilter::gpu(e),
             &pairs,
             &truth,
             UndefinedPolicy::Exclude,
@@ -111,7 +109,7 @@ fn high_edit_profiles_are_rejected_almost_entirely_at_low_thresholds() {
     let pairs = DatasetProfile::set4().generate(4_000, 17);
     let truth = ground_truth_distances(&pairs);
     let report = evaluate_with_truth(
-        &GateKeeperGpuFilter::new(2),
+        &GateKeeperFilter::gpu(2),
         &pairs,
         &truth,
         UndefinedPolicy::Exclude,

@@ -3,7 +3,7 @@
 //! verification — the paper's whole-genome workflow end to end.
 
 use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperCpu, GateKeeperGpu};
-use gatekeeper_gpu::filters::{GateKeeperGpuFilter, PreAlignmentFilter, SneakySnakeFilter};
+use gatekeeper_gpu::filters::{GateKeeperFilter, PreAlignmentFilter, SneakySnakeFilter};
 use gatekeeper_gpu::gpusim::DeviceSpec;
 use gatekeeper_gpu::mapper::{MapperConfig, PreFilter, ReadMapper};
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
@@ -53,7 +53,7 @@ fn gpu_cpu_and_host_filter_agree_on_every_decision() {
 
     let cpu_run = GateKeeperCpu::new(threshold, 2).filter_set(&pairs);
 
-    let host_filter = GateKeeperGpuFilter::new(threshold);
+    let host_filter = GateKeeperFilter::gpu(threshold);
     for ((pair, gpu_decision), cpu_decision) in pairs
         .pairs
         .iter()

@@ -19,7 +19,7 @@ use gatekeeper_gpu::core::cpu::GateKeeperCpu;
 use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperGpu};
 use gatekeeper_gpu::filters::accuracy::{evaluate_filter, ground_truth_distances, UndefinedPolicy};
 use gatekeeper_gpu::filters::{
-    GateKeeperGpuFilter, PreAlignmentFilter, ShdFilter, SneakySnakeFilter,
+    GateKeeperFilter, MagnetFilter, PreAlignmentFilter, ShoujiFilter, SneakySnakeFilter,
 };
 use gatekeeper_gpu::gpusim::device::DeviceSpec;
 use gatekeeper_gpu::gpusim::executor::{
@@ -195,8 +195,8 @@ fn accuracy_sweep_is_identical_to_sequential() {
         assert_eq!(parallel_truth, fallback_truth, "seed {seed}");
 
         let filters: Vec<Box<dyn PreAlignmentFilter>> = vec![
-            Box::new(GateKeeperGpuFilter::new(4)),
-            Box::new(ShdFilter::new(4)),
+            Box::new(GateKeeperFilter::gpu(4)),
+            Box::new(GateKeeperFilter::shd(4)),
             Box::new(SneakySnakeFilter::new(4)),
         ];
         for filter in &filters {
@@ -214,14 +214,56 @@ fn accuracy_sweep_is_identical_to_sequential() {
     }
 }
 
+/// Every `PreAlignmentFilter` impl, at batch sizes on both sides of the
+/// 256-pair lane block and with ragged, empty, `N` and lowercase pairs mixed
+/// in: the batch equals the one-thread batch and the per-pair decisions.
 #[test]
 fn filter_batch_is_identical_to_sequential() {
+    let filters: Vec<Box<dyn PreAlignmentFilter>> = vec![
+        Box::new(GateKeeperFilter::gpu(5)),
+        Box::new(GateKeeperFilter::fpga(5)),
+        Box::new(GateKeeperFilter::shd(5)),
+        Box::new(MagnetFilter::new(5)),
+        Box::new(ShoujiFilter::new(5)),
+        Box::new(SneakySnakeFilter::new(5)),
+        Box::new(GateKeeperGpu::with_default_device(FilterConfig::new(
+            100, 5,
+        ))),
+    ];
     for seed in SEEDS {
-        let pairs = DatasetProfile::low_edit(100).generate(900, seed);
-        let filter = GateKeeperGpuFilter::new(5);
-        let parallel = filter.filter_batch(&pairs.pairs);
-        let fallback = sequential(|| filter.filter_batch(&pairs.pairs));
-        assert_eq!(parallel, fallback, "seed {seed}");
+        let mut pairs = DatasetProfile::low_edit(100).generate(771, seed).pairs;
+        for (i, pair) in pairs.iter_mut().enumerate() {
+            match i % 9 {
+                1 => {
+                    pair.read.pop();
+                }
+                3 => pair.read[i % 90] = b'N',
+                5 => pair.read.make_ascii_lowercase(),
+                7 => {
+                    pair.read.make_ascii_lowercase();
+                    pair.reference.make_ascii_lowercase();
+                }
+                _ if i % 97 == 0 => {
+                    pair.read.clear();
+                    pair.reference.clear();
+                }
+                _ => {}
+            }
+        }
+        for filter in &filters {
+            for n in [0, 1, 255, 256, 257, 771] {
+                let batch = &pairs[..n];
+                let parallel = filter.filter_batch(batch);
+                let fallback = sequential(|| filter.filter_batch(batch));
+                let per_pair: Vec<_> = batch
+                    .iter()
+                    .map(|p| filter.filter_pair(&p.read, &p.reference))
+                    .collect();
+                let context = format!("seed {seed}, filter {}, {n} pairs", filter.name());
+                assert_eq!(parallel, fallback, "{context}");
+                assert_eq!(parallel, per_pair, "{context}");
+            }
+        }
     }
 }
 
