@@ -2,10 +2,10 @@
 //! devices.
 //!
 //! This is the Rust analogue of the CUDA host code the paper describes in §3:
-//! the host gathers (read, candidate reference segment) pairs into maximal batches
-//! (§3.1), places the buffers in unified memory with device-preferred advice and
-//! asynchronous prefetching (§3.2/§3.4), launches one kernel per batch with one
-//! filtration per thread, and reads the accept/reject bit plus the approximate edit
+//! the host gathers (read, candidate reference segment) pairs into maximal
+//! batches (§3.1), places the buffers in unified memory with asynchronous
+//! prefetching (§3.2/§3.4), launches one kernel per batch with one filtration
+//! per thread, and reads the accept/reject bit plus the approximate edit
 //! distance back from the result buffer (§3.5).
 //!
 //! [`GateKeeperGpu`] runs over a non-empty device list. One device is the
@@ -54,18 +54,17 @@
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
 use crate::multi_gpu::MultiGpuSchedule;
-use crate::pipeline::{
-    ChunkPlan, ChunkStageSeconds, PipelineReport, PipelineSchedule, StreamFilterRun,
-};
+use crate::pipeline::{ChunkPlan, PipelineReport, StreamFilterRun};
 use crate::timing::{InterconnectReport, TimingBreakdown};
 use gk_filters::gatekeeper::GateKeeperConfig;
 use gk_filters::simd::{
     filter_blocks, gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode,
 };
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
+use gk_gpusim::clock::{ChunkStageSeconds, PipelineClock};
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::executor::{launch_kernel, KernelResources, ThreadReport};
-use gk_gpusim::memory::{MemAdvise, MemoryStats, UnifiedMemory, PAGE_SIZE};
+use gk_gpusim::memory::{MemoryStats, UnifiedMemory, PAGE_SIZE};
 use gk_gpusim::power::PowerReport;
 use gk_gpusim::profiler::Profiler;
 use gk_gpusim::topology::ChunkLoad;
@@ -318,16 +317,18 @@ impl GateKeeperGpu {
                 .ranges
                 .iter()
                 .flat_map(|&(start, end)| start..end);
-            let mut sink = |_: &[SequencePair], chunk: Vec<FilterDecision>| {
+            let mut chunk_loads = Vec::new();
+            let mut sink = |_: &[SequencePair], chunk: Vec<FilterDecision>, load: ChunkLoad| {
                 // The chunk drives the zip, so no slot is drawn past its end.
                 for (decision, slot) in chunk.into_iter().zip(slots.by_ref()) {
                     decisions[slot] = decision;
                 }
+                chunk_loads.push(load);
             };
             for &(start, end) in &assignment.ranges {
                 engine.feed(&pairs[start..end], &mut sink);
             }
-            per_device.push(engine.finish());
+            per_device.push(engine.finish(chunk_loads));
         }
         (decisions, per_device)
     }
@@ -356,18 +357,19 @@ impl GateKeeperGpu {
         let mut pairs = 0usize;
         let mut accepted = 0usize;
         let mut undefined = 0usize;
-        let mut counting_sink = |chunk: &[SequencePair], chunk_decisions: Vec<FilterDecision>| {
-            pairs += chunk_decisions.len();
-            accepted += chunk_decisions.iter().filter(|d| d.accepted).count();
-            undefined += chunk_decisions.iter().filter(|d| d.undefined).count();
-            sink(chunk, &chunk_decisions);
-        };
+        // The per-chunk loads are dropped as they come: the streaming entry
+        // point promises bounded memory regardless of stream length.
+        let mut counting_sink =
+            |chunk: &[SequencePair], chunk_decisions: Vec<FilterDecision>, _: ChunkLoad| {
+                pairs += chunk_decisions.len();
+                accepted += chunk_decisions.iter().filter(|d| d.accepted).count();
+                undefined += chunk_decisions.iter().filter(|d| d.undefined).count();
+                sink(chunk, &chunk_decisions);
+            };
         for batch in batches {
             engine.feed(&batch, &mut counting_sink);
         }
-        // The per-chunk loads are dropped here on purpose: the streaming entry
-        // point promises bounded memory regardless of stream length.
-        let run = engine.finish();
+        let run = engine.finish(Vec::new());
         StreamFilterRun {
             pairs,
             accepted,
@@ -442,16 +444,11 @@ impl DevicePipeline<'_> {
             .alloc(result_bytes)
             .expect("result buffer allocation failed");
 
-        // memAdvise + asynchronous prefetch (§3.4; the CUDA host code puts
-        // each buffer's prefetch on its own stream). The PCIe link is shared,
-        // so the modelled transfer cost is the sum of the per-buffer
-        // prefetches.
-        memory
-            .mem_advise(reads_buffer, MemAdvise::PreferredLocationDevice)
-            .expect("valid buffer");
-        memory
-            .mem_advise(refs_buffer, MemAdvise::PreferredLocationDevice)
-            .expect("valid buffer");
+        // Asynchronous prefetch (§3.4; the CUDA host code puts each buffer's
+        // prefetch on its own stream). The host code also advises the device
+        // as the buffers' preferred location; that advice has no modelled
+        // cost, so it is not simulated. The PCIe link is shared, so the
+        // modelled transfer cost is the sum of the per-buffer prefetches.
         let mut prefetch_seconds = 0.0;
         // Per-buffer page-rounded prefetch traffic, captured for the multi-GPU
         // contention replay. The buffers are freshly allocated fully
@@ -625,21 +622,20 @@ fn prep_stage(batch: &[SequencePair], config: &FilterConfig) -> (ChunkData, f64,
 }
 
 /// Stateful chunked execution of one filtering run on one device: owns the
-/// unified-memory arena, the profiler and the pipeline schedule, and is fed
-/// pair slices in input order by the `filter_*` entry points. Each chunk runs
+/// unified-memory arena, the profiler and the pipeline clock, and is fed pair
+/// slices in input order by the `filter_*` entry points. Each chunk runs
 /// prep, device stage and sink one after another on the calling thread; the
 /// stage work inside (`encode_pair_batch`, the lane kernel) fans out on the
-/// worker pool.
+/// worker pool. Its state does not grow with the chunk count.
 struct PipelineEngine<'g> {
     pipeline: DevicePipeline<'g>,
     plan: ChunkPlan,
     memory: UnifiedMemory,
     profiler: Profiler,
-    schedule: PipelineSchedule,
+    clock: PipelineClock,
+    /// The chunks' stage durations summed in recording order.
+    serialized_seconds: f64,
     timing: TimingBreakdown,
-    /// One [`ChunkLoad`] per completed chunk, in pipeline order, for the
-    /// multi-GPU contention replay.
-    chunk_loads: Vec<ChunkLoad>,
     wall_start: Instant,
 }
 
@@ -649,23 +645,23 @@ impl<'g> PipelineEngine<'g> {
             plan: pipeline.chunk_plan(),
             memory: UnifiedMemory::new(pipeline.device.clone()),
             profiler: Profiler::new(pipeline.device.clone()),
-            schedule: PipelineSchedule::new(),
+            clock: PipelineClock::new(),
+            serialized_seconds: 0.0,
             timing: TimingBreakdown::default(),
-            chunk_loads: Vec::new(),
             wall_start: Instant::now(),
             pipeline,
         }
     }
 
     /// Cuts `pairs` into plan-sized chunks and runs each through the three
-    /// stages, handing every chunk's decisions to `sink` in input order, and
-    /// records its stages on the simulated timeline. One prep per chunk in
-    /// both encode modes: a whole-slice raw arena would copy exactly the same
-    /// bytes while holding the entire fed slice live, breaking the
-    /// bounded-memory contract for big materialized sets.
+    /// stages, records its stages on the pipeline clock, and hands every
+    /// chunk's decisions and [`ChunkLoad`] to `sink` in input order. One prep
+    /// per chunk in both encode modes: a whole-slice raw arena would copy
+    /// exactly the same bytes while holding the entire fed slice live,
+    /// breaking the bounded-memory contract for big materialized sets.
     fn feed<F>(&mut self, pairs: &[SequencePair], sink: &mut F)
     where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
+        F: FnMut(&[SequencePair], Vec<FilterDecision>, ChunkLoad),
     {
         for chunk in pairs.chunks(self.plan.chunk_pairs.max(1)) {
             let (input, host_prep_seconds, encode_seconds) =
@@ -683,51 +679,51 @@ impl<'g> PipelineEngine<'g> {
                 kernel_seconds: device.fault_seconds + device.kernel_seconds,
                 d2h_seconds: device.readback_seconds,
             };
-            self.schedule.record_chunk(&stages);
-            self.chunk_loads.push(ChunkLoad {
+            self.clock.record(&stages, &mut self.serialized_seconds);
+            let load = ChunkLoad {
                 host_seconds: host_prep_seconds + encode_seconds,
                 h2d_bytes: device.h2d_bytes,
                 kernel_seconds: device.fault_seconds + device.kernel_seconds,
                 d2h_bytes: device.d2h_bytes,
-            });
+            };
             self.timing.host_prep_seconds += host_prep_seconds;
             self.timing.encode_seconds += encode_seconds;
             self.timing.encode_device_seconds += device.encode_device_seconds;
             self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
             self.timing.kernel_seconds += device.kernel_seconds;
             self.timing.readback_seconds += device.readback_seconds;
-            sink(chunk, device.decisions);
+            sink(chunk, device.decisions, load);
         }
     }
 
     /// Closes the run: the overlapped makespan, the measured wall clock, the
-    /// pipeline report and the profiler/memory aggregates.
-    fn finish(mut self) -> DeviceRun {
+    /// pipeline report and the profiler/memory aggregates. `chunk_loads` are
+    /// the loads the caller kept from `feed`, if any.
+    fn finish(mut self, chunk_loads: Vec<ChunkLoad>) -> DeviceRun {
         let config = self.pipeline.config;
-        if config.overlap && self.schedule.chunks() > 0 {
-            self.timing.overlapped_seconds = Some(self.schedule.overlapped_seconds());
+        if config.overlap && self.clock.chunks() > 0 {
+            self.timing.overlapped_seconds = Some(self.clock.makespan());
         }
         self.timing.host_wall_seconds = self.wall_start.elapsed().as_secs_f64();
         DeviceRun {
             timing: self.timing,
-            batches: self.schedule.chunks(),
+            batches: self.clock.chunks(),
             memory_stats: self.memory.stats(),
             achieved_occupancy: self.profiler.average_achieved_occupancy(),
-            theoretical_occupancy: self
-                .profiler
-                .profiles()
-                .first()
-                .map(|p| p.stats.theoretical_occupancy)
-                .unwrap_or(0.0),
+            theoretical_occupancy: self.profiler.theoretical_occupancy(),
             warp_execution_efficiency: self.profiler.average_warp_execution_efficiency(),
             sm_efficiency: self.profiler.average_sm_efficiency(),
             power: self.profiler.aggregate_power(),
-            pipeline: self.schedule.report(
-                self.plan.chunk_pairs,
-                config.overlap,
-                config.encoding == EncodingActor::Device,
-            ),
-            chunk_loads: self.chunk_loads,
+            pipeline: PipelineReport {
+                chunks: self.clock.chunks(),
+                chunk_pairs: self.plan.chunk_pairs,
+                overlap: config.overlap,
+                overlapped_seconds: self.clock.makespan(),
+                serialized_seconds: self.serialized_seconds,
+                device_encode: config.encoding == EncodingActor::Device,
+                timing_anomalies: self.clock.anomalies(),
+            },
+            chunk_loads,
         }
     }
 }

@@ -7,12 +7,12 @@
 //!   encoding actor) and the system-configuration step of §3.1 that sizes batches
 //!   from the device's free global memory.
 //! * [`gpu`] — [`gpu::GateKeeperGpu`]: batched filtering on a list of simulated
-//!   devices, one being the plain case (unified-memory buffers, memAdvise +
-//!   prefetch, one filtration per thread, kernel/filter time split, host- or
-//!   device-side encoding).
-//! * [`pipeline`] — the chunked, triple-buffered batch pipeline: chunk planning,
-//!   the stream-overlap scheduler (encode+H2D next chunk ∥ kernel current chunk ∥
-//!   D2H previous chunk), and overlapped-versus-serialized reporting.
+//!   devices, one being the plain case (unified-memory buffers with prefetch,
+//!   one filtration per thread, kernel/filter time split, host- or device-side
+//!   encoding), timed on `gk-gpusim`'s pipeline clock (encode+H2D next chunk ∥
+//!   kernel current chunk ∥ D2H previous chunk).
+//! * [`pipeline`] — the chunked, triple-buffered batch pipeline: chunk planning
+//!   and overlapped-versus-serialized reporting.
 //! * [`multi_gpu`] — how [`gpu::GateKeeperGpu`] shards a run across its
 //!   devices: round-robin chunk sharding with the paper's timing conventions,
 //!   and the topology-aware scheduler that weights shares, picks each device's
@@ -45,7 +45,5 @@ pub use config::{EncodingActor, FilterConfig, SystemConfig};
 pub use cpu::{CpuFilterRun, GateKeeperCpu};
 pub use gpu::{DeviceRun, FilterRun, GateKeeperGpu};
 pub use multi_gpu::{DeviceAssignment, MultiGpuSchedule};
-pub use pipeline::{
-    ChunkPlan, PipelineReport, PipelineSchedule, StreamFilterRun, MIN_CONTENDED_CHUNK_PAIRS,
-};
+pub use pipeline::{ChunkPlan, PipelineReport, StreamFilterRun, MIN_CONTENDED_CHUNK_PAIRS};
 pub use timing::{billions_in_40_minutes, pairs_per_second, InterconnectReport, TimingBreakdown};

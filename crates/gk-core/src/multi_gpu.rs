@@ -43,7 +43,7 @@ use crate::config::{EncodingActor, FilterConfig};
 use crate::gpu::{
     pair_cycles, DeviceRun, GateKeeperGpu, HOST_ENCODE_BASES_PER_SECOND, HOST_PREP_SECONDS_PER_PAIR,
 };
-use crate::pipeline::{ChunkPlan, BUFFER_SLOTS};
+use crate::pipeline::ChunkPlan;
 use crate::timing::InterconnectReport;
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::topology::{simulate_contended, weighted_partition, ChunkLoad, Topology};
@@ -87,8 +87,8 @@ impl MultiGpuSchedule {
         self.assignments.iter().map(|a| a.pairs()).sum()
     }
 
-    /// Replays the devices' exact per-chunk loads through the contended
-    /// timeline (this schedule's topology) and its private-link twin.
+    /// Replays the devices' exact per-chunk loads over this schedule's
+    /// topology and over its private-link twin.
     pub(crate) fn replay(&self, per_device: &[DeviceRun]) -> InterconnectReport {
         let loads: Vec<Vec<ChunkLoad>> = per_device
             .iter()
@@ -97,8 +97,8 @@ impl MultiGpuSchedule {
         InterconnectReport {
             topology: self.topology.label().to_string(),
             aware: self.aware,
-            contended: simulate_contended(&self.topology, &loads, BUFFER_SLOTS),
-            uncontended: simulate_contended(&self.topology.to_independent(), &loads, BUFFER_SLOTS),
+            contended: simulate_contended(&self.topology, &loads),
+            uncontended: simulate_contended(&self.topology.to_independent(), &loads),
         }
     }
 }

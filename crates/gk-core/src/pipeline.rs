@@ -12,11 +12,13 @@
 //!
 //! While the kernel runs chunk *i*, the host prepares, encodes and uploads chunk
 //! *i+1* and the read-back of chunk *i−1* drains — classic triple buffering with
-//! three buffer slots rotating through the stages. [`PipelineSchedule`] drives a
-//! [`Timeline`] with exactly those cross-stream dependencies and reports the
-//! overlapped makespan next to the serialized component sum; [`ChunkPlan`]
-//! resolves the chunk size from the [`FilterConfig`] knobs and the
-//! system-configuration step's batch capacity.
+//! [`BUFFER_SLOTS`] buffer slots rotating through the stages. The engine in
+//! `gk-core::gpu` records every chunk's stage durations on a
+//! [`PipelineClock`](gk_gpusim::clock::PipelineClock), which applies exactly
+//! those dependencies; [`PipelineReport`] carries its overlapped makespan next
+//! to the serialized component sum. [`ChunkPlan`] resolves the chunk size from
+//! the [`FilterConfig`] knobs and the system-configuration step's batch
+//! capacity.
 //!
 //! The types here account *simulated time* only. The engine driving them
 //! (`gk-core::gpu`) computes the chunks one after another in input order, and
@@ -26,15 +28,9 @@
 
 use crate::config::{FilterConfig, SystemConfig};
 use crate::timing::TimingBreakdown;
+use gk_gpusim::clock::BUFFER_SLOTS;
 use gk_gpusim::memory::MemoryStats;
-use gk_gpusim::stream::Event;
-use gk_gpusim::timeline::{StreamId, Timeline};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Number of buffer slots rotating through the three pipeline stages: chunk
-/// *i*'s upload may only start once chunk *i − 3*'s read-back has freed a slot.
-pub const BUFFER_SLOTS: usize = 3;
 
 /// Smallest chunk the contention-aware refinement will shrink to: below a few
 /// hundred pairs the fixed kernel-launch overhead starts to dominate whatever
@@ -118,18 +114,7 @@ impl ChunkPlan {
     }
 }
 
-/// Modelled stage durations of one chunk, as enqueued on the three streams.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ChunkStageSeconds {
-    /// Host stage: buffer preparation + encoding + asynchronous H2D prefetch.
-    pub h2d_seconds: f64,
-    /// Device stage: on-demand page faults (prefetch-less devices) + kernel.
-    pub kernel_seconds: f64,
-    /// Drain stage: result read-back to the host.
-    pub d2h_seconds: f64,
-}
-
-/// What the pipeline scheduler measured over one run.
+/// What the pipeline clock measured over one run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineReport {
     /// Chunks (= kernel launches) the run was cut into.
@@ -146,10 +131,10 @@ pub struct PipelineReport {
     /// 1-byte-per-base uploads + fused encode+filter kernel) instead of host
     /// `encode_pair_batch`.
     pub device_encode: bool,
-    /// Ill-formed simulated durations saturated to zero by the timeline (see
-    /// `gk_gpusim::stream::Stream::anomalies`). Always `0` on a healthy run;
-    /// non-zero means a release build absorbed what a debug build would have
-    /// asserted on, and the reported makespan is a lower bound.
+    /// Ill-formed simulated durations the pipeline clock clamped to zero (see
+    /// `gk_gpusim::clock::PipelineClock::anomalies`). Always `0` on a healthy
+    /// run; non-zero means a release build absorbed what a debug build would
+    /// have asserted on, and the reported makespan is a lower bound.
     pub timing_anomalies: u64,
 }
 
@@ -165,106 +150,6 @@ impl PipelineReport {
             1.0
         } else {
             self.serialized_seconds / self.overlapped_seconds
-        }
-    }
-}
-
-/// Drives a [`Timeline`] with the triple-buffered H2D / kernel / D2H dependency
-/// structure, one [`ChunkStageSeconds`] at a time.
-#[derive(Debug, Clone)]
-pub struct PipelineSchedule {
-    timeline: Timeline,
-    h2d: StreamId,
-    kernel: StreamId,
-    d2h: StreamId,
-    /// Completion events of the most recent read-backs; the front one gates the
-    /// next upload once all [`BUFFER_SLOTS`] slots are in flight.
-    drained: VecDeque<Event>,
-    chunks: usize,
-}
-
-impl Default for PipelineSchedule {
-    fn default() -> PipelineSchedule {
-        PipelineSchedule::new()
-    }
-}
-
-impl PipelineSchedule {
-    /// Creates an empty schedule with its three stage streams.
-    pub fn new() -> PipelineSchedule {
-        let mut timeline = Timeline::new();
-        let h2d = timeline.add_stream("h2d");
-        let kernel = timeline.add_stream("kernel");
-        let d2h = timeline.add_stream("d2h");
-        PipelineSchedule {
-            timeline,
-            h2d,
-            kernel,
-            d2h,
-            drained: VecDeque::with_capacity(BUFFER_SLOTS),
-            chunks: 0,
-        }
-    }
-
-    /// Enqueues one chunk: its upload waits for a free buffer slot, its kernel
-    /// waits for its upload, its read-back waits for its kernel — and each
-    /// stream serializes its own chunks, which is what lets adjacent chunks
-    /// overlap across streams.
-    pub fn record_chunk(&mut self, stages: &ChunkStageSeconds) {
-        let i = self.chunks;
-        if self.drained.len() >= BUFFER_SLOTS {
-            if let Some(slot_free) = self.drained.pop_front() {
-                self.timeline
-                    .wait_event(self.h2d, format!("wait slot (chunk {i})"), &slot_free);
-            }
-        }
-        let uploaded =
-            self.timeline
-                .enqueue(self.h2d, format!("prep+encode+h2d {i}"), stages.h2d_seconds);
-        self.timeline
-            .wait_event(self.kernel, format!("wait h2d {i}"), &uploaded);
-        let computed =
-            self.timeline
-                .enqueue(self.kernel, format!("kernel {i}"), stages.kernel_seconds);
-        self.timeline
-            .wait_event(self.d2h, format!("wait kernel {i}"), &computed);
-        let drained = self
-            .timeline
-            .enqueue(self.d2h, format!("readback {i}"), stages.d2h_seconds);
-        self.drained.push_back(drained);
-        self.chunks += 1;
-    }
-
-    /// Chunks recorded so far.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// The underlying timeline (for inspection / reporting).
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Overlapped end-to-end time of everything recorded so far.
-    pub fn overlapped_seconds(&self) -> f64 {
-        self.timeline.makespan_seconds()
-    }
-
-    /// Serialized sum of everything recorded so far.
-    pub fn serialized_seconds(&self) -> f64 {
-        self.timeline.serialized_seconds()
-    }
-
-    /// Builds the report for a finished run.
-    pub fn report(&self, chunk_pairs: usize, overlap: bool, device_encode: bool) -> PipelineReport {
-        PipelineReport {
-            chunks: self.chunks,
-            chunk_pairs,
-            overlap,
-            overlapped_seconds: self.overlapped_seconds(),
-            serialized_seconds: self.serialized_seconds(),
-            device_encode,
-            timing_anomalies: self.timeline.anomalies(),
         }
     }
 }
@@ -311,6 +196,7 @@ impl StreamFilterRun {
 mod tests {
     use super::*;
     use crate::config::EncodingActor;
+    use gk_gpusim::clock::{ChunkStageSeconds, PipelineClock};
     use gk_gpusim::device::DeviceSpec;
 
     fn plan(config: FilterConfig) -> (ChunkPlan, SystemConfig) {
@@ -423,50 +309,63 @@ mod tests {
         assert_eq!(total, 500);
     }
 
+    /// Records `chunks` on a fresh clock and reports them like the engine.
+    fn report(chunks: &[ChunkStageSeconds]) -> PipelineReport {
+        let mut clock = PipelineClock::new();
+        let mut serialized_seconds = 0.0;
+        for stages in chunks {
+            clock.record(stages, &mut serialized_seconds);
+        }
+        PipelineReport {
+            chunks: chunks.len(),
+            chunk_pairs: 100,
+            overlap: true,
+            overlapped_seconds: clock.makespan(),
+            serialized_seconds,
+            device_encode: false,
+            timing_anomalies: clock.anomalies(),
+        }
+    }
+
+    fn stages(h2d_seconds: f64, kernel_seconds: f64, d2h_seconds: f64) -> ChunkStageSeconds {
+        ChunkStageSeconds {
+            h2d_seconds,
+            kernel_seconds,
+            d2h_seconds,
+        }
+    }
+
     #[test]
     fn schedule_overlaps_adjacent_chunks() {
-        let mut schedule = PipelineSchedule::new();
-        let stages = ChunkStageSeconds {
-            h2d_seconds: 0.3,
-            kernel_seconds: 0.5,
-            d2h_seconds: 0.2,
-        };
-        schedule.record_chunk(&stages);
         // One chunk cannot overlap with anything: makespan == serialized.
-        assert!((schedule.overlapped_seconds() - 1.0).abs() < 1e-12);
-        for _ in 0..7 {
-            schedule.record_chunk(&stages);
-        }
-        assert_eq!(schedule.chunks(), 8);
-        let report = schedule.report(100, true, false);
-        assert!(!report.device_encode);
+        let single = report(&[stages(0.3, 0.5, 0.2)]);
+        assert!((single.overlapped_seconds - 1.0).abs() < 1e-12);
+        assert!((single.speedup() - 1.0).abs() < 1e-12);
+        let report = report(&[stages(0.3, 0.5, 0.2); 8]);
         assert_eq!(report.timing_anomalies, 0);
         assert!((report.serialized_seconds - 8.0).abs() < 1e-12);
         // Steady state: the kernel stream dominates after the first fill and
         // before the last drain: 0.3 + 8 × 0.5 + 0.2 = 4.5 s.
         assert!((report.overlapped_seconds - 4.5).abs() < 1e-9);
-        assert!(report.savings_seconds() > 0.0);
+        assert!((report.savings_seconds() - 3.5).abs() < 1e-9);
         assert!(report.speedup() > 1.7);
     }
 
     #[test]
     fn buffer_slots_gate_uploads_when_the_drain_is_slow() {
-        // A read-back much slower than everything else forces the upload of
-        // chunk i to wait for chunk i-3's slot, so the d2h stream dominates.
-        let mut schedule = PipelineSchedule::new();
-        let stages = ChunkStageSeconds {
-            h2d_seconds: 0.01,
-            kernel_seconds: 0.01,
-            d2h_seconds: 1.0,
-        };
-        for _ in 0..6 {
-            schedule.record_chunk(&stages);
-        }
-        let makespan = schedule.overlapped_seconds();
-        // Six drains of 1 s each dominate; the pipeline cannot finish faster.
-        assert!(makespan >= 6.0);
-        // And the slot gating shows up as wait operations on the h2d stream.
-        let h2d_ops = schedule.timeline().streams()[0].len();
-        assert!(h2d_ops > 6, "expected wait ops recorded, got {h2d_ops}");
+        // Chunk 0's read-back is slow, and chunk 3 carries a long kernel.
+        // Chunk 3's upload needs chunk 0's slot, which frees at
+        // 0.1 + 0.1 + 10 = 10.2 s, so its kernel ends at 10.2 + 0.1 + 5 =
+        // 15.3 s. Without the gate its upload would start at 0.3 s, its
+        // kernel would end at 5.4 s, and chunk 0's drain would end the run at
+        // 10.2 s.
+        let report = report(&[
+            stages(0.1, 0.1, 10.0),
+            stages(0.1, 0.1, 0.0),
+            stages(0.1, 0.1, 0.0),
+            stages(0.1, 5.0, 0.0),
+        ]);
+        assert!((report.overlapped_seconds - 15.3).abs() < 1e-9);
+        assert!((report.serialized_seconds - 15.7).abs() < 1e-9);
     }
 }

@@ -18,11 +18,10 @@ use serde::{Deserialize, Serialize};
 /// All fields except [`TimingBreakdown::host_wall_seconds`] are *simulated*
 /// seconds derived deterministically from the workload; `host_wall_seconds` is
 /// the **measured** wall-clock the host actually spent producing the run
-/// (encode + kernel closure + bookkeeping), which is what the host-side
-/// prefetch shrinks. Equality compares the simulated components only — two
-/// runs over the same input are "equal" even though their measured wall-clock
-/// inevitably differs, which is what lets the determinism suites compare whole
-/// run structs.
+/// (encode + kernel closure + bookkeeping). Equality compares the simulated
+/// components only — two runs over the same input are "equal" even though
+/// their measured wall-clock inevitably differs, which is what lets the
+/// determinism suites compare whole run structs.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct TimingBreakdown {
     /// Host-side buffer preparation (batching reads and candidate indices).
@@ -49,11 +48,8 @@ pub struct TimingBreakdown {
     /// than the serialized component sum. `None` for serialized runs.
     pub overlapped_seconds: Option<f64>,
     /// **Measured** host wall-clock of the run in seconds: the time this
-    /// process actually spent preparing, encoding and executing the chunks
-    /// (not simulated). With host prefetch on, chunk *i+1*'s encode runs on
-    /// the worker pool while chunk *i*'s kernel closure executes, so this
-    /// shrinks on multi-core machines; the simulated splits are identical
-    /// either way. Excluded from equality.
+    /// process actually spent preparing, encoding and executing the chunks,
+    /// one after another (not simulated). Excluded from equality.
     pub host_wall_seconds: f64,
 }
 

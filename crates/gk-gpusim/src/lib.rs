@@ -25,25 +25,25 @@
 //!   actor: per-base cycle cost and the fused encode+filter kernel's
 //!   register/occupancy footprint.
 //! * [`memory`] — unified memory with page-granular residency, on-demand migration
-//!   (page faults), `memAdvise`, and asynchronous prefetch (compute capability ≥ 6.x
-//!   only, as on the real hardware).
+//!   (page faults), and asynchronous prefetch (compute capability ≥ 6.x only, as
+//!   on the real hardware).
 //! * [`executor`] — SIMT kernel launcher: grid/block/warp decomposition, per-thread
 //!   closures run in parallel with Rayon, warp-execution-efficiency and
 //!   SM-efficiency accounting, and the kernel timing model.
-//! * [`stream`] — CUDA-stream/event-style timeline bookkeeping, including
-//!   cross-stream dependencies (`wait_event`).
-//! * [`timeline`] — [`timeline::Timeline`]: a multi-stream scheduler that chains
-//!   H2D / kernel / D2H streams with events and reports the overlapped makespan
-//!   versus the serialized sum (the §3.4 multi-stream prefetch model).
+//! * [`clock`] — [`clock::PipelineClock`]: one device's H2D, kernel and D2H
+//!   stream cursors with the rotation of [`clock::BUFFER_SLOTS`] buffers, giving
+//!   the overlapped makespan of the §3.4 multi-stream prefetch model.
 //! * [`power`] — nvprof-like power sampling (min/max/average milliwatts).
 //! * [`profiler`] — aggregated per-kernel profiling reports.
 //! * [`topology`] — interconnect topologies: devices attached to shared host
 //!   links (root complex, PCIe switch fan-out, NVLink-style fabric) whose
 //!   concurrent transfers serialize instead of overlapping for free, plus the
-//!   contended multi-device pipeline replay ([`topology::simulate_contended`]).
+//!   contended multi-device pipeline replay ([`topology::simulate_contended`]),
+//!   which drives one pipeline clock per device.
 
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod device;
 pub mod encode;
 pub mod executor;
@@ -51,20 +51,17 @@ pub mod memory;
 pub mod occupancy;
 pub mod power;
 pub mod profiler;
-pub mod stream;
-pub mod timeline;
 pub mod topology;
 
+pub use clock::{ChunkStageSeconds, PipelineClock, BUFFER_SLOTS};
 pub use device::{Architecture, DeviceSpec, PcieLink};
 pub use executor::{
     launch_kernel, KernelResources, KernelStats, LaunchConfig, ThreadCtx, ThreadReport,
 };
-pub use memory::{MemAdvise, MemoryStats, UnifiedBuffer, UnifiedMemory};
+pub use memory::{MemoryStats, UnifiedBuffer, UnifiedMemory};
 pub use occupancy::{theoretical_occupancy, OccupancyLimit, OccupancyResult};
 pub use power::{PowerModel, PowerReport};
 pub use profiler::{KernelProfile, Profiler};
-pub use stream::{Event, Stream};
-pub use timeline::{Link, LinkId, StreamId, Timeline};
 pub use topology::{
     simulate_contended, weighted_partition, ChunkLoad, ContentionRun, LinkSpec, LinkUsage,
     Topology, TopologyKind,

@@ -1,18 +1,14 @@
-//! Unified memory simulation: page residency, on-demand migration, memAdvise and
+//! Unified memory simulation: page residency, on-demand migration and
 //! asynchronous prefetching.
 //!
 //! GateKeeper-GPU allocates its read/reference/result buffers in CUDA *unified
 //! memory* (§2.2): a single pointer is valid on both host and device, and pages
 //! migrate on demand when a processor touches them. Unified memory does not remove
 //! the PCIe transfer — it only changes *when* it happens and at what granularity.
-//! Two CUDA features decide the cost:
-//!
-//! * **memAdvise** declares a preferred location so the driver migrates data ahead
-//!   of the faulting access pattern;
-//! * **asynchronous prefetching** moves whole buffers to the device before the
-//!   kernel runs, eliminating page faults entirely. Prefetching requires compute
-//!   capability ≥ 6.x, which is why Setup 2 (Kepler) pays per-page fault overhead
-//!   and ends up slower in every experiment of the paper.
+//! **Asynchronous prefetching** decides the cost: it moves whole buffers to the
+//! device before the kernel runs, eliminating page faults entirely. Prefetching
+//! requires compute capability ≥ 6.x, which is why Setup 2 (Kepler) pays
+//! per-page fault overhead and ends up slower in every experiment of the paper.
 //!
 //! The simulator models a buffer as an array of pages with a residency flag and
 //! charges: PCIe transfer time for every migrated byte, plus a fixed fault-handling
@@ -36,17 +32,6 @@ pub enum Residency {
     Device,
 }
 
-/// Memory-usage advice, mirroring `cudaMemAdvise`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemAdvise {
-    /// Data will mostly be read by the device (preferred location = device).
-    PreferredLocationDevice,
-    /// Data will mostly be read by the host.
-    PreferredLocationHost,
-    /// Data is read-mostly and may be duplicated.
-    ReadMostly,
-}
-
 /// A buffer allocated in unified memory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UnifiedBuffer {
@@ -56,8 +41,6 @@ pub struct UnifiedBuffer {
     pub size_bytes: u64,
     /// Residency per page.
     residency: Vec<Residency>,
-    /// Advice applied to the buffer, if any.
-    pub advice: Option<MemAdvise>,
 }
 
 impl UnifiedBuffer {
@@ -67,7 +50,6 @@ impl UnifiedBuffer {
             id,
             size_bytes,
             residency: vec![Residency::Host; pages],
-            advice: None,
         }
     }
 
@@ -183,24 +165,11 @@ impl UnifiedMemory {
         self.buffers.get(id).ok_or(MemoryError::InvalidBuffer(id))
     }
 
-    /// Applies memory advice to a buffer (`cudaMemAdvise`). A no-op on devices
-    /// without prefetch support, as in the paper.
-    pub fn mem_advise(&mut self, id: usize, advice: MemAdvise) -> Result<(), MemoryError> {
-        if !self.device.supports_prefetch() {
-            return Ok(());
-        }
-        let buffer = self
-            .buffers
-            .get_mut(id)
-            .ok_or(MemoryError::InvalidBuffer(id))?;
-        buffer.advice = Some(advice);
-        Ok(())
-    }
-
     /// Asynchronously prefetches the whole buffer to the device
     /// (`cudaMemPrefetchAsync`). Returns the modelled transfer time, which the
-    /// caller typically enqueues on a [`crate::stream::Stream`] so it overlaps with
-    /// host work. Devices below compute capability 6.x do not support prefetching
+    /// caller typically charges to the H2D stream of a
+    /// [`PipelineClock`](crate::clock::PipelineClock) so it overlaps with host
+    /// work. Devices below compute capability 6.x do not support prefetching
     /// and the call is a no-op returning zero.
     pub fn prefetch_to_device(&mut self, id: usize) -> Result<f64, MemoryError> {
         if !self.device.supports_prefetch() {
@@ -373,24 +342,6 @@ mod tests {
         assert!(t > 0.0);
         assert_eq!(mem.buffer(id).unwrap().device_resident_pages(), 0);
         assert_eq!(mem.stats().bytes_to_host, 3 * PAGE_SIZE as u64);
-    }
-
-    #[test]
-    fn mem_advise_is_recorded_on_pascal_and_ignored_on_kepler() {
-        let mut p = pascal();
-        let id = p.alloc(PAGE_SIZE as u64).unwrap();
-        p.mem_advise(id, MemAdvise::PreferredLocationDevice)
-            .unwrap();
-        assert_eq!(
-            p.buffer(id).unwrap().advice,
-            Some(MemAdvise::PreferredLocationDevice)
-        );
-
-        let mut k = kepler();
-        let id = k.alloc(PAGE_SIZE as u64).unwrap();
-        k.mem_advise(id, MemAdvise::PreferredLocationDevice)
-            .unwrap();
-        assert_eq!(k.buffer(id).unwrap().advice, None);
     }
 
     #[test]

@@ -24,38 +24,51 @@ pub struct KernelProfile {
     pub l1_hit_rate: f64,
 }
 
-/// Collects kernel profiles across the batched launches of one run.
+/// Aggregates kernel profiles across the batched launches of one run. It keeps
+/// running sums, not the profiles, so its state does not grow with the launch
+/// count.
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    device: DeviceSpec,
     power_model: PowerModel,
-    profiles: Vec<KernelProfile>,
+    launches: usize,
+    /// Theoretical occupancy of the first launch.
+    theoretical_occupancy: f64,
+    achieved_occupancy_sum: f64,
+    warp_execution_efficiency_sum: f64,
+    sm_efficiency_sum: f64,
+    power_min_mw: f64,
+    power_max_mw: f64,
+    power_samples: usize,
+    /// Sum of each launch's average power weighted by its sample count.
+    power_weighted_mw: f64,
 }
 
 impl Profiler {
     /// Creates a profiler for a device.
     pub fn new(device: DeviceSpec) -> Profiler {
         Profiler {
-            power_model: PowerModel::new(device.clone()),
-            device,
-            profiles: Vec::new(),
+            power_model: PowerModel::new(device),
+            launches: 0,
+            theoretical_occupancy: 0.0,
+            achieved_occupancy_sum: 0.0,
+            warp_execution_efficiency_sum: 0.0,
+            sm_efficiency_sum: 0.0,
+            power_min_mw: f64::MAX,
+            power_max_mw: f64::MIN,
+            power_samples: 0,
+            power_weighted_mw: 0.0,
         }
     }
 
-    /// The device being profiled.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// Records one kernel launch. `words_per_thread` is the packed-word footprint of
-    /// a single filtration (7 for 100 bp, 16 for 250 bp), which drives the power and
-    /// cache models.
+    /// Records one kernel launch and returns its profile. `words_per_thread`
+    /// is the packed-word footprint of a single filtration (7 for 100 bp, 16
+    /// for 250 bp), which drives the power and cache models.
     pub fn record(
         &mut self,
         kernel: impl Into<String>,
         stats: KernelStats,
         words_per_thread: usize,
-    ) -> &KernelProfile {
+    ) -> KernelProfile {
         let power = self.power_model.profile(
             stats.achieved_occupancy,
             words_per_thread,
@@ -68,77 +81,62 @@ impl Profiler {
         let length_penalty = (words_per_thread as f64 / 16.0).min(1.0) * 0.06;
         let l2_hit_rate = (0.88 - length_penalty).clamp(0.0, 1.0);
         let l1_hit_rate = (0.34 - length_penalty).clamp(0.0, 1.0);
-        let newest = self.profiles.len();
-        self.profiles.push(KernelProfile {
+        if self.launches == 0 {
+            self.theoretical_occupancy = stats.theoretical_occupancy;
+        }
+        self.launches += 1;
+        self.achieved_occupancy_sum += stats.achieved_occupancy;
+        self.warp_execution_efficiency_sum += stats.warp_execution_efficiency;
+        self.sm_efficiency_sum += stats.sm_efficiency;
+        self.power_min_mw = self.power_min_mw.min(power.min_mw);
+        self.power_max_mw = self.power_max_mw.max(power.max_mw);
+        self.power_samples += power.samples;
+        self.power_weighted_mw += power.average_mw * power.samples as f64;
+        KernelProfile {
             kernel: kernel.into(),
             stats,
             power,
             l2_hit_rate,
             l1_hit_rate,
-        });
-        &self.profiles[newest]
+        }
     }
 
-    /// All recorded profiles.
-    pub fn profiles(&self) -> &[KernelProfile] {
-        &self.profiles
+    /// Theoretical occupancy of the first recorded launch (0 before any).
+    pub fn theoretical_occupancy(&self) -> f64 {
+        self.theoretical_occupancy
     }
 
     /// Average achieved occupancy across recorded launches.
     pub fn average_achieved_occupancy(&self) -> f64 {
-        average(self.profiles.iter().map(|p| p.stats.achieved_occupancy))
+        self.average(self.achieved_occupancy_sum)
     }
 
     /// Average warp execution efficiency across recorded launches.
     pub fn average_warp_execution_efficiency(&self) -> f64 {
-        average(
-            self.profiles
-                .iter()
-                .map(|p| p.stats.warp_execution_efficiency),
-        )
+        self.average(self.warp_execution_efficiency_sum)
     }
 
     /// Average SM efficiency across recorded launches.
     pub fn average_sm_efficiency(&self) -> f64 {
-        average(self.profiles.iter().map(|p| p.stats.sm_efficiency))
+        self.average(self.sm_efficiency_sum)
     }
 
     /// Aggregate power report across every recorded launch.
     pub fn aggregate_power(&self) -> Option<PowerReport> {
-        if self.profiles.is_empty() {
-            return None;
-        }
-        let min_mw = self
-            .profiles
-            .iter()
-            .map(|p| p.power.min_mw)
-            .fold(f64::MAX, f64::min);
-        let max_mw = self
-            .profiles
-            .iter()
-            .map(|p| p.power.max_mw)
-            .fold(f64::MIN, f64::max);
-        let total_samples: usize = self.profiles.iter().map(|p| p.power.samples).sum();
-        let weighted_sum: f64 = self
-            .profiles
-            .iter()
-            .map(|p| p.power.average_mw * p.power.samples as f64)
-            .sum();
-        Some(PowerReport {
-            min_mw,
-            max_mw,
-            average_mw: weighted_sum / total_samples.max(1) as f64,
-            samples: total_samples,
+        (self.launches > 0).then(|| PowerReport {
+            min_mw: self.power_min_mw,
+            max_mw: self.power_max_mw,
+            average_mw: self.power_weighted_mw / self.power_samples.max(1) as f64,
+            samples: self.power_samples,
         })
     }
-}
 
-fn average(values: impl Iterator<Item = f64>) -> f64 {
-    let collected: Vec<f64> = values.collect();
-    if collected.is_empty() {
-        0.0
-    } else {
-        collected.iter().sum::<f64>() / collected.len() as f64
+    fn average(&self, sum: f64) -> f64 {
+        if self.launches == 0 {
+            0.0
+        } else {
+            sum / self.launches as f64
+        }
     }
 }
 
@@ -167,13 +165,19 @@ mod tests {
     #[test]
     fn recording_accumulates_profiles_and_kernel_time() {
         let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        profiler.record("gatekeeper", run_one(64), 7);
-        profiler.record("gatekeeper", run_one(64), 7);
-        assert_eq!(profiler.profiles().len(), 2);
-        assert!(profiler
-            .profiles()
-            .iter()
-            .all(|p| p.stats.kernel_seconds > 0.0));
+        let first = profiler.record("gatekeeper", run_one(64), 7);
+        let second = profiler.record("gatekeeper", run_one(128), 7);
+        assert!(first.stats.kernel_seconds > 0.0);
+        assert!(second.stats.kernel_seconds > first.stats.kernel_seconds);
+        // The aggregates cover both launches.
+        let power = profiler.aggregate_power().unwrap();
+        assert_eq!(power.samples, first.power.samples + second.power.samples);
+        let occupancy = (first.stats.achieved_occupancy + second.stats.achieved_occupancy) / 2.0;
+        assert_eq!(profiler.average_achieved_occupancy(), occupancy);
+        assert_eq!(
+            profiler.theoretical_occupancy(),
+            first.stats.theoretical_occupancy
+        );
     }
 
     #[test]
@@ -191,7 +195,7 @@ mod tests {
         // §6: "GateKeeper-GPU mainly utilizes L2 cache … The hit rate of
         // unified/texture L1 cache is 31.2% on average, which is low."
         let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        let profile = profiler.record("gatekeeper", run_one(64), 7).clone();
+        let profile = profiler.record("gatekeeper", run_one(64), 7);
         assert!(profile.l2_hit_rate > 0.8);
         assert!(profile.l1_hit_rate < 0.4);
         assert!(profile.l2_hit_rate > profile.l1_hit_rate);
@@ -212,13 +216,14 @@ mod tests {
         let profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
         assert!(profiler.aggregate_power().is_none());
         assert_eq!(profiler.average_achieved_occupancy(), 0.0);
+        assert_eq!(profiler.theoretical_occupancy(), 0.0);
     }
 
     #[test]
     fn longer_reads_lower_cache_hit_rates() {
         let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        let short = profiler.record("short", run_one(64), 7).clone();
-        let long = profiler.record("long", run_one(64), 16).clone();
+        let short = profiler.record("short", run_one(64), 7);
+        let long = profiler.record("long", run_one(64), 16);
         assert!(long.l2_hit_rate < short.l2_hit_rate);
     }
 }

@@ -6,20 +6,20 @@
 //! that: boards hang off PLX switches whose upstream port is a single ×16 link,
 //! or share the root complex's host bandwidth outright. This module models that
 //! wiring: a [`Topology`] attaches each device to a [`LinkSpec`], and
-//! [`simulate_contended`] replays per-device pipeline work on a [`Timeline`]
-//! whose shared links serialize concurrent transfers (FIFO at the full link
-//! rate) instead of letting them overlap for free.
+//! [`simulate_contended`] replays per-device pipeline work, one
+//! [`PipelineClock`] per device, over links that serialize concurrent
+//! transfers (FIFO at the full link rate) instead of letting them overlap for
+//! free.
 //!
 //! The model is deliberately symmetric with the uncontended one: a transfer on
 //! a free link costs exactly
 //! [`PcieLink::transfer_seconds`](crate::device::PcieLink::transfer_seconds),
 //! so an [`TopologyKind::Independent`] topology reproduces the plain
 //! per-device pipeline numbers bit-for-bit and all contention shows up as
-//! explicit link-wait gaps.
+//! explicit link waits.
 
+use crate::clock::{Direction, PipelineClock};
 use crate::device::DeviceSpec;
-use crate::stream::Event;
-use crate::timeline::{LinkId, StreamId, Timeline};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate per-direction bandwidth of the NVLink-style fabric option, in
@@ -328,7 +328,7 @@ pub fn weighted_partition(total: usize, weights: &[f64]) -> Vec<(usize, usize)> 
 
 /// One pipeline chunk's worth of work on one device, as modelled durations and
 /// link traffic — the currency [`simulate_contended`] replays on the shared
-/// timeline.
+/// links.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChunkLoad {
     /// Host-side prep (+ encode, on the host path) that runs on the H2D stream
@@ -372,12 +372,12 @@ pub struct LinkUsage {
     pub utilization: f64,
 }
 
-/// Result of replaying per-device pipeline loads on a shared-link timeline.
+/// Result of replaying per-device pipeline loads over shared links.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContentionRun {
     /// Completion time of the slowest device after link arbitration.
     pub makespan_seconds: f64,
-    /// Back-to-back cost of all enqueued work on one stream.
+    /// Back-to-back cost of every replayed operation on one stream.
     pub serialized_seconds: f64,
     /// Per-device completion times.
     pub per_device_finish_seconds: Vec<f64>,
@@ -385,7 +385,7 @@ pub struct ContentionRun {
     pub per_device_link_wait_seconds: Vec<f64>,
     /// Per-link traffic and stall accounting.
     pub links: Vec<LinkUsage>,
-    /// Ill-formed durations clamped inside the timeline (0 when healthy).
+    /// Ill-formed durations the device clocks clamped (0 when healthy).
     pub anomalies: u64,
 }
 
@@ -396,193 +396,183 @@ impl ContentionRun {
     }
 }
 
-/// Per-device stream handles and pipeline progress inside the event loop.
-struct DeviceState {
-    h2d: StreamId,
-    kernel: StreamId,
-    d2h: StreamId,
-    next_upload: usize,
-    next_d2h: usize,
-    kernel_done: Vec<Option<Event>>,
-    d2h_done: Vec<Option<Event>>,
+/// One direction of a replay link: FIFO arbitration and its accounting.
+#[derive(Debug, Default)]
+struct LinkLane {
+    busy_until_seconds: f64,
+    busy_seconds: f64,
+    bytes_moved: u64,
+    wait_seconds: f64,
+}
+
+impl LinkLane {
+    /// Fraction of `horizon_seconds` this direction spent busy (0 when the
+    /// horizon is empty).
+    fn utilization(&self, horizon_seconds: f64) -> f64 {
+        if horizon_seconds > 0.0 {
+            self.busy_seconds / horizon_seconds
+        } else {
+            0.0
+        }
+    }
+}
+
+/// A topology link during a replay: its rate and one lane per direction.
+#[derive(Debug)]
+struct ReplayLink {
+    bandwidth_gb_per_s: f64,
+    h2d: LinkLane,
+    d2h: LinkLane,
+}
+
+impl ReplayLink {
+    fn new(spec: &LinkSpec) -> ReplayLink {
+        assert!(
+            spec.bandwidth_gb_per_s > 0.0,
+            "link bandwidth must be positive, got {}",
+            spec.bandwidth_gb_per_s
+        );
+        ReplayLink {
+            bandwidth_gb_per_s: spec.bandwidth_gb_per_s,
+            h2d: LinkLane::default(),
+            d2h: LinkLane::default(),
+        }
+    }
+
+    /// Moves `bytes` on `clock`'s stream of `direction`. The transfer starts
+    /// at the later of the stream's cursor and the moment this direction of
+    /// the link frees up; on a free link it costs exactly
+    /// [`PcieLink::transfer_seconds`](crate::device::PcieLink::transfer_seconds).
+    /// Returns how much the link's wait total grew.
+    fn transfer(
+        &mut self,
+        direction: Direction,
+        clock: &mut PipelineClock,
+        bytes: u64,
+        serialized: &mut f64,
+    ) -> f64 {
+        let duration = bytes as f64 / (self.bandwidth_gb_per_s * 1e9);
+        let lane = match direction {
+            Direction::H2d => &mut self.h2d,
+            Direction::D2h => &mut self.d2h,
+        };
+        let waited_before = lane.wait_seconds;
+        let ready = clock.cursor(direction);
+        if lane.busy_until_seconds > ready {
+            lane.wait_seconds += lane.busy_until_seconds - ready;
+            clock.wait(direction, lane.busy_until_seconds);
+        }
+        lane.busy_seconds += clock.run(direction, duration, serialized);
+        lane.busy_until_seconds = clock.cursor(direction);
+        lane.bytes_moved += bytes;
+        lane.wait_seconds - waited_before
+    }
 }
 
 /// Replays per-device chunk pipelines (`loads[d]` = device `d`'s chunks, in
-/// order) on one shared [`Timeline`] where every transfer goes through the
-/// device's topology link.
+/// order), with every transfer going through the device's topology link.
 ///
-/// Each device gets the standard three streams (H2D, kernel, D2H) with the
-/// usual chaining — the kernel waits for its chunk's upload, read-back waits
-/// for the kernel, and an upload may only start once the buffer slot of chunk
-/// `i − slots` has drained. Transfers are granted to links **in global arrival
-/// order**: the scheduler repeatedly picks, across all devices, the pending
-/// link operation whose transfer becomes ready earliest (ties break to the
-/// lower device index, read-backs before uploads), so a link serves requests
-/// exactly as a FIFO arbiter would see them arrive. H2D and D2H directions
-/// contend separately (PCIe is full duplex).
-pub fn simulate_contended(
-    topology: &Topology,
-    loads: &[Vec<ChunkLoad>],
-    slots: usize,
-) -> ContentionRun {
+/// Each device runs on its own [`PipelineClock`] with the usual chaining — the
+/// kernel waits for its chunk's upload, read-back waits for the kernel, and
+/// an upload may only start once a buffer slot has drained. Transfers are
+/// granted to links **in global arrival order**: the replay repeatedly picks,
+/// across all devices, the pending link operation whose transfer becomes
+/// ready earliest (ties break to the lower device index, read-backs before
+/// uploads), so a link serves requests exactly as a FIFO arbiter would see
+/// them arrive. H2D and D2H directions contend separately (PCIe is full
+/// duplex).
+///
+/// # Panics
+///
+/// When `loads` does not hold one chunk list per topology device, or a link
+/// has a bandwidth that is not positive.
+pub fn simulate_contended(topology: &Topology, loads: &[Vec<ChunkLoad>]) -> ContentionRun {
     assert_eq!(
         loads.len(),
         topology.device_count(),
         "one chunk list per topology device"
     );
-    let slots = slots.max(1);
-    let mut tl = Timeline::new();
-    let h2d_links: Vec<LinkId> = topology
-        .links
-        .iter()
-        .map(|l| tl.add_link(format!("{}:h2d", l.name), l.bandwidth_gb_per_s))
-        .collect();
-    let d2h_links: Vec<LinkId> = topology
-        .links
-        .iter()
-        .map(|l| tl.add_link(format!("{}:d2h", l.name), l.bandwidth_gb_per_s))
-        .collect();
-    let mut devices: Vec<DeviceState> = (0..loads.len())
-        .map(|d| {
-            let chunks = loads[d].len();
-            DeviceState {
-                h2d: tl.add_stream(format!("dev{d}-h2d")),
-                kernel: tl.add_stream(format!("dev{d}-kernel")),
-                d2h: tl.add_stream(format!("dev{d}-d2h")),
-                next_upload: 0,
-                next_d2h: 0,
-                kernel_done: vec![None; chunks],
-                d2h_done: vec![None; chunks],
-            }
-        })
-        .collect();
+    let mut links: Vec<ReplayLink> = topology.links.iter().map(ReplayLink::new).collect();
+    let mut clocks = vec![PipelineClock::new(); loads.len()];
     let mut per_device_wait = vec![0.0f64; loads.len()];
+    // One accumulator in global operation order, across every device.
+    let mut serialized = 0.0;
 
     loop {
         // Pick the link operation whose transfer arrives earliest.
         // Candidate key: (arrival seconds, device index, 0 = read-back / 1 = upload).
         let mut best: Option<(f64, usize, u8)> = None;
-        for (d, dev) in devices.iter().enumerate() {
-            if dev.next_d2h < dev.next_upload {
-                if let Some(done) = dev.kernel_done[dev.next_d2h] {
-                    let arrival = tl.stream(dev.d2h).synchronize().max(done.seconds());
-                    let key = (arrival, d, 0u8);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
+        let mut consider = |key: (f64, usize, u8)| {
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
-            if dev.next_upload < loads[d].len() {
-                let slot_free = if dev.next_upload >= slots {
-                    dev.d2h_done[dev.next_upload - slots].map(|e| e.seconds())
-                } else {
-                    Some(0.0)
-                };
-                if let Some(free_at) = slot_free {
-                    let arrival = tl.stream(dev.h2d).synchronize().max(free_at)
-                        + loads[d][dev.next_upload].host_seconds;
-                    let key = (arrival, d, 1u8);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
+        };
+        for (d, clock) in clocks.iter().enumerate() {
+            if let Some(ready) = clock.drain_ready() {
+                consider((ready, d, 0));
+            }
+            let next_upload = loads[d].get(clock.chunks());
+            if let (Some(load), Some(ready)) = (next_upload, clock.upload_ready()) {
+                consider((ready + load.host_seconds, d, 1));
             }
         }
         let Some((_, d, op)) = best else { break };
-        let dev = &mut devices[d];
-        let link = topology.attach[d];
+        let clock = &mut clocks[d];
+        let link = &mut links[topology.attach[d]];
         if op == 1 {
             // Upload: slot gate, host prep, transfers, then the kernel is
             // chained eagerly — kernel streams are private per device, so its
-            // start time is fully determined by the upload event.
-            let c = dev.next_upload;
-            let load = loads[d][c];
-            if c >= slots {
-                if let Some(drained) = dev.d2h_done[c - slots] {
-                    tl.wait_event(dev.h2d, format!("slot wait chunk {c}"), &drained);
-                }
-            }
-            if load.host_seconds > 0.0 {
-                tl.enqueue(dev.h2d, format!("host prep chunk {c}"), load.host_seconds);
-            }
-            let mut uploaded = tl.stream(dev.h2d).record_event();
-            for (buf, &bytes) in load.h2d_bytes.iter().enumerate() {
+            // start time is fully determined by the upload.
+            let load = loads[d][clock.chunks()];
+            clock.start_upload();
+            clock.run(Direction::H2d, load.host_seconds, &mut serialized);
+            for bytes in load.h2d_bytes {
                 if bytes > 0 {
-                    let waited_before = tl.link(h2d_links[link]).wait_seconds();
-                    uploaded = tl.enqueue_transfer(
-                        dev.h2d,
-                        h2d_links[link],
-                        format!("h2d chunk {c} buf {buf}"),
-                        bytes,
-                    );
-                    per_device_wait[d] += tl.link(h2d_links[link]).wait_seconds() - waited_before;
+                    per_device_wait[d] +=
+                        link.transfer(Direction::H2d, clock, bytes, &mut serialized);
                 }
             }
-            tl.wait_event(dev.kernel, format!("wait h2d chunk {c}"), &uploaded);
-            tl.enqueue(dev.kernel, format!("kernel chunk {c}"), load.kernel_seconds);
-            dev.kernel_done[c] = Some(tl.stream(dev.kernel).record_event());
-            dev.next_upload += 1;
+            clock.launch(load.kernel_seconds, &mut serialized);
         } else {
             // Read-back of the oldest kernel-complete chunk.
-            let c = dev.next_d2h;
-            let load = loads[d][c];
-            let Some(done) = dev.kernel_done[c] else {
-                unreachable!("read-back granted before its kernel");
-            };
-            tl.wait_event(dev.d2h, format!("wait kernel chunk {c}"), &done);
+            let load = loads[d][clock.drained()];
+            clock.start_drain();
             if load.d2h_bytes > 0 {
-                let waited_before = tl.link(d2h_links[link]).wait_seconds();
-                let ev = tl.enqueue_transfer(
-                    dev.d2h,
-                    d2h_links[link],
-                    format!("d2h chunk {c}"),
-                    load.d2h_bytes,
-                );
-                per_device_wait[d] += tl.link(d2h_links[link]).wait_seconds() - waited_before;
-                dev.d2h_done[c] = Some(ev);
-            } else {
-                dev.d2h_done[c] = Some(tl.stream(dev.d2h).record_event());
+                per_device_wait[d] +=
+                    link.transfer(Direction::D2h, clock, load.d2h_bytes, &mut serialized);
             }
-            dev.next_d2h += 1;
+            clock.finish_drain();
         }
     }
 
-    let makespan = tl.makespan_seconds();
-    let per_device_finish = devices
-        .iter()
-        .map(|dev| {
-            tl.stream(dev.h2d)
-                .synchronize()
-                .max(tl.stream(dev.kernel).synchronize())
-                .max(tl.stream(dev.d2h).synchronize())
-        })
-        .collect();
+    let per_device_finish: Vec<f64> = clocks.iter().map(PipelineClock::makespan).collect();
+    let makespan = per_device_finish.iter().copied().fold(0.0, f64::max);
     let links = topology
         .links
         .iter()
+        .zip(&links)
         .enumerate()
-        .map(|(l, spec)| {
-            let h2d = tl.link(h2d_links[l]);
-            let d2h = tl.link(d2h_links[l]);
-            LinkUsage {
-                name: spec.name.clone(),
-                bandwidth_gb_per_s: spec.bandwidth_gb_per_s,
-                devices: topology.attach.iter().filter(|&&a| a == l).count(),
-                h2d_bytes: h2d.bytes_moved(),
-                d2h_bytes: d2h.bytes_moved(),
-                busy_seconds: h2d.busy_seconds() + d2h.busy_seconds(),
-                wait_seconds: h2d.wait_seconds() + d2h.wait_seconds(),
-                utilization: h2d.utilization(makespan).max(d2h.utilization(makespan)),
-            }
+        .map(|(l, (spec, link))| LinkUsage {
+            name: spec.name.clone(),
+            bandwidth_gb_per_s: spec.bandwidth_gb_per_s,
+            devices: topology.attach.iter().filter(|&&a| a == l).count(),
+            h2d_bytes: link.h2d.bytes_moved,
+            d2h_bytes: link.d2h.bytes_moved,
+            busy_seconds: link.h2d.busy_seconds + link.d2h.busy_seconds,
+            wait_seconds: link.h2d.wait_seconds + link.d2h.wait_seconds,
+            utilization: link
+                .h2d
+                .utilization(makespan)
+                .max(link.d2h.utilization(makespan)),
         })
         .collect();
     ContentionRun {
         makespan_seconds: makespan,
-        serialized_seconds: tl.serialized_seconds(),
+        serialized_seconds: serialized,
         per_device_finish_seconds: per_device_finish,
         per_device_link_wait_seconds: per_device_wait,
         links,
-        anomalies: tl.anomalies(),
+        anomalies: clocks.iter().map(PipelineClock::anomalies).sum(),
     }
 }
 
@@ -725,8 +715,8 @@ mod tests {
             2
         ];
         let shared = Topology::shared_root(&devices);
-        let contended = simulate_contended(&shared, &loads, 3);
-        let free = simulate_contended(&shared.to_independent(), &loads, 3);
+        let contended = simulate_contended(&shared, &loads);
+        let free = simulate_contended(&shared.to_independent(), &loads);
         assert!(contended.makespan_seconds > free.makespan_seconds);
         assert!(contended.link_wait_seconds() > 0.0);
         assert_eq!(free.link_wait_seconds(), 0.0);
@@ -743,11 +733,11 @@ mod tests {
 
     #[test]
     fn uncontended_run_matches_a_plain_per_device_timeline_exactly() {
-        // On private links the contended scheduler must reproduce the plain
-        // three-stream pipeline bit-for-bit: same f64 operations in the same
+        // On private links the replay must reproduce the device's clock
+        // driven stage by stage bit-for-bit: same f64 operations in the same
         // order.
         let devices = pascal(1);
-        let bw = devices[0].pcie.bandwidth_gb_per_s();
+        let pcie = devices[0].pcie;
         let loads = vec![vec![
             ChunkLoad {
                 host_seconds: 0.0015,
@@ -757,58 +747,151 @@ mod tests {
             };
             5
         ]];
-        let run = simulate_contended(&Topology::independent(&devices), &loads, 3);
+        let run = simulate_contended(&Topology::independent(&devices), &loads);
 
-        let mut tl = Timeline::new();
-        let h2d = tl.add_stream("h2d");
-        let kernel = tl.add_stream("kernel");
-        let d2h = tl.add_stream("d2h");
-        let mut d2h_done: Vec<Event> = Vec::new();
-        for (c, load) in loads[0].iter().enumerate() {
-            if c >= 3 {
-                tl.wait_event(h2d, "slot", &d2h_done[c - 3]);
+        let mut clock = PipelineClock::new();
+        let mut serialized = 0.0;
+        for load in &loads[0] {
+            clock.start_upload();
+            clock.run(Direction::H2d, load.host_seconds, &mut serialized);
+            for bytes in load.h2d_bytes {
+                clock.run(
+                    Direction::H2d,
+                    pcie.transfer_seconds(bytes),
+                    &mut serialized,
+                );
             }
-            tl.enqueue(h2d, "host", load.host_seconds);
-            tl.enqueue(h2d, "reads", load.h2d_bytes[0] as f64 / (bw * 1e9));
-            let up = tl.enqueue(h2d, "refs", load.h2d_bytes[1] as f64 / (bw * 1e9));
-            tl.wait_event(kernel, "wait up", &up);
-            let done = tl.enqueue(kernel, "kernel", load.kernel_seconds);
-            tl.wait_event(d2h, "wait kernel", &done);
-            d2h_done.push(tl.enqueue(d2h, "readback", load.d2h_bytes as f64 / (bw * 1e9)));
+            clock.launch(load.kernel_seconds, &mut serialized);
+            clock.start_drain();
+            clock.run(
+                Direction::D2h,
+                pcie.transfer_seconds(load.d2h_bytes),
+                &mut serialized,
+            );
+            clock.finish_drain();
         }
-        assert_eq!(run.makespan_seconds, tl.makespan_seconds());
-        assert_eq!(run.per_device_finish_seconds[0], tl.makespan_seconds());
+        assert_eq!(run.makespan_seconds, clock.makespan());
+        assert_eq!(run.per_device_finish_seconds[0], clock.makespan());
+        assert_eq!(run.serialized_seconds, serialized);
         assert_eq!(run.link_wait_seconds(), 0.0);
     }
 
     #[test]
     fn slot_gating_limits_in_flight_chunks() {
-        // With 1 slot the pipeline fully serializes per device; with 3 slots
-        // stages overlap and the makespan strictly improves.
+        // Chunk 0's read-back is slow and chunk 3 carries a long kernel.
+        // Chunk 3's upload needs chunk 0's buffer slot, so its kernel can only
+        // start after that read-back; without the gate the kernel would
+        // finish long before it.
         let devices = pascal(1);
+        let pcie = devices[0].pcie;
+        let chunk = |kernel_seconds: f64, d2h_bytes: u64| ChunkLoad {
+            host_seconds: 0.001,
+            h2d_bytes: [1_000_000, 0],
+            kernel_seconds,
+            d2h_bytes,
+        };
         let loads = vec![vec![
-            ChunkLoad {
-                host_seconds: 0.001,
-                h2d_bytes: [1_000_000, 0],
-                kernel_seconds: 0.001,
-                d2h_bytes: 500_000,
-            };
-            6
+            chunk(0.001, 500_000_000),
+            chunk(0.001, 0),
+            chunk(0.001, 0),
+            chunk(0.1, 0),
         ]];
-        let topo = Topology::independent(&devices);
-        let tight = simulate_contended(&topo, &loads, 1);
-        let roomy = simulate_contended(&topo, &loads, 3);
-        assert!(roomy.makespan_seconds < tight.makespan_seconds);
+        let run = simulate_contended(&Topology::independent(&devices), &loads);
+        let upload = 0.001 + pcie.transfer_seconds(1_000_000);
+        let first_drained = upload + 0.001 + pcie.transfer_seconds(500_000_000);
+        let expected = first_drained + upload + 0.1;
+        assert!(
+            (run.makespan_seconds - expected).abs() < 1e-12,
+            "makespan {} != {expected}",
+            run.makespan_seconds
+        );
+        assert!(run.makespan_seconds > first_drained + 0.1);
+        assert_eq!(run.anomalies, 0);
+    }
+
+    /// One 1 GB/s link shared by two devices.
+    fn shared_gigabyte_link() -> Topology {
+        Topology::custom(
+            "root",
+            vec![LinkSpec {
+                name: "root".to_string(),
+                bandwidth_gb_per_s: 1.0,
+            }],
+            vec![0, 0],
+        )
+    }
+
+    /// A chunk that only uploads `bytes` after `host_seconds` of host prep.
+    fn upload_only(host_seconds: f64, bytes: u64) -> ChunkLoad {
+        ChunkLoad {
+            host_seconds,
+            h2d_bytes: [bytes, 0],
+            kernel_seconds: 0.0,
+            d2h_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn concurrent_transfers_on_a_shared_link_serialize() {
+        // Two devices, each wanting 1 GB at 1 GB/s at time zero: on private
+        // links they finish together at 1 s, on the shared link the second
+        // stalls behind the first and finishes at 2 s.
+        let gb = 1_000_000_000u64;
+        let loads = vec![vec![upload_only(0.0, gb)]; 2];
+        let run = simulate_contended(&shared_gigabyte_link(), &loads);
+        assert_eq!(run.per_device_finish_seconds, vec![1.0, 2.0]);
+        assert_eq!(run.makespan_seconds, 2.0);
+        assert_eq!(run.per_device_link_wait_seconds, vec![0.0, 1.0]);
+        let link = &run.links[0];
+        assert_eq!(link.busy_seconds, 2.0);
+        assert_eq!(link.wait_seconds, 1.0);
+        assert_eq!(link.h2d_bytes, 2 * gb);
+        assert_eq!(link.devices, 2);
+        // The link never idled over the makespan.
+        assert_eq!(link.utilization, 1.0);
+        let private = simulate_contended(&shared_gigabyte_link().to_independent(), &loads);
+        assert_eq!(private.makespan_seconds, 1.0);
+    }
+
+    #[test]
+    fn link_frees_up_between_staggered_transfers() {
+        // The second upload arrives after the first completed: no stall.
+        let loads = vec![
+            vec![upload_only(0.0, 500_000_000)],
+            vec![upload_only(0.8, 500_000_000)],
+        ];
+        let run = simulate_contended(&shared_gigabyte_link(), &loads);
+        assert!((run.per_device_finish_seconds[1] - 1.3).abs() < 1e-12);
+        assert_eq!(run.link_wait_seconds(), 0.0);
+        assert_eq!(run.links[0].wait_seconds, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth must be positive")]
+    fn zero_bandwidth_links_panic() {
+        // `PcieLink` has public fields, so a zero-lane device builds a
+        // zero-bandwidth link that only the replay rejects.
+        let mut device = DeviceSpec::gtx_1080_ti();
+        device.pcie.lanes = 0;
+        let topology = Topology::build(TopologyKind::Independent, &[device]);
+        simulate_contended(&topology, &[Vec::new()]);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn release_clamps_surface_as_replay_anomalies() {
+        let mut load = upload_only(0.0, 0);
+        load.kernel_seconds = -1.0;
+        let run = simulate_contended(&shared_gigabyte_link(), &[vec![load], vec![load]]);
+        assert_eq!(run.anomalies, 2);
+        assert_eq!(run.makespan_seconds, 0.0);
+        assert_eq!(run.serialized_seconds, 0.0);
     }
 
     #[test]
     fn empty_loads_produce_an_empty_run() {
         let devices = pascal(2);
-        let run = simulate_contended(
-            &Topology::shared_root(&devices),
-            &[Vec::new(), Vec::new()],
-            3,
-        );
+        let run = simulate_contended(&Topology::shared_root(&devices), &[Vec::new(), Vec::new()]);
         assert_eq!(run.makespan_seconds, 0.0);
         assert_eq!(run.link_wait_seconds(), 0.0);
         assert_eq!(run.links[0].h2d_bytes, 0);
@@ -830,8 +913,8 @@ mod tests {
                 ]
             })
             .collect();
-        let root = simulate_contended(&Topology::shared_root(&devices), &loads, 3);
-        let nvlink = simulate_contended(&Topology::nvlink(&devices), &loads, 3);
+        let root = simulate_contended(&Topology::shared_root(&devices), &loads);
+        let nvlink = simulate_contended(&Topology::nvlink(&devices), &loads);
         assert!(nvlink.makespan_seconds < root.makespan_seconds);
         assert!(nvlink.link_wait_seconds() < root.link_wait_seconds());
     }

@@ -252,3 +252,51 @@ fn simulated_numbers_match_their_golden_digests() {
         mismatches.join("\n")
     );
 }
+
+/// `|a − b|` relative to the larger magnitude.
+fn relative_gap(a: f64, b: f64) -> f64 {
+    (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
+}
+
+#[test]
+fn one_device_pipeline_clock_agrees_with_its_replays() {
+    // A lone device is timed twice on the same pipeline clock: chunk by chunk
+    // as it runs, and again by the interconnect replay of its chunk loads.
+    // The two add the same stage durations in a different grouping (the run
+    // charges prep + prefetch as one upload, the replay as prep plus two
+    // transfers), so they agree to rounding, not always bit for bit; a drift
+    // in the slot rule between the two would break this by far more.
+    let set = DatasetProfile::set3().generate(PAIRS, 11);
+    let one_device = matrix()
+        .into_iter()
+        .filter(|(_, devices, _)| devices.len() == 1);
+    let mut checked = 0;
+    for (label, devices, config) in one_device {
+        let run = run(devices, config, &set);
+        let pipeline = &run.per_device[0].pipeline;
+        let interconnect = &run.interconnect;
+        for (what, replayed) in [
+            ("uncontended", interconnect.uncontended.makespan_seconds),
+            ("contended", interconnect.contended.makespan_seconds),
+        ] {
+            let gap = relative_gap(pipeline.overlapped_seconds, replayed);
+            assert!(
+                gap <= 1e-14,
+                "{label}: makespan {} vs {what} replay {replayed} (relative gap {gap:e})",
+                pipeline.overlapped_seconds
+            );
+        }
+        let gap = relative_gap(
+            pipeline.serialized_seconds,
+            interconnect.uncontended.serialized_seconds,
+        );
+        assert!(
+            gap <= 1e-14,
+            "{label}: serialized {} vs replay {} (relative gap {gap:e})",
+            pipeline.serialized_seconds,
+            interconnect.uncontended.serialized_seconds
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 16);
+}
