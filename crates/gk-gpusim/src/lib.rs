@@ -53,6 +53,13 @@ pub mod power;
 pub mod profiler;
 pub mod topology;
 
+// Scenario tests of the clock's streams and of whole simulated timelines
+// (several streams, devices and links).
+#[cfg(test)]
+mod stream;
+#[cfg(test)]
+mod timeline;
+
 pub use clock::{ChunkStageSeconds, PipelineClock, BUFFER_SLOTS};
 pub use device::{Architecture, DeviceSpec, PcieLink};
 pub use executor::{

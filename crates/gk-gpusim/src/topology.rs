@@ -809,85 +809,6 @@ mod tests {
         assert_eq!(run.anomalies, 0);
     }
 
-    /// One 1 GB/s link shared by two devices.
-    fn shared_gigabyte_link() -> Topology {
-        Topology::custom(
-            "root",
-            vec![LinkSpec {
-                name: "root".to_string(),
-                bandwidth_gb_per_s: 1.0,
-            }],
-            vec![0, 0],
-        )
-    }
-
-    /// A chunk that only uploads `bytes` after `host_seconds` of host prep.
-    fn upload_only(host_seconds: f64, bytes: u64) -> ChunkLoad {
-        ChunkLoad {
-            host_seconds,
-            h2d_bytes: [bytes, 0],
-            kernel_seconds: 0.0,
-            d2h_bytes: 0,
-        }
-    }
-
-    #[test]
-    fn concurrent_transfers_on_a_shared_link_serialize() {
-        // Two devices, each wanting 1 GB at 1 GB/s at time zero: on private
-        // links they finish together at 1 s, on the shared link the second
-        // stalls behind the first and finishes at 2 s.
-        let gb = 1_000_000_000u64;
-        let loads = vec![vec![upload_only(0.0, gb)]; 2];
-        let run = simulate_contended(&shared_gigabyte_link(), &loads);
-        assert_eq!(run.per_device_finish_seconds, vec![1.0, 2.0]);
-        assert_eq!(run.makespan_seconds, 2.0);
-        assert_eq!(run.per_device_link_wait_seconds, vec![0.0, 1.0]);
-        let link = &run.links[0];
-        assert_eq!(link.busy_seconds, 2.0);
-        assert_eq!(link.wait_seconds, 1.0);
-        assert_eq!(link.h2d_bytes, 2 * gb);
-        assert_eq!(link.devices, 2);
-        // The link never idled over the makespan.
-        assert_eq!(link.utilization, 1.0);
-        let private = simulate_contended(&shared_gigabyte_link().to_independent(), &loads);
-        assert_eq!(private.makespan_seconds, 1.0);
-    }
-
-    #[test]
-    fn link_frees_up_between_staggered_transfers() {
-        // The second upload arrives after the first completed: no stall.
-        let loads = vec![
-            vec![upload_only(0.0, 500_000_000)],
-            vec![upload_only(0.8, 500_000_000)],
-        ];
-        let run = simulate_contended(&shared_gigabyte_link(), &loads);
-        assert!((run.per_device_finish_seconds[1] - 1.3).abs() < 1e-12);
-        assert_eq!(run.link_wait_seconds(), 0.0);
-        assert_eq!(run.links[0].wait_seconds, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_links_panic() {
-        // `PcieLink` has public fields, so a zero-lane device builds a
-        // zero-bandwidth link that only the replay rejects.
-        let mut device = DeviceSpec::gtx_1080_ti();
-        device.pcie.lanes = 0;
-        let topology = Topology::build(TopologyKind::Independent, &[device]);
-        simulate_contended(&topology, &[Vec::new()]);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn release_clamps_surface_as_replay_anomalies() {
-        let mut load = upload_only(0.0, 0);
-        load.kernel_seconds = -1.0;
-        let run = simulate_contended(&shared_gigabyte_link(), &[vec![load], vec![load]]);
-        assert_eq!(run.anomalies, 2);
-        assert_eq!(run.makespan_seconds, 0.0);
-        assert_eq!(run.serialized_seconds, 0.0);
-    }
-
     #[test]
     fn empty_loads_produce_an_empty_run() {
         let devices = pascal(2);
