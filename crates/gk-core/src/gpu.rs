@@ -17,11 +17,16 @@
 //!
 //! Functional behaviour (the decisions) comes from actually running the improved
 //! GateKeeper kernel of `gk-filters` for every pair. Timing comes from the device
-//! model in `gk-gpusim` plus a small set of host-side cost constants, calibrated so
-//! the *relative* behaviour of the paper is reproduced: kernel time grows mildly
-//! with the error threshold while filter time is dominated by host preparation and
-//! transfers; host encoding shrinks the transfer but adds host time; prefetch-less
-//! devices (Kepler) pay page-fault overhead.
+//! model in `gk-gpusim` plus a small set of host-side cost constants: each
+//! chunk's buffer sizes go to one `MemoryStats::record_batch` call for the
+//! prefetch or page-fault cost, and its per-pair cycle counts go to one
+//! `launch_kernel` fold for the kernel time and the nvprof-style statistics.
+//! `docs/MODEL.md` lists every constant with the paper datum it was set
+//! against. They are calibrated so the *relative* behaviour of the paper is
+//! reproduced: kernel time grows mildly with the error threshold while filter
+//! time is dominated by host preparation and transfers; host encoding shrinks
+//! the transfer but adds host time; prefetch-less devices (Kepler) pay
+//! page-fault overhead.
 //!
 //! The encoding actor selects one of two genuinely different **execution
 //! paths**, not just two timing attributions:
@@ -63,8 +68,8 @@ use gk_filters::simd::{
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
 use gk_gpusim::clock::{ChunkStageSeconds, PipelineClock};
 use gk_gpusim::device::DeviceSpec;
-use gk_gpusim::executor::{launch_kernel, KernelResources, ThreadReport};
-use gk_gpusim::memory::{MemoryStats, UnifiedMemory, PAGE_SIZE};
+use gk_gpusim::executor::{launch_kernel, KernelResources};
+use gk_gpusim::memory::{BatchTraffic, MemoryStats};
 use gk_gpusim::power::PowerReport;
 use gk_gpusim::profiler::Profiler;
 use gk_gpusim::topology::ChunkLoad;
@@ -417,59 +422,25 @@ impl DevicePipeline<'_> {
         &self,
         batch_len: usize,
         input: &ChunkData,
-        memory: &mut UnifiedMemory,
+        memory: &mut MemoryStats,
         profiler: &mut Profiler,
     ) -> DeviceOutcome {
-        // Unified-memory buffers: reads, reference segments, results. The
-        // H2D size follows the prepared input itself: packed 2-bit words in
-        // host-encoded mode, the raw arena's actual footprint (stride-padded
-        // 1-byte bases — padding crosses the link like real bases) in
-        // device-encoded mode, so the arena is the single source of truth
-        // for raw-mode transfer accounting.
-        memory.reset();
+        // Unified-memory buffers: reads and reference segments, half the H2D
+        // bytes each, and one 8-byte result per pair. The H2D size follows
+        // the prepared input itself: packed 2-bit words in host-encoded mode,
+        // the raw arena's actual footprint (stride-padded 1-byte bases —
+        // padding crosses the link like real bases) in device-encoded mode,
+        // so the arena is the single source of truth for raw-mode transfer
+        // accounting. The host code prefetches each buffer on its own stream
+        // and advises the device as their preferred location (§3.4); the
+        // advice has no modelled cost.
         let input_bytes = match input {
             ChunkData::Encoded(_) => {
                 2 * self.config.words_per_sequence() as u64 * 4 * batch_len as u64
             }
             ChunkData::Raw(raw) => raw.h2d_bytes(),
         };
-        let result_bytes = 8 * batch_len as u64;
-        let reads_buffer = memory
-            .alloc(input_bytes / 2)
-            .expect("batch sized beyond device memory despite system configuration");
-        let refs_buffer = memory
-            .alloc(input_bytes / 2)
-            .expect("batch sized beyond device memory despite system configuration");
-        let results_buffer = memory
-            .alloc(result_bytes)
-            .expect("result buffer allocation failed");
-
-        // Asynchronous prefetch (§3.4; the CUDA host code puts each buffer's
-        // prefetch on its own stream). The host code also advises the device
-        // as the buffers' preferred location; that advice has no modelled
-        // cost, so it is not simulated. The PCIe link is shared, so the
-        // modelled transfer cost is the sum of the per-buffer prefetches.
-        let mut prefetch_seconds = 0.0;
-        // Per-buffer page-rounded prefetch traffic, captured for the multi-GPU
-        // contention replay. The buffers are freshly allocated fully
-        // host-resident, so each prefetch moves exactly `page_count` pages —
-        // the byte counts reproduce `t_reads`/`t_refs` exactly under
-        // `PcieLink::transfer_seconds`. Prefetch-less devices move nothing
-        // here; their fault traffic is already folded into the kernel stage.
-        let mut h2d_bytes = [0u64; 2];
-        if self.device.supports_prefetch() {
-            for (slot, buffer) in [reads_buffer, refs_buffer].into_iter().enumerate() {
-                h2d_bytes[slot] = memory.buffer(buffer).expect("valid buffer").page_count() as u64
-                    * PAGE_SIZE as u64;
-            }
-            let t_reads = memory
-                .prefetch_to_device(reads_buffer)
-                .expect("valid buffer");
-            let t_refs = memory
-                .prefetch_to_device(refs_buffer)
-                .expect("valid buffer");
-            prefetch_seconds = t_reads + t_refs;
-        }
+        let traffic = memory.record_batch(self.device, input_bytes / 2, 8 * batch_len as u64);
 
         // Stage 2 (device): kernel launch, one warp-like lane group of four
         // per task (lane mode) or one per-bit filtration per pair (scalar
@@ -501,17 +472,6 @@ impl DevicePipeline<'_> {
             }
         };
 
-        // On devices without prefetch support the kernel's first touch of each page
-        // faults and migrates on demand; that cost lands in the kernel's critical
-        // path but is accounted as transfer time for reporting, as in §4.3.
-        let fault_reads = memory
-            .access_from_device(reads_buffer)
-            .expect("valid buffer");
-        let fault_refs = memory
-            .access_from_device(refs_buffer)
-            .expect("valid buffer");
-        let fault_seconds = fault_reads + fault_refs;
-
         let launch = self.system.launch_config(self.device, batch_len);
         // The fused encode+filter kernel keeps encode scratch live and costs
         // a few extra registers (gk_gpusim::encode); at 1024-thread blocks
@@ -520,15 +480,8 @@ impl DevicePipeline<'_> {
             EncodingActor::Device => KernelResources::gatekeeper_gpu_device_encode(self.device),
             EncodingActor::Host => KernelResources::gatekeeper_gpu(self.device),
         };
-        let stats = launch_kernel(self.device, &resources, launch, |ctx| {
-            match decisions.get(ctx.global_idx) {
-                Some(decision) => ThreadReport {
-                    cycles: self.filtration_cycles(decision),
-                    active: true,
-                },
-                None => ThreadReport::idle(),
-            }
-        });
+        let cycles = decisions.iter().map(|d| self.filtration_cycles(d));
+        let stats = launch_kernel(self.device, &resources, launch, cycles);
         // Attribute the in-kernel encode share of the fused kernel by its
         // cycle fraction (every thread with a pair packs 2 × read_len bases).
         let encode_device_seconds = if stats.total_cycles > 0 {
@@ -537,35 +490,13 @@ impl DevicePipeline<'_> {
         } else {
             0.0
         };
-        let kernel_seconds = stats.kernel_seconds + KERNEL_LAUNCH_OVERHEAD_S;
-        profiler.record(
-            "gatekeeper_gpu_kernel",
-            stats,
-            self.config.words_per_sequence(),
-        );
-
-        // Stage 3 (D2H): the host reads the result buffer back for verification.
-        // Only device-resident pages migrate back, so the byte count mirrors
-        // the modelled read-back time exactly (zero while the result buffer
-        // stays host-resident end to end, the current unified-memory quirk).
-        let d2h_bytes = memory
-            .buffer(results_buffer)
-            .expect("valid buffer")
-            .device_resident_pages() as u64
-            * PAGE_SIZE as u64;
-        let readback_seconds = memory
-            .access_from_host(results_buffer)
-            .expect("valid buffer");
+        profiler.record(&stats, self.config.words_per_sequence());
 
         DeviceOutcome {
             decisions,
-            prefetch_seconds,
-            h2d_bytes,
-            fault_seconds,
-            kernel_seconds,
+            traffic,
+            kernel_seconds: stats.kernel_seconds + KERNEL_LAUNCH_OVERHEAD_S,
             encode_device_seconds,
-            readback_seconds,
-            d2h_bytes,
         }
     }
 }
@@ -574,17 +505,11 @@ impl DevicePipeline<'_> {
 /// (everything downstream of the host prep).
 struct DeviceOutcome {
     decisions: Vec<FilterDecision>,
-    prefetch_seconds: f64,
-    /// Page-rounded prefetch bytes per input buffer (reads, refs); zero on
-    /// prefetch-less devices.
-    h2d_bytes: [u64; 2],
-    fault_seconds: f64,
+    /// Prefetch, page-fault and read-back cost of the chunk's buffers.
+    traffic: BatchTraffic,
     kernel_seconds: f64,
     /// In-kernel encode share of `kernel_seconds` (fused kernel only).
     encode_device_seconds: f64,
-    readback_seconds: f64,
-    /// Page-rounded result-buffer bytes migrating back to the host.
-    d2h_bytes: u64,
 }
 
 /// Output of one chunk's prep stage, as the device stage consumes it.
@@ -622,7 +547,7 @@ fn prep_stage(batch: &[SequencePair], config: &FilterConfig) -> (ChunkData, f64,
 }
 
 /// Stateful chunked execution of one filtering run on one device: owns the
-/// unified-memory arena, the profiler and the pipeline clock, and is fed pair
+/// unified-memory counters, the profiler and the pipeline clock, and is fed pair
 /// slices in input order by the `filter_*` entry points. Each chunk runs
 /// prep, device stage and sink one after another on the calling thread; the
 /// stage work inside (`encode_pair_batch`, the lane kernel) fans out on the
@@ -630,7 +555,7 @@ fn prep_stage(batch: &[SequencePair], config: &FilterConfig) -> (ChunkData, f64,
 struct PipelineEngine<'g> {
     pipeline: DevicePipeline<'g>,
     plan: ChunkPlan,
-    memory: UnifiedMemory,
+    memory: MemoryStats,
     profiler: Profiler,
     clock: PipelineClock,
     /// The chunks' stage durations summed in recording order.
@@ -643,7 +568,7 @@ impl<'g> PipelineEngine<'g> {
     fn new(pipeline: DevicePipeline<'g>) -> PipelineEngine<'g> {
         PipelineEngine {
             plan: pipeline.chunk_plan(),
-            memory: UnifiedMemory::new(pipeline.device.clone()),
+            memory: MemoryStats::default(),
             profiler: Profiler::new(pipeline.device.clone()),
             clock: PipelineClock::new(),
             serialized_seconds: 0.0,
@@ -672,26 +597,27 @@ impl<'g> PipelineEngine<'g> {
                 &mut self.memory,
                 &mut self.profiler,
             );
+            let traffic = device.traffic;
             // Page faults sit on the kernel's critical path (§4.3) even though
             // reporting accounts them as transfer time.
             let stages = ChunkStageSeconds {
-                h2d_seconds: host_prep_seconds + encode_seconds + device.prefetch_seconds,
-                kernel_seconds: device.fault_seconds + device.kernel_seconds,
-                d2h_seconds: device.readback_seconds,
+                h2d_seconds: host_prep_seconds + encode_seconds + traffic.prefetch_seconds,
+                kernel_seconds: traffic.fault_seconds + device.kernel_seconds,
+                d2h_seconds: traffic.readback_seconds,
             };
             self.clock.record(&stages, &mut self.serialized_seconds);
             let load = ChunkLoad {
                 host_seconds: host_prep_seconds + encode_seconds,
-                h2d_bytes: device.h2d_bytes,
-                kernel_seconds: device.fault_seconds + device.kernel_seconds,
-                d2h_bytes: device.d2h_bytes,
+                h2d_bytes: traffic.h2d_bytes,
+                kernel_seconds: traffic.fault_seconds + device.kernel_seconds,
+                d2h_bytes: traffic.d2h_bytes,
             };
             self.timing.host_prep_seconds += host_prep_seconds;
             self.timing.encode_seconds += encode_seconds;
             self.timing.encode_device_seconds += device.encode_device_seconds;
-            self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
+            self.timing.transfer_seconds += traffic.prefetch_seconds + traffic.fault_seconds;
             self.timing.kernel_seconds += device.kernel_seconds;
-            self.timing.readback_seconds += device.readback_seconds;
+            self.timing.readback_seconds += traffic.readback_seconds;
             sink(chunk, device.decisions, load);
         }
     }
@@ -708,7 +634,7 @@ impl<'g> PipelineEngine<'g> {
         DeviceRun {
             timing: self.timing,
             batches: self.clock.chunks(),
-            memory_stats: self.memory.stats(),
+            memory_stats: self.memory,
             achieved_occupancy: self.profiler.average_achieved_occupancy(),
             theoretical_occupancy: self.profiler.theoretical_occupancy(),
             warp_execution_efficiency: self.profiler.average_warp_execution_efficiency(),

@@ -90,10 +90,7 @@ impl MultiGpuSchedule {
     /// Replays the devices' exact per-chunk loads over this schedule's
     /// topology and over its private-link twin.
     pub(crate) fn replay(&self, per_device: &[DeviceRun]) -> InterconnectReport {
-        let loads: Vec<Vec<ChunkLoad>> = per_device
-            .iter()
-            .map(|run| run.chunk_loads.clone())
-            .collect();
+        let loads: Vec<&[ChunkLoad]> = per_device.iter().map(|run| &run.chunk_loads[..]).collect();
         InterconnectReport {
             topology: self.topology.label().to_string(),
             aware: self.aware,

@@ -1,15 +1,13 @@
-//! SIMT kernel execution: grid/block/warp decomposition, functional execution of
-//! the per-thread kernel body, and the kernel timing model.
+//! SIMT kernel accounting: grid/block/warp decomposition of one launch and the
+//! kernel timing model.
 //!
 //! GateKeeper-GPU assigns one *filtration* to each CUDA thread "to have the least
 //! possible dependency between the threads for high filtering throughput" (§3.1).
-//! The simulator keeps that structure: the caller supplies a closure that plays the
-//! role of the device function, the launcher enumerates the grid, groups threads
-//! into 32-wide warps and fans the blocks out across the host's work-stealing
-//! thread pool (ordered chunks of blocks become stealable tasks, so the derived
-//! statistics are identical to a sequential launch). Each
-//! thread reports how much device work it performed (in modelled cycles) and
-//! whether it was active at all; from those reports the launcher derives
+//! The decisions themselves come from the lane kernels of `gk-filters`; the
+//! launcher only sees how much device work each filtration costs. It takes the
+//! per-pair cycle counts in pair order, hands pair *i* to global thread *i*,
+//! leaves the threads past the last pair idle, and folds the grid block by
+//! block, warp by warp, in one sequential pass. From that fold it derives
 //!
 //! * the **kernel time** under an analytic throughput model (cycles spread over the
 //!   device's CUDA cores at its clock, derated by how much latency the achieved
@@ -21,7 +19,6 @@
 
 use crate::device::DeviceSpec;
 use crate::occupancy::{theoretical_occupancy, OccupancyResult};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 // The kernel resource description lives with the occupancy calculator; re-export it
@@ -55,37 +52,6 @@ impl LaunchConfig {
     }
 }
 
-/// Identity of one simulated CUDA thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadCtx {
-    /// Block index within the grid (`blockIdx.x`).
-    pub block_idx: u32,
-    /// Thread index within the block (`threadIdx.x`).
-    pub thread_idx: u32,
-    /// Flattened global thread index.
-    pub global_idx: usize,
-}
-
-/// What one thread reports back after running the kernel body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadReport {
-    /// Modelled device cycles consumed by the thread.
-    pub cycles: u64,
-    /// Whether the thread had real work (threads beyond the batch size, or threads
-    /// given an undefined pair, early-exit and count as inactive lanes).
-    pub active: bool,
-}
-
-impl ThreadReport {
-    /// An idle lane (thread index beyond the work items).
-    pub fn idle() -> ThreadReport {
-        ThreadReport {
-            cycles: 0,
-            active: false,
-        }
-    }
-}
-
 /// Statistics of one simulated kernel launch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelStats {
@@ -93,7 +59,7 @@ pub struct KernelStats {
     pub config: LaunchConfig,
     /// Threads launched (grid × block).
     pub launched_threads: usize,
-    /// Threads that reported doing real work.
+    /// Threads that had a pair to filter.
     pub active_threads: usize,
     /// Total modelled device cycles across all threads.
     pub total_cycles: u64,
@@ -109,78 +75,49 @@ pub struct KernelStats {
     pub sm_efficiency: f64,
 }
 
-/// Launches a kernel: runs `body` once per thread (in parallel over blocks) and
-/// derives timing and utilisation statistics from the per-thread reports.
-pub fn launch_kernel<F>(
+/// Launches a kernel over `pair_cycles`, the modelled device cycles of each
+/// filtration in pair order: pair *i* runs on global thread *i*, threads past
+/// the last pair are idle, and pairs past the last thread are not launched.
+/// Derives timing and utilisation statistics from one sequential pass over the
+/// grid.
+pub fn launch_kernel(
     device: &DeviceSpec,
     resources: &KernelResources,
     config: LaunchConfig,
-    body: F,
-) -> KernelStats
-where
-    F: Fn(ThreadCtx) -> ThreadReport + Sync,
-{
-    let threads_per_block = config.threads_per_block.max(1);
+    pair_cycles: impl IntoIterator<Item = u64>,
+) -> KernelStats {
+    let threads_per_block = config.threads_per_block.max(1) as usize;
     let warp_size = device.warp_size.max(1) as usize;
 
-    // Run every block in parallel; within a block, enumerate warps so the warp
-    // execution efficiency can be measured the way nvprof defines it.
-    #[derive(Default, Clone, Copy)]
-    struct BlockOutcome {
-        cycles: u64,
-        active_threads: usize,
-        warp_lane_efficiency_sum: f64,
-        warps: usize,
-    }
-
-    let outcomes: Vec<BlockOutcome> = (0..config.grid_blocks)
-        .into_par_iter()
-        .map(|block_idx| {
-            let mut outcome = BlockOutcome::default();
-            let mut lane_cycles: Vec<u64> = Vec::with_capacity(warp_size);
-            for warp_start in (0..threads_per_block).step_by(warp_size) {
-                lane_cycles.clear();
-                for lane in 0..warp_size as u32 {
-                    let thread_idx = warp_start + lane;
-                    if thread_idx >= threads_per_block {
-                        break;
-                    }
-                    let global_idx =
-                        block_idx as usize * threads_per_block as usize + thread_idx as usize;
-                    let report = body(ThreadCtx {
-                        block_idx,
-                        thread_idx,
-                        global_idx,
-                    });
-                    outcome.cycles += report.cycles;
-                    if report.active {
-                        outcome.active_threads += 1;
-                    }
-                    lane_cycles.push(if report.active {
-                        report.cycles.max(1)
-                    } else {
-                        0
-                    });
-                }
-                // Warp execution efficiency: lanes of a warp execute in lockstep, so
-                // the warp is busy for the slowest lane's cycles; lanes that finish
-                // early (or never had work) waste issue slots.
-                let warp_time = lane_cycles.iter().copied().max().unwrap_or(0);
-                if warp_time > 0 {
-                    let useful: u64 = lane_cycles.iter().sum();
-                    outcome.warp_lane_efficiency_sum +=
-                        useful as f64 / (warp_size as u64 * warp_time) as f64;
-                    outcome.warps += 1;
-                }
+    let mut pairs = pair_cycles.into_iter().fuse();
+    let mut total_cycles = 0u64;
+    let mut active_threads = 0usize;
+    let mut total_warps = 0usize;
+    // Summed per block, then block sums in grid order.
+    let mut warp_eff_sum = 0.0;
+    for _ in 0..config.grid_blocks {
+        let mut block_eff_sum = 0.0;
+        for warp_start in (0..threads_per_block).step_by(warp_size) {
+            let lanes = warp_size.min(threads_per_block - warp_start);
+            // Warp execution efficiency (nvprof's definition): lanes of a warp
+            // execute in lockstep, so the warp is busy for its slowest lane's
+            // cycles; lanes that finish early, or never had a pair, waste issue
+            // slots. An active lane counts at least one cycle.
+            let mut useful = 0u64;
+            let mut warp_time = 0u64;
+            for cycles in pairs.by_ref().take(lanes) {
+                total_cycles += cycles;
+                active_threads += 1;
+                useful += cycles.max(1);
+                warp_time = warp_time.max(cycles.max(1));
             }
-            outcome
-        })
-        .collect();
-
-    let total_cycles: u64 = outcomes.iter().map(|o| o.cycles).sum();
-    let active_threads: usize = outcomes.iter().map(|o| o.active_threads).sum();
-    let total_warps: usize = outcomes.iter().map(|o| o.warps).sum();
-    let warp_eff_sum: f64 = outcomes.iter().map(|o| o.warp_lane_efficiency_sum).sum();
+            if warp_time > 0 {
+                block_eff_sum += useful as f64 / (warp_size as u64 * warp_time) as f64;
+                total_warps += 1;
+            }
+        }
+        warp_eff_sum += block_eff_sum;
+    }
 
     let occupancy: OccupancyResult = theoretical_occupancy(device, resources);
 
@@ -238,11 +175,9 @@ mod tests {
         KernelResources::gatekeeper_gpu(d)
     }
 
-    fn uniform_kernel(cycles: u64) -> impl Fn(ThreadCtx) -> ThreadReport + Sync {
-        move |_ctx| ThreadReport {
-            cycles,
-            active: true,
-        }
+    /// Every thread of `config` gets a pair of `cycles` cycles.
+    fn uniform(config: LaunchConfig, cycles: u64) -> impl Iterator<Item = u64> {
+        std::iter::repeat_n(cycles, config.total_threads())
     }
 
     #[test]
@@ -256,44 +191,77 @@ mod tests {
 
     #[test]
     fn every_thread_runs_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Each thread takes exactly one pair, and pairs past the last thread
+        // are never drawn.
         let d = device();
         let config = LaunchConfig {
             grid_blocks: 7,
             threads_per_block: 96,
         };
-        let counter = AtomicUsize::new(0);
-        let stats = launch_kernel(&d, &resources(&d), config, |_ctx| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            ThreadReport {
-                cycles: 1,
-                active: true,
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 7 * 96);
+        let mut drawn = 0usize;
+        let stats = launch_kernel(
+            &d,
+            &resources(&d),
+            config,
+            std::iter::repeat(1).inspect(|_| drawn += 1),
+        );
+        assert_eq!(drawn, 7 * 96);
         assert_eq!(stats.launched_threads, 7 * 96);
         assert_eq!(stats.active_threads, 7 * 96);
+        assert_eq!(stats.total_cycles, 7 * 96);
     }
 
     #[test]
     fn global_indices_are_unique_and_dense() {
-        use std::sync::Mutex;
+        // Pair i runs on global thread i: with cycles i + 1, warp k holds the
+        // pairs 32k..32k + 32, so its efficiency is (1024k + 528) / (1024k +
+        // 1024). Any other assignment of pairs to lanes changes the average.
         let d = device();
         let config = LaunchConfig {
             grid_blocks: 3,
             threads_per_block: 64,
         };
-        let seen = Mutex::new(vec![false; config.total_threads()]);
-        launch_kernel(&d, &resources(&d), config, |ctx| {
-            let mut guard = seen.lock().unwrap();
-            assert!(!guard[ctx.global_idx], "duplicate index {}", ctx.global_idx);
-            guard[ctx.global_idx] = true;
-            ThreadReport {
-                cycles: 1,
-                active: true,
-            }
+        let stats = launch_kernel(&d, &resources(&d), config, 1..=192);
+        assert_eq!(stats.active_threads, 192);
+        assert_eq!(stats.total_cycles, 192 * 193 / 2);
+        let expected = (0..6)
+            .map(|k| (1024.0 * k as f64 + 528.0) / (1024.0 * k as f64 + 1024.0))
+            .sum::<f64>()
+            / 6.0;
+        assert!((stats.warp_execution_efficiency - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn partial_last_warp_and_block_match_hand_computed_statistics() {
+        // Three 64-thread blocks (two warps each) over 150 pairs: blocks 0 and
+        // 1 are full, block 2's first warp has 22 active lanes and its second
+        // warp is idle. Pair 40 (block 0, warp 1) is the one slow lane.
+        let d = device();
+        let config = LaunchConfig {
+            grid_blocks: 3,
+            threads_per_block: 64,
+        };
+        let cycles = (0..150u64).map(|i| match i {
+            40 => 200,
+            0..128 => 100,
+            _ => 50,
         });
-        assert!(seen.lock().unwrap().iter().all(|&s| s));
+        let stats = launch_kernel(&d, &resources(&d), config, cycles);
+        assert_eq!(stats.launched_threads, 192);
+        assert_eq!(stats.active_threads, 150);
+        assert_eq!(stats.total_cycles, 127 * 100 + 200 + 22 * 50);
+        // Warps: 1, 3300 / 6400, 1, 1, 1100 / 1600; the idle warp is not counted.
+        let warp_sum = (1.0 + 0.515625) + (1.0 + 1.0) + 0.6875;
+        assert_eq!(stats.warp_execution_efficiency, warp_sum / 5.0);
+        assert_eq!(stats.warp_execution_efficiency, 0.840625);
+        // 50% theoretical occupancy is 32 resident warps on each of 28 SMs;
+        // five busy warps fill 5 / 896 of them.
+        assert_eq!(stats.theoretical_occupancy, 0.5);
+        let achieved = 0.5 * (5.0 / 896.0) * 0.97;
+        assert_eq!(stats.achieved_occupancy, achieved);
+        assert_eq!(stats.sm_efficiency, 3.0 / 28.0 * 0.99);
+        let ops_per_second = 3584.0 * 1.582 * 1e9 * (0.4 + 0.6 * achieved);
+        assert_eq!(stats.kernel_seconds, 14_000.0 / ops_per_second);
     }
 
     #[test]
@@ -303,8 +271,8 @@ mod tests {
             grid_blocks: 64,
             threads_per_block: 1024,
         };
-        let light = launch_kernel(&d, &resources(&d), config, uniform_kernel(100));
-        let heavy = launch_kernel(&d, &resources(&d), config, uniform_kernel(1000));
+        let light = launch_kernel(&d, &resources(&d), config, uniform(config, 100));
+        let heavy = launch_kernel(&d, &resources(&d), config, uniform(config, 1000));
         assert!(heavy.kernel_seconds > light.kernel_seconds * 5.0);
     }
 
@@ -320,13 +288,13 @@ mod tests {
             &pascal,
             &KernelResources::gatekeeper_gpu(&pascal),
             config,
-            uniform_kernel(500),
+            uniform(config, 500),
         );
         let on_kepler = launch_kernel(
             &kepler,
             &KernelResources::gatekeeper_gpu(&kepler),
             config,
-            uniform_kernel(500),
+            uniform(config, 500),
         );
         assert!(on_kepler.kernel_seconds > on_pascal.kernel_seconds);
     }
@@ -340,7 +308,7 @@ mod tests {
             grid_blocks: 256,
             threads_per_block: 1024,
         };
-        let stats = launch_kernel(&d, &resources(&d), config, uniform_kernel(10));
+        let stats = launch_kernel(&d, &resources(&d), config, uniform(config, 10));
         assert!((stats.theoretical_occupancy - 0.5).abs() < 1e-9);
         assert!(stats.achieved_occupancy > 0.44 && stats.achieved_occupancy <= 0.5);
     }
@@ -348,24 +316,16 @@ mod tests {
     #[test]
     fn small_grids_lower_achieved_occupancy_and_sm_efficiency() {
         let d = device();
-        let small = launch_kernel(
-            &d,
-            &resources(&d),
-            LaunchConfig {
-                grid_blocks: 2,
-                threads_per_block: 1024,
-            },
-            uniform_kernel(10),
-        );
-        let large = launch_kernel(
-            &d,
-            &resources(&d),
-            LaunchConfig {
-                grid_blocks: 256,
-                threads_per_block: 1024,
-            },
-            uniform_kernel(10),
-        );
+        let small_config = LaunchConfig {
+            grid_blocks: 2,
+            threads_per_block: 1024,
+        };
+        let large_config = LaunchConfig {
+            grid_blocks: 256,
+            threads_per_block: 1024,
+        };
+        let small = launch_kernel(&d, &resources(&d), small_config, uniform(small_config, 10));
+        let large = launch_kernel(&d, &resources(&d), large_config, uniform(large_config, 10));
         assert!(small.achieved_occupancy < large.achieved_occupancy);
         assert!(small.sm_efficiency < large.sm_efficiency);
         assert!(large.sm_efficiency > 0.95);
@@ -378,34 +338,22 @@ mod tests {
             grid_blocks: 8,
             threads_per_block: 1024,
         };
-        // Half the lanes idle (e.g. undefined pairs early-exiting).
-        let stats = launch_kernel(&d, &resources(&d), config, |ctx| {
-            if ctx.global_idx % 2 == 0 {
-                ThreadReport {
-                    cycles: 50,
-                    active: true,
-                }
-            } else {
-                ThreadReport::idle()
-            }
-        });
+        // 16 pairs: the first warp runs half its lanes and the other 16 lanes
+        // idle; the warps past it have no lane at work and do not count.
+        let stats = launch_kernel(&d, &resources(&d), config, std::iter::repeat_n(50, 16));
         assert!((stats.warp_execution_efficiency - 0.5).abs() < 0.01);
-        let full = launch_kernel(&d, &resources(&d), config, uniform_kernel(50));
+        let full = launch_kernel(&d, &resources(&d), config, uniform(config, 50));
         assert!(full.warp_execution_efficiency > 0.99);
     }
 
     #[test]
     fn zero_work_kernel_takes_no_time() {
         let d = device();
-        let stats = launch_kernel(
-            &d,
-            &resources(&d),
-            LaunchConfig {
-                grid_blocks: 1,
-                threads_per_block: 32,
-            },
-            |_ctx| ThreadReport::idle(),
-        );
+        let config = LaunchConfig {
+            grid_blocks: 1,
+            threads_per_block: 32,
+        };
+        let stats = launch_kernel(&d, &resources(&d), config, std::iter::empty());
         assert_eq!(stats.kernel_seconds, 0.0);
         assert_eq!(stats.active_threads, 0);
     }

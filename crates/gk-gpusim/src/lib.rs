@@ -8,12 +8,15 @@
 //! The GateKeeper-GPU contribution is inseparable from the CUDA execution model:
 //! batched kernels, one filtration per thread, unified memory with `memAdvise` and
 //! asynchronous prefetching, occupancy tuning, multi-GPU scaling, and power
-//! behaviour. Rust has no mature CUDA path and this environment has no GPU, so the
-//! reproduction runs the *same per-thread kernel logic* on host threads (functional
-//! fidelity — identical accept/reject decisions) while an analytic timing model
-//! calibrated to the published device specifications reproduces the *shape* of the
+//! behaviour. Rust has no mature CUDA path and no GPU is assumed, so the
+//! reproduction computes every decision with the GateKeeper kernel of
+//! `gk-filters` on the host (functional fidelity — identical accept/reject
+//! decisions), and this crate turns each batch's sizes and per-pair cycle counts
+//! into modelled device seconds. The analytic model is calibrated to the
+//! published device specifications and reproduces the *shape* of the
 //! performance results (batching effects, the encoding-actor trade-off, prefetch
-//! benefit, multi-GPU scaling, occupancy, power).
+//! benefit, multi-GPU scaling, occupancy, power); `docs/MODEL.md` lists every
+//! model constant with the paper datum it was set against.
 //!
 //! ## What it provides
 //!
@@ -24,17 +27,20 @@
 //! * [`encode`] — the in-kernel encode-stage model of the device encoding
 //!   actor: per-base cycle cost and the fused encode+filter kernel's
 //!   register/occupancy footprint.
-//! * [`memory`] — unified memory with page-granular residency, on-demand migration
-//!   (page faults), and asynchronous prefetch (compute capability ≥ 6.x only, as
-//!   on the real hardware).
-//! * [`executor`] — SIMT kernel launcher: grid/block/warp decomposition, per-thread
-//!   closures run in parallel with Rayon, warp-execution-efficiency and
-//!   SM-efficiency accounting, and the kernel timing model.
+//! * [`memory`] — the unified-memory cost of one batch: page-granular
+//!   asynchronous prefetch (compute capability ≥ 6.x only, as on the real
+//!   hardware) or on-demand migration by page faults, accumulated per device
+//!   in [`memory::MemoryStats`].
+//! * [`executor`] — SIMT launch accounting: one sequential fold over a batch's
+//!   per-pair cycle counts, grid/block/warp decomposition,
+//!   warp-execution-efficiency and SM-efficiency accounting, and the kernel
+//!   timing model.
 //! * [`clock`] — [`clock::PipelineClock`]: one device's H2D, kernel and D2H
 //!   stream cursors with the rotation of [`clock::BUFFER_SLOTS`] buffers, giving
 //!   the overlapped makespan of the §3.4 multi-stream prefetch model.
 //! * [`power`] — nvprof-like power sampling (min/max/average milliwatts).
-//! * [`profiler`] — aggregated per-kernel profiling reports.
+//! * [`profiler`] — running nvprof-style aggregates over a run's launches:
+//!   average occupancy and efficiencies, and the power report.
 //! * [`topology`] — interconnect topologies: devices attached to shared host
 //!   links (root complex, PCIe switch fan-out, NVLink-style fabric) whose
 //!   concurrent transfers serialize instead of overlapping for free, plus the
@@ -62,13 +68,11 @@ mod timeline;
 
 pub use clock::{ChunkStageSeconds, PipelineClock, BUFFER_SLOTS};
 pub use device::{Architecture, DeviceSpec, PcieLink};
-pub use executor::{
-    launch_kernel, KernelResources, KernelStats, LaunchConfig, ThreadCtx, ThreadReport,
-};
-pub use memory::{MemoryStats, UnifiedBuffer, UnifiedMemory};
+pub use executor::{launch_kernel, KernelResources, KernelStats, LaunchConfig};
+pub use memory::{BatchTraffic, MemoryStats};
 pub use occupancy::{theoretical_occupancy, OccupancyLimit, OccupancyResult};
 pub use power::{PowerModel, PowerReport};
-pub use profiler::{KernelProfile, Profiler};
+pub use profiler::Profiler;
 pub use topology::{
     simulate_contended, weighted_partition, ChunkLoad, ContentionRun, LinkSpec, LinkUsage,
     Topology, TopologyKind,

@@ -1,5 +1,5 @@
-//! Unified memory simulation: page residency, on-demand migration and
-//! asynchronous prefetching.
+//! Unified-memory cost of one batch: asynchronous prefetch, or on-demand
+//! migration by page faults.
 //!
 //! GateKeeper-GPU allocates its read/reference/result buffers in CUDA *unified
 //! memory* (§2.2): a single pointer is valid on both host and device, and pages
@@ -10,9 +10,14 @@
 //! requires compute capability ≥ 6.x, which is why Setup 2 (Kepler) pays
 //! per-page fault overhead and ends up slower in every experiment of the paper.
 //!
-//! The simulator models a buffer as an array of pages with a residency flag and
-//! charges: PCIe transfer time for every migrated byte, plus a fixed fault-handling
-//! latency per faulted page when the access was not prefetched.
+//! Every batch allocates its buffers fresh in host memory, so the cost follows
+//! from the buffer sizes alone: each input buffer moves whole
+//! [`PAGE_SIZE`] pages once, by prefetch before the kernel on devices that
+//! support it and by first-touch faults inside the kernel (plus
+//! [`PAGE_FAULT_LATENCY_S`] per page) on devices that do not. The kernel
+//! writes the result buffer without migrating it, so the host's read-back
+//! moves nothing. [`MemoryStats::record_batch`] charges one batch and returns
+//! its per-stage cost.
 
 use crate::device::DeviceSpec;
 use serde::{Deserialize, Serialize};
@@ -23,51 +28,7 @@ pub const PAGE_SIZE: usize = 64 * 1024;
 /// Latency charged for servicing one GPU page fault (driver + replay overhead).
 pub const PAGE_FAULT_LATENCY_S: f64 = 20e-6;
 
-/// Where a page currently resides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Residency {
-    /// Page is in host memory.
-    Host,
-    /// Page is resident on the device.
-    Device,
-}
-
-/// A buffer allocated in unified memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct UnifiedBuffer {
-    /// Buffer identifier (index into the [`UnifiedMemory`] arena).
-    pub id: usize,
-    /// Logical size in bytes.
-    pub size_bytes: u64,
-    /// Residency per page.
-    residency: Vec<Residency>,
-}
-
-impl UnifiedBuffer {
-    fn new(id: usize, size_bytes: u64) -> UnifiedBuffer {
-        let pages = (size_bytes as usize).div_ceil(PAGE_SIZE).max(1);
-        UnifiedBuffer {
-            id,
-            size_bytes,
-            residency: vec![Residency::Host; pages],
-        }
-    }
-
-    /// Number of pages backing the buffer.
-    pub fn page_count(&self) -> usize {
-        self.residency.len()
-    }
-
-    /// Number of pages currently resident on the device.
-    pub fn device_resident_pages(&self) -> usize {
-        self.residency
-            .iter()
-            .filter(|r| **r == Residency::Device)
-            .count()
-    }
-}
-
-/// Counters describing all unified-memory traffic so far.
+/// Counters describing all unified-memory traffic of one device so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryStats {
     /// Bytes migrated host → device.
@@ -82,167 +43,72 @@ pub struct MemoryStats {
     pub transfer_seconds: f64,
 }
 
-/// A unified-memory arena attached to one device.
-#[derive(Debug, Clone)]
-pub struct UnifiedMemory {
-    device: DeviceSpec,
-    buffers: Vec<UnifiedBuffer>,
-    stats: MemoryStats,
-    allocated_bytes: u64,
+/// Modelled unified-memory cost of one batch, by pipeline stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BatchTraffic {
+    /// Asynchronous prefetch of both input buffers before the kernel (zero on
+    /// devices without prefetch support).
+    pub prefetch_seconds: f64,
+    /// Page-rounded prefetch bytes per input buffer (reads, reference
+    /// segments); zero on devices without prefetch support.
+    pub h2d_bytes: [u64; 2],
+    /// Fault-driven migration of both input buffers inside the kernel (zero on
+    /// devices that prefetch).
+    pub fault_seconds: f64,
+    /// The host's read-back of the result buffer: zero, because the kernel
+    /// never migrates that buffer to the device.
+    pub readback_seconds: f64,
+    /// Page-rounded result bytes migrating back to the host: zero, like the
+    /// read-back seconds.
+    pub d2h_bytes: u64,
 }
 
-/// Errors returned by unified-memory operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemoryError {
-    /// Allocation would exceed the device's free global memory.
-    OutOfMemory {
-        /// Bytes requested by the failed allocation.
-        requested: u64,
-        /// Bytes still available on the device.
-        available: u64,
-    },
-    /// Unknown buffer id.
-    InvalidBuffer(usize),
-}
-
-impl std::fmt::Display for MemoryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemoryError::OutOfMemory {
-                requested,
-                available,
-            } => write!(
-                f,
-                "unified memory allocation of {requested} bytes exceeds available {available} bytes"
-            ),
-            MemoryError::InvalidBuffer(id) => write!(f, "invalid unified buffer id {id}"),
+impl MemoryStats {
+    /// Charges one batch on `device`: two input buffers (reads and reference
+    /// segments) of `input_buffer_bytes` each and a result buffer of
+    /// `result_bytes`, all freshly allocated in host memory (like
+    /// `cudaMallocManaged`) and freed after the batch. Adds the traffic to
+    /// these counters buffer by buffer and returns the batch's cost.
+    ///
+    /// # Panics
+    ///
+    /// When the three buffers exceed the device's free global memory: the
+    /// system-configuration step sizes every batch to fit (§3.1).
+    pub fn record_batch(
+        &mut self,
+        device: &DeviceSpec,
+        input_buffer_bytes: u64,
+        result_bytes: u64,
+    ) -> BatchTraffic {
+        let requested = 2 * input_buffer_bytes + result_bytes;
+        let available = device.free_global_memory();
+        assert!(
+            requested <= available,
+            "batch buffers of {requested} bytes exceed the {available} bytes of free device memory"
+        );
+        let pages = input_buffer_bytes.div_ceil(PAGE_SIZE as u64).max(1);
+        let bytes = pages * PAGE_SIZE as u64;
+        let mut traffic = BatchTraffic::default();
+        for h2d_bytes in &mut traffic.h2d_bytes {
+            self.bytes_to_device += bytes;
+            let seconds = if device.supports_prefetch() {
+                // `cudaMemPrefetchAsync` moves every page before the kernel.
+                let seconds = device.pcie.transfer_seconds(bytes);
+                self.prefetched_pages += pages;
+                traffic.prefetch_seconds += seconds;
+                *h2d_bytes = bytes;
+                seconds
+            } else {
+                // The kernel's first touch faults every page in.
+                let seconds =
+                    device.pcie.transfer_seconds(bytes) + pages as f64 * PAGE_FAULT_LATENCY_S;
+                self.page_faults += pages;
+                traffic.fault_seconds += seconds;
+                seconds
+            };
+            self.transfer_seconds += seconds;
         }
-    }
-}
-
-impl std::error::Error for MemoryError {}
-
-impl UnifiedMemory {
-    /// Creates a unified-memory arena for a device.
-    pub fn new(device: DeviceSpec) -> UnifiedMemory {
-        UnifiedMemory {
-            device,
-            buffers: Vec::new(),
-            stats: MemoryStats::default(),
-            allocated_bytes: 0,
-        }
-    }
-
-    /// The device this arena belongs to.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// Allocates a buffer of `size_bytes` (like `cudaMallocManaged`).
-    pub fn alloc(&mut self, size_bytes: u64) -> Result<usize, MemoryError> {
-        let available = self.device.free_global_memory()
-            - self.allocated_bytes.min(self.device.free_global_memory());
-        if size_bytes > available {
-            return Err(MemoryError::OutOfMemory {
-                requested: size_bytes,
-                available,
-            });
-        }
-        let id = self.buffers.len();
-        self.buffers.push(UnifiedBuffer::new(id, size_bytes));
-        self.allocated_bytes += size_bytes;
-        Ok(id)
-    }
-
-    /// Frees every buffer (end of a batch).
-    pub fn reset(&mut self) {
-        self.buffers.clear();
-        self.allocated_bytes = 0;
-    }
-
-    /// Returns the buffer with the given id.
-    pub fn buffer(&self, id: usize) -> Result<&UnifiedBuffer, MemoryError> {
-        self.buffers.get(id).ok_or(MemoryError::InvalidBuffer(id))
-    }
-
-    /// Asynchronously prefetches the whole buffer to the device
-    /// (`cudaMemPrefetchAsync`). Returns the modelled transfer time, which the
-    /// caller typically charges to the H2D stream of a
-    /// [`PipelineClock`](crate::clock::PipelineClock) so it overlaps with host
-    /// work. Devices below compute capability 6.x do not support prefetching
-    /// and the call is a no-op returning zero.
-    pub fn prefetch_to_device(&mut self, id: usize) -> Result<f64, MemoryError> {
-        if !self.device.supports_prefetch() {
-            return Ok(0.0);
-        }
-        let pcie = self.device.pcie;
-        let buffer = self
-            .buffers
-            .get_mut(id)
-            .ok_or(MemoryError::InvalidBuffer(id))?;
-        let mut moved_pages = 0u64;
-        for page in buffer.residency.iter_mut() {
-            if *page == Residency::Host {
-                *page = Residency::Device;
-                moved_pages += 1;
-            }
-        }
-        let bytes = moved_pages * PAGE_SIZE as u64;
-        let seconds = pcie.transfer_seconds(bytes);
-        self.stats.bytes_to_device += bytes;
-        self.stats.prefetched_pages += moved_pages;
-        self.stats.transfer_seconds += seconds;
-        Ok(seconds)
-    }
-
-    /// Models the device touching the whole buffer during a kernel. Pages that are
-    /// not resident fault and migrate on demand; the returned time covers the
-    /// migration plus per-page fault latency.
-    pub fn access_from_device(&mut self, id: usize) -> Result<f64, MemoryError> {
-        let pcie = self.device.pcie;
-        let buffer = self
-            .buffers
-            .get_mut(id)
-            .ok_or(MemoryError::InvalidBuffer(id))?;
-        let mut faulted_pages = 0u64;
-        for page in buffer.residency.iter_mut() {
-            if *page == Residency::Host {
-                *page = Residency::Device;
-                faulted_pages += 1;
-            }
-        }
-        let bytes = faulted_pages * PAGE_SIZE as u64;
-        let seconds = pcie.transfer_seconds(bytes) + faulted_pages as f64 * PAGE_FAULT_LATENCY_S;
-        self.stats.bytes_to_device += bytes;
-        self.stats.page_faults += faulted_pages;
-        self.stats.transfer_seconds += seconds;
-        Ok(seconds)
-    }
-
-    /// Models the host reading back the buffer after the kernel (result buffers).
-    pub fn access_from_host(&mut self, id: usize) -> Result<f64, MemoryError> {
-        let pcie = self.device.pcie;
-        let buffer = self
-            .buffers
-            .get_mut(id)
-            .ok_or(MemoryError::InvalidBuffer(id))?;
-        let mut migrated = 0u64;
-        for page in buffer.residency.iter_mut() {
-            if *page == Residency::Device {
-                *page = Residency::Host;
-                migrated += 1;
-            }
-        }
-        let bytes = migrated * PAGE_SIZE as u64;
-        let seconds = pcie.transfer_seconds(bytes);
-        self.stats.bytes_to_host += bytes;
-        self.stats.transfer_seconds += seconds;
-        Ok(seconds)
-    }
-
-    /// Accumulated traffic statistics.
-    pub fn stats(&self) -> MemoryStats {
-        self.stats
+        traffic
     }
 }
 
@@ -250,130 +116,128 @@ impl UnifiedMemory {
 mod tests {
     use super::*;
 
-    fn pascal() -> UnifiedMemory {
-        UnifiedMemory::new(DeviceSpec::gtx_1080_ti())
+    fn pascal() -> DeviceSpec {
+        DeviceSpec::gtx_1080_ti()
     }
 
-    fn kepler() -> UnifiedMemory {
-        UnifiedMemory::new(DeviceSpec::tesla_k20x())
+    fn kepler() -> DeviceSpec {
+        DeviceSpec::tesla_k20x()
     }
 
     #[test]
     fn allocation_tracks_bytes_and_pages() {
-        let mut mem = pascal();
-        let id = mem.alloc(1_000_000).unwrap();
-        assert_eq!(mem.allocated_bytes, 1_000_000);
-        let buffer = mem.buffer(id).unwrap();
-        assert_eq!(buffer.page_count(), 1_000_000usize.div_ceil(PAGE_SIZE));
-        assert_eq!(buffer.device_resident_pages(), 0);
+        // Buffers move whole pages: 1,000,000 bytes round up to 16 pages,
+        // and an empty buffer still takes one.
+        let mut stats = MemoryStats::default();
+        let traffic = stats.record_batch(&pascal(), 1_000_000, 8);
+        let pages = 1_000_000usize.div_ceil(PAGE_SIZE) as u64;
+        assert_eq!(traffic.h2d_bytes, [pages * PAGE_SIZE as u64; 2]);
+        assert_eq!(stats.prefetched_pages, 2 * pages);
+        let empty = MemoryStats::default().record_batch(&pascal(), 0, 0);
+        assert_eq!(empty.h2d_bytes, [PAGE_SIZE as u64; 2]);
     }
 
     #[test]
+    #[should_panic(expected = "exceed the")]
     fn over_allocation_is_rejected() {
-        let mut mem = pascal();
-        let too_big = mem.device().global_memory_bytes * 2;
-        assert!(matches!(
-            mem.alloc(too_big),
-            Err(MemoryError::OutOfMemory { .. })
-        ));
-    }
-
-    #[test]
-    fn prefetch_moves_every_page_and_charges_transfer_time() {
-        let mut mem = pascal();
-        let id = mem.alloc(10 * PAGE_SIZE as u64).unwrap();
-        let t = mem.prefetch_to_device(id).unwrap();
-        assert!(t > 0.0);
-        assert_eq!(mem.buffer(id).unwrap().device_resident_pages(), 10);
-        assert_eq!(mem.stats().prefetched_pages, 10);
-        assert_eq!(mem.stats().page_faults, 0);
-    }
-
-    #[test]
-    fn access_after_prefetch_is_free_of_faults() {
-        let mut mem = pascal();
-        let id = mem.alloc(4 * PAGE_SIZE as u64).unwrap();
-        mem.prefetch_to_device(id).unwrap();
-        let t = mem.access_from_device(id).unwrap();
-        assert_eq!(t, 0.0);
-        assert_eq!(mem.stats().page_faults, 0);
-    }
-
-    #[test]
-    fn access_without_prefetch_faults_every_page() {
-        let mut mem = pascal();
-        let id = mem.alloc(8 * PAGE_SIZE as u64).unwrap();
-        let t = mem.access_from_device(id).unwrap();
-        assert!(t > 0.0);
-        assert_eq!(mem.stats().page_faults, 8);
-    }
-
-    #[test]
-    fn kepler_prefetch_is_a_noop_so_kernels_always_fault() {
-        let mut mem = kepler();
-        let id = mem.alloc(8 * PAGE_SIZE as u64).unwrap();
-        let prefetch_time = mem.prefetch_to_device(id).unwrap();
-        assert_eq!(prefetch_time, 0.0);
-        assert_eq!(mem.stats().prefetched_pages, 0);
-        let t = mem.access_from_device(id).unwrap();
-        assert!(t > 0.0);
-        assert_eq!(mem.stats().page_faults, 8);
-    }
-
-    #[test]
-    fn faulted_access_is_slower_than_prefetched_transfer() {
-        // Same bytes, but the faulting path pays per-page latency on top.
-        let mut a = pascal();
-        let id_a = a.alloc(64 * PAGE_SIZE as u64).unwrap();
-        let prefetch_time = a.prefetch_to_device(id_a).unwrap();
-
-        let mut b = pascal();
-        let id_b = b.alloc(64 * PAGE_SIZE as u64).unwrap();
-        let fault_time = b.access_from_device(id_b).unwrap();
-        assert!(fault_time > prefetch_time);
-    }
-
-    #[test]
-    fn host_access_migrates_back() {
-        let mut mem = pascal();
-        let id = mem.alloc(3 * PAGE_SIZE as u64).unwrap();
-        mem.prefetch_to_device(id).unwrap();
-        let t = mem.access_from_host(id).unwrap();
-        assert!(t > 0.0);
-        assert_eq!(mem.buffer(id).unwrap().device_resident_pages(), 0);
-        assert_eq!(mem.stats().bytes_to_host, 3 * PAGE_SIZE as u64);
-    }
-
-    #[test]
-    fn reset_frees_all_buffers() {
-        let mut mem = pascal();
-        mem.alloc(1_000).unwrap();
-        mem.alloc(2_000).unwrap();
-        mem.reset();
-        assert_eq!(mem.allocated_bytes, 0);
-        assert!(matches!(mem.buffer(0), Err(MemoryError::InvalidBuffer(0))));
-    }
-
-    #[test]
-    fn invalid_buffer_ids_error() {
-        let mut mem = pascal();
-        assert!(matches!(
-            mem.prefetch_to_device(42),
-            Err(MemoryError::InvalidBuffer(42))
-        ));
-        assert!(matches!(
-            mem.access_from_device(42),
-            Err(MemoryError::InvalidBuffer(42))
-        ));
+        let device = pascal();
+        MemoryStats::default().record_batch(&device, device.global_memory_bytes, 0);
     }
 
     #[test]
     fn error_messages_are_informative() {
-        let err = MemoryError::OutOfMemory {
-            requested: 10,
-            available: 5,
-        };
-        assert!(err.to_string().contains("10"));
-        assert!(MemoryError::InvalidBuffer(3).to_string().contains('3'));
+        let device = pascal();
+        let available = device.free_global_memory();
+        let message = std::panic::catch_unwind(|| {
+            MemoryStats::default().record_batch(&device, available / 2, 10)
+        })
+        .expect_err("over-allocation panics");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(message.contains(&(available + 10).to_string()), "{message}");
+        assert!(message.contains(&available.to_string()), "{message}");
+    }
+
+    #[test]
+    fn reset_frees_all_buffers() {
+        // Every batch frees its buffers: two batches that each fill the free
+        // memory exactly both fit.
+        let device = pascal();
+        let half = device.free_global_memory() / 2;
+        let mut stats = MemoryStats::default();
+        stats.record_batch(&device, half, 0);
+        stats.record_batch(&device, half, 0);
+        assert_eq!(
+            stats.bytes_to_device,
+            4 * half.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64
+        );
+    }
+
+    #[test]
+    fn prefetch_moves_every_page_and_charges_transfer_time() {
+        let mut stats = MemoryStats::default();
+        let traffic = stats.record_batch(&pascal(), 10 * PAGE_SIZE as u64, 8);
+        assert!(traffic.prefetch_seconds > 0.0);
+        assert_eq!(stats.prefetched_pages, 20);
+        assert_eq!(stats.page_faults, 0);
+        assert_eq!(stats.transfer_seconds, traffic.prefetch_seconds);
+    }
+
+    #[test]
+    fn access_after_prefetch_is_free_of_faults() {
+        let mut stats = MemoryStats::default();
+        let traffic = stats.record_batch(&pascal(), 4 * PAGE_SIZE as u64, 8);
+        assert_eq!(traffic.fault_seconds, 0.0);
+        assert_eq!(stats.page_faults, 0);
+    }
+
+    #[test]
+    fn access_without_prefetch_faults_every_page() {
+        // Without prefetch support every page of both input buffers faults:
+        // the link time plus one fault latency per page.
+        let device = kepler();
+        let mut stats = MemoryStats::default();
+        let traffic = stats.record_batch(&device, 8 * PAGE_SIZE as u64, 8);
+        assert_eq!(stats.page_faults, 16);
+        let per_buffer =
+            device.pcie.transfer_seconds(8 * PAGE_SIZE as u64) + 8.0 * PAGE_FAULT_LATENCY_S;
+        assert_eq!(traffic.fault_seconds, per_buffer + per_buffer);
+        assert_eq!(stats.bytes_to_device, 16 * PAGE_SIZE as u64);
+    }
+
+    #[test]
+    fn kepler_prefetch_is_a_noop_so_kernels_always_fault() {
+        let mut stats = MemoryStats::default();
+        let traffic = stats.record_batch(&kepler(), 8 * PAGE_SIZE as u64, 8);
+        assert_eq!(traffic.prefetch_seconds, 0.0);
+        assert_eq!(traffic.h2d_bytes, [0, 0]);
+        assert_eq!(stats.prefetched_pages, 0);
+        assert!(traffic.fault_seconds > 0.0);
+        assert_eq!(stats.page_faults, 16);
+    }
+
+    #[test]
+    fn faulted_access_is_slower_than_prefetched_transfer() {
+        // Same bytes on the same link, but the faulting path pays per-page
+        // latency on top.
+        let mut device = kepler();
+        device.pcie = pascal().pcie;
+        let prefetched = MemoryStats::default().record_batch(&pascal(), 64 * PAGE_SIZE as u64, 8);
+        let faulted = MemoryStats::default().record_batch(&device, 64 * PAGE_SIZE as u64, 8);
+        assert!(faulted.fault_seconds > prefetched.prefetch_seconds);
+    }
+
+    #[test]
+    fn result_read_back_moves_nothing() {
+        // The result buffer is never migrated to the device, so the host
+        // reads it in place: 0 bytes in 0 s on either device.
+        for device in [pascal(), kepler()] {
+            let mut stats = MemoryStats::default();
+            let traffic = stats.record_batch(&device, 3 * PAGE_SIZE as u64, 8 * 10_000);
+            assert_eq!(traffic.readback_seconds, 0.0);
+            assert_eq!(traffic.d2h_bytes, 0);
+            assert_eq!(stats.bytes_to_host, 0);
+        }
     }
 }

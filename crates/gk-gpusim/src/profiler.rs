@@ -1,32 +1,12 @@
 //! Aggregated kernel profiling, in the style of the `nvprof` reports the paper uses
-//! for §5.4 (occupancy, warp execution efficiency, SM efficiency, power, cache
-//! behaviour).
+//! for §5.4 (occupancy, warp execution efficiency, SM efficiency, power).
 
 use crate::device::DeviceSpec;
 use crate::executor::KernelStats;
 use crate::power::{PowerModel, PowerReport};
-use serde::{Deserialize, Serialize};
 
-/// Profile of a single kernel launch (plus the modelled cache behaviour).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelProfile {
-    /// Name of the kernel (e.g. `"gatekeeper_filter"`).
-    pub kernel: String,
-    /// Execution statistics from the launcher.
-    pub stats: KernelStats,
-    /// Power samples for the launch.
-    pub power: PowerReport,
-    /// Modelled L2 hit rate. The paper reports GateKeeper-GPU "mainly utilizes L2
-    /// cache with an average hit rate of 86.2%".
-    pub l2_hit_rate: f64,
-    /// Modelled unified/texture L1 hit rate (31.2% on average in the paper — low,
-    /// called out as future work).
-    pub l1_hit_rate: f64,
-}
-
-/// Aggregates kernel profiles across the batched launches of one run. It keeps
-/// running sums, not the profiles, so its state does not grow with the launch
-/// count.
+/// Aggregates the batched launches of one run into running sums, so its state
+/// does not grow with the launch count.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     power_model: PowerModel,
@@ -60,27 +40,15 @@ impl Profiler {
         }
     }
 
-    /// Records one kernel launch and returns its profile. `words_per_thread`
-    /// is the packed-word footprint of a single filtration (7 for 100 bp, 16
-    /// for 250 bp), which drives the power and cache models.
-    pub fn record(
-        &mut self,
-        kernel: impl Into<String>,
-        stats: KernelStats,
-        words_per_thread: usize,
-    ) -> KernelProfile {
+    /// Records one kernel launch. `words_per_thread` is the packed-word
+    /// footprint of a single filtration (7 for 100 bp, 16 for 250 bp), which
+    /// drives the power model.
+    pub fn record(&mut self, stats: &KernelStats, words_per_thread: usize) {
         let power = self.power_model.profile(
             stats.achieved_occupancy,
             words_per_thread,
             stats.kernel_seconds.max(0.05),
         );
-        // Cache model: each thread streams its own read/reference words, so reuse in
-        // L1 is poor (every access is first-touch per thread) while the shared
-        // reference segments give L2 healthy reuse. Longer reads stream more data
-        // and push both hit rates down slightly.
-        let length_penalty = (words_per_thread as f64 / 16.0).min(1.0) * 0.06;
-        let l2_hit_rate = (0.88 - length_penalty).clamp(0.0, 1.0);
-        let l1_hit_rate = (0.34 - length_penalty).clamp(0.0, 1.0);
         if self.launches == 0 {
             self.theoretical_occupancy = stats.theoretical_occupancy;
         }
@@ -92,13 +60,6 @@ impl Profiler {
         self.power_max_mw = self.power_max_mw.max(power.max_mw);
         self.power_samples += power.samples;
         self.power_weighted_mw += power.average_mw * power.samples as f64;
-        KernelProfile {
-            kernel: kernel.into(),
-            stats,
-            power,
-            l2_hit_rate,
-            l1_hit_rate,
-        }
     }
 
     /// Theoretical occupancy of the first recorded launch (0 before any).
@@ -143,47 +104,53 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{launch_kernel, LaunchConfig, ThreadReport};
+    use crate::executor::{launch_kernel, LaunchConfig};
     use crate::occupancy::KernelResources;
 
     fn run_one(blocks: u32) -> KernelStats {
         let device = DeviceSpec::gtx_1080_ti();
+        let config = LaunchConfig {
+            grid_blocks: blocks,
+            threads_per_block: 1024,
+        };
         launch_kernel(
             &device,
             &KernelResources::gatekeeper_gpu(&device),
-            LaunchConfig {
-                grid_blocks: blocks,
-                threads_per_block: 1024,
-            },
-            |_ctx| ThreadReport {
-                cycles: 200,
-                active: true,
-            },
+            config,
+            std::iter::repeat_n(200, config.total_threads()),
         )
     }
 
     #[test]
     fn recording_accumulates_profiles_and_kernel_time() {
-        let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        let first = profiler.record("gatekeeper", run_one(64), 7);
-        let second = profiler.record("gatekeeper", run_one(128), 7);
-        assert!(first.stats.kernel_seconds > 0.0);
-        assert!(second.stats.kernel_seconds > first.stats.kernel_seconds);
+        let device = DeviceSpec::gtx_1080_ti();
+        let mut profiler = Profiler::new(device.clone());
+        let (first, second) = (run_one(64), run_one(128));
+        profiler.record(&first, 7);
+        profiler.record(&second, 7);
+        assert!(first.kernel_seconds > 0.0);
+        assert!(second.kernel_seconds > first.kernel_seconds);
         // The aggregates cover both launches.
+        let model = PowerModel::new(device);
+        let samples = |stats: &KernelStats| {
+            model
+                .profile(stats.achieved_occupancy, 7, stats.kernel_seconds.max(0.05))
+                .samples
+        };
         let power = profiler.aggregate_power().unwrap();
-        assert_eq!(power.samples, first.power.samples + second.power.samples);
-        let occupancy = (first.stats.achieved_occupancy + second.stats.achieved_occupancy) / 2.0;
+        assert_eq!(power.samples, samples(&first) + samples(&second));
+        let occupancy = (first.achieved_occupancy + second.achieved_occupancy) / 2.0;
         assert_eq!(profiler.average_achieved_occupancy(), occupancy);
         assert_eq!(
             profiler.theoretical_occupancy(),
-            first.stats.theoretical_occupancy
+            first.theoretical_occupancy
         );
     }
 
     #[test]
     fn averages_are_between_zero_and_one() {
         let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        profiler.record("gatekeeper", run_one(128), 7);
+        profiler.record(&run_one(128), 7);
         assert!(profiler.average_achieved_occupancy() > 0.0);
         assert!(profiler.average_achieved_occupancy() <= 1.0);
         assert!(profiler.average_warp_execution_efficiency() <= 1.0);
@@ -191,21 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn l2_hit_rate_exceeds_l1_hit_rate() {
-        // §6: "GateKeeper-GPU mainly utilizes L2 cache … The hit rate of
-        // unified/texture L1 cache is 31.2% on average, which is low."
-        let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        let profile = profiler.record("gatekeeper", run_one(64), 7);
-        assert!(profile.l2_hit_rate > 0.8);
-        assert!(profile.l1_hit_rate < 0.4);
-        assert!(profile.l2_hit_rate > profile.l1_hit_rate);
-    }
-
-    #[test]
     fn aggregate_power_spans_recorded_reports() {
         let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        profiler.record("a", run_one(32), 7);
-        profiler.record("b", run_one(32), 16);
+        profiler.record(&run_one(32), 7);
+        profiler.record(&run_one(32), 16);
         let aggregate = profiler.aggregate_power().unwrap();
         assert!(aggregate.min_mw <= aggregate.average_mw);
         assert!(aggregate.average_mw <= aggregate.max_mw);
@@ -217,13 +173,5 @@ mod tests {
         assert!(profiler.aggregate_power().is_none());
         assert_eq!(profiler.average_achieved_occupancy(), 0.0);
         assert_eq!(profiler.theoretical_occupancy(), 0.0);
-    }
-
-    #[test]
-    fn longer_reads_lower_cache_hit_rates() {
-        let mut profiler = Profiler::new(DeviceSpec::gtx_1080_ti());
-        let short = profiler.record("short", run_one(64), 7);
-        let long = profiler.record("long", run_one(64), 16);
-        assert!(long.l2_hit_rate < short.l2_hit_rate);
     }
 }

@@ -470,7 +470,8 @@ impl ReplayLink {
 }
 
 /// Replays per-device chunk pipelines (`loads[d]` = device `d`'s chunks, in
-/// order), with every transfer going through the device's topology link.
+/// order, owned or borrowed), with every transfer going through the device's
+/// topology link.
 ///
 /// Each device runs on its own [`PipelineClock`] with the usual chaining — the
 /// kernel waits for its chunk's upload, read-back waits for the kernel, and
@@ -486,7 +487,7 @@ impl ReplayLink {
 ///
 /// When `loads` does not hold one chunk list per topology device, or a link
 /// has a bandwidth that is not positive.
-pub fn simulate_contended(topology: &Topology, loads: &[Vec<ChunkLoad>]) -> ContentionRun {
+pub fn simulate_contended(topology: &Topology, loads: &[impl AsRef<[ChunkLoad]>]) -> ContentionRun {
     assert_eq!(
         loads.len(),
         topology.device_count(),
@@ -511,7 +512,7 @@ pub fn simulate_contended(topology: &Topology, loads: &[Vec<ChunkLoad>]) -> Cont
             if let Some(ready) = clock.drain_ready() {
                 consider((ready, d, 0));
             }
-            let next_upload = loads[d].get(clock.chunks());
+            let next_upload = loads[d].as_ref().get(clock.chunks());
             if let (Some(load), Some(ready)) = (next_upload, clock.upload_ready()) {
                 consider((ready + load.host_seconds, d, 1));
             }
@@ -523,7 +524,7 @@ pub fn simulate_contended(topology: &Topology, loads: &[Vec<ChunkLoad>]) -> Cont
             // Upload: slot gate, host prep, transfers, then the kernel is
             // chained eagerly — kernel streams are private per device, so its
             // start time is fully determined by the upload.
-            let load = loads[d][clock.chunks()];
+            let load = loads[d].as_ref()[clock.chunks()];
             clock.start_upload();
             clock.run(Direction::H2d, load.host_seconds, &mut serialized);
             for bytes in load.h2d_bytes {
@@ -535,7 +536,7 @@ pub fn simulate_contended(topology: &Topology, loads: &[Vec<ChunkLoad>]) -> Cont
             clock.launch(load.kernel_seconds, &mut serialized);
         } else {
             // Read-back of the oldest kernel-complete chunk.
-            let load = loads[d][clock.drained()];
+            let load = loads[d].as_ref()[clock.drained()];
             clock.start_drain();
             if load.d2h_bytes > 0 {
                 per_device_wait[d] +=

@@ -11,8 +11,9 @@
 //!   Needleman-Wunsch).
 //! * [`filters`] — pre-alignment filters: GateKeeper-GPU and the baselines it is
 //!   compared against (GateKeeper-FPGA/SHD, MAGNET, Shouji, SneakySnake).
-//! * [`gpusim`] — the CUDA-like GPU execution-model simulator used as a hardware
-//!   substitute (SIMT executor, unified memory, occupancy, timing and power models).
+//! * [`gpusim`] — the analytic GPU cost model used as a hardware substitute
+//!   (launch accounting, per-batch unified-memory cost, occupancy, timing and
+//!   power models).
 //! * [`core`] — the GateKeeper-GPU system: configuration, batching, host/device
 //!   encoding, kernel launches, one front end over a device list (one GPU or
 //!   several, sharded by a topology-aware scheduler), and the multicore CPU
