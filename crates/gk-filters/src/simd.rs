@@ -24,7 +24,7 @@
 use crate::bitvec::count_edits_windowed_in_words;
 use crate::gatekeeper::{gatekeeper_kernel_reference, EditCounting, GateKeeperConfig};
 use crate::traits::FilterDecision;
-use gk_seq::alphabet::has_undefined;
+use gk_seq::alphabet::{has_undefined, is_uppercase_acgt};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
 use rayon::prelude::*;
@@ -637,7 +637,7 @@ pub(crate) fn lane_alphabet(seq: &[u8]) -> bool {
 /// so their lane kernels — which compare 2-bit codes and would equate the
 /// cases — only take pairs where the two comparisons provably agree.
 pub(crate) fn canonical_acgt(seq: &[u8]) -> bool {
-    seq.iter().all(|&b| matches!(b, b'A' | b'C' | b'G' | b'T'))
+    is_uppercase_acgt(seq)
 }
 
 /// Filters a block of raw ASCII pairs, lane-parallel where possible.

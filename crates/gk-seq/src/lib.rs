@@ -8,7 +8,8 @@
 //! to *synthesize* workloads with the same statistical shape:
 //!
 //! * [`alphabet`] — the DNA alphabet, 2-bit base codes (`A=00, C=01, G=10, T=11`,
-//!   exactly the encoding of GateKeeper), complements and validation helpers.
+//!   exactly the encoding of GateKeeper), complements and validation helpers,
+//!   and the SWAR layer that classifies and packs eight bases per step.
 //! * [`packed`] — [`packed::PackedSeq`], a 2-bit packed sequence stored in `u32`
 //!   words (16 bases per word; a 100 bp read occupies 7 words as in §3.3 of the
 //!   paper), with encode/decode, slicing and word-level access used by the filters.

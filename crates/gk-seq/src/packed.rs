@@ -12,8 +12,12 @@
 //! *undefined flag*: if any input base was not `ACGT` the sequence is marked
 //! undefined and GateKeeper-GPU gives the pair a free pass (§3.3). The packed words
 //! encode `N` as `A` so that word arithmetic stays well-defined.
+//!
+//! [`PackedSeq::from_ascii`] is the host-encode packer (§3.3, Figure 6). It
+//! packs eight bases per step with the SWAR classifier and MSB-first packer of
+//! [`crate::alphabet`]; the tests pin it to a one-base-per-step reference.
 
-use crate::alphabet::Base;
+use crate::alphabet::{self, Base};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -34,30 +38,32 @@ pub struct PackedSeq {
 impl PackedSeq {
     /// Packs an ASCII sequence. Characters outside `ACGTacgt` are encoded as `A`
     /// and the sequence is flagged [`PackedSeq::is_undefined`].
+    ///
+    /// Each `u32` word is packed in two steps of eight bases. A step is
+    /// classified as it is packed (the SWAR classifier and MSB-first packer
+    /// of [`alphabet`]): a flagged byte packs as `A`, and the `N` positions
+    /// are read off the classifier's mask, so a sequence with undefined bases
+    /// takes the same path as one without. The last step of a sequence is
+    /// padded with `A`, which packs to the zero bits the padding slots must
+    /// hold.
     pub fn from_ascii(seq: &[u8]) -> PackedSeq {
-        let len = seq.len();
-        let mut words = vec![0u32; Self::words_for_len(len)];
-        let mut undefined = false;
+        let mut words = Vec::with_capacity(Self::words_for_len(seq.len()));
         let mut n_positions = Vec::new();
-        for (i, &ch) in seq.iter().enumerate() {
-            let base = Base::from_ascii(ch);
-            let code = match base.code() {
-                Some(code) => code,
-                None => {
-                    undefined = true;
-                    n_positions.push(i as u32);
-                    0
-                }
-            };
-            let word = i / BASES_PER_WORD;
-            let slot = i % BASES_PER_WORD;
-            let shift = (BASES_PER_WORD - 1 - slot) * BITS_PER_BASE;
-            words[word] |= (code as u32) << shift;
+        let mut windows = seq.chunks_exact(BASES_PER_WORD);
+        for (w, window) in windows.by_ref().enumerate() {
+            let (high, low) = window.split_at(8);
+            words.push(pack_word(high, low, w * BASES_PER_WORD, &mut n_positions));
+        }
+        let rest = windows.remainder();
+        if !rest.is_empty() {
+            let start = seq.len() - rest.len();
+            let (high, low) = rest.split_at(rest.len().min(8));
+            words.push(pack_word(high, low, start, &mut n_positions));
         }
         PackedSeq {
             words,
-            len,
-            undefined,
+            len: seq.len(),
+            undefined: !n_positions.is_empty(),
             n_positions,
         }
     }
@@ -196,6 +202,31 @@ impl PackedSeq {
     }
 }
 
+/// Packs one word of up to sixteen bases, given as its first eight (`high`)
+/// and the rest (`low`), which start at base `start` of the sequence.
+/// Appends the positions of its undefined bases to `n_positions`.
+#[inline]
+fn pack_word(high: &[u8], low: &[u8], start: usize, n_positions: &mut Vec<u32>) -> u32 {
+    let high = pack_step(high, start, n_positions);
+    let low = pack_step(low, start + 8, n_positions);
+    (u32::from(high) << 16) | u32::from(low)
+}
+
+/// Packs one step of up to eight bases that start at base `start`.
+#[inline]
+fn pack_step(step: &[u8], start: usize, n_positions: &mut Vec<u32>) -> u16 {
+    let bytes = u64::from_be_bytes(alphabet::step8(step));
+    let undefined = alphabet::undefined_bytes8(bytes);
+    // Big-endian load: base `k` of the step owns the flag at bit 63 − 8k.
+    let mut flags = undefined;
+    while flags != 0 {
+        let offset = flags.leading_zeros();
+        n_positions.push((start + offset as usize / 8) as u32);
+        flags ^= 1 << (63 - offset);
+    }
+    alphabet::pack8_codes(bytes, undefined)
+}
+
 impl fmt::Debug for PackedSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ascii = self.to_ascii();
@@ -231,6 +262,87 @@ pub fn encode_batch_parallel(seqs: &[&[u8]]) -> Vec<PackedSeq> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::{random_mix, SWAR_TEST_LENGTHS};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-base definition of [`PackedSeq::from_ascii`]: one base per
+    /// step through [`Base::from_ascii`].
+    fn from_ascii_reference(seq: &[u8]) -> PackedSeq {
+        let len = seq.len();
+        let mut words = vec![0u32; PackedSeq::words_for_len(len)];
+        let mut undefined = false;
+        let mut n_positions = Vec::new();
+        for (i, &ch) in seq.iter().enumerate() {
+            let base = Base::from_ascii(ch);
+            let code = match base.code() {
+                Some(code) => code,
+                None => {
+                    undefined = true;
+                    n_positions.push(i as u32);
+                    0
+                }
+            };
+            let word = i / BASES_PER_WORD;
+            let slot = i % BASES_PER_WORD;
+            let shift = (BASES_PER_WORD - 1 - slot) * BITS_PER_BASE;
+            words[word] |= (code as u32) << shift;
+        }
+        PackedSeq {
+            words,
+            len,
+            undefined,
+            n_positions,
+        }
+    }
+
+    /// Compares words, length, undefined flag and `N` positions.
+    fn assert_packs_like_reference(seq: &[u8]) {
+        let packed = PackedSeq::from_ascii(seq);
+        let reference = from_ascii_reference(seq);
+        assert_eq!(packed.words, reference.words, "{seq:?}");
+        assert_eq!(packed.len, reference.len, "{seq:?}");
+        assert_eq!(packed.undefined, reference.undefined, "{seq:?}");
+        assert_eq!(packed.n_positions, reference.n_positions, "{seq:?}");
+    }
+
+    /// Every byte value at every offset of a one-word sequence (both of its
+    /// steps) whose other bases are one letter of `ACGTacgt`.
+    #[test]
+    fn swar_packer_matches_reference_for_every_byte_at_every_offset() {
+        for fill in *b"ACGTacgt" {
+            for offset in 0..BASES_PER_WORD {
+                for value in 0..=u8::MAX {
+                    let mut seq = [fill; BASES_PER_WORD];
+                    seq[offset] = value;
+                    assert_packs_like_reference(&seq);
+                }
+            }
+        }
+    }
+
+    /// Every length around a step or word boundary: clean, with `N` or
+    /// lowercase at each position, and random mixes with `N`, lowercase and
+    /// other bytes outside the alphabet.
+    #[test]
+    fn swar_packer_matches_reference_on_every_length() {
+        let mut rng = StdRng::seed_from_u64(0x9AC4);
+        for &len in SWAR_TEST_LENGTHS {
+            for dirt in [0.0, 0.02, 0.16, 0.5, 1.0] {
+                for _ in 0..20 {
+                    assert_packs_like_reference(&random_mix(len, dirt, &mut rng));
+                }
+            }
+            let clean = random_mix(len, 0.0, &mut rng);
+            for pos in 0..len {
+                for ch in [b'N', b'n', b'a', b'T'] {
+                    let mut seq = clean.clone();
+                    seq[pos] = ch;
+                    assert_packs_like_reference(&seq);
+                }
+            }
+        }
+    }
 
     #[test]
     fn word_count_matches_paper() {

@@ -7,7 +7,7 @@
 //! is one pair; [`PairSet`] is a named collection with the bookkeeping the
 //! experiments need (read length, undefined-pair counting, batching).
 
-use crate::alphabet::has_undefined;
+use crate::alphabet::{has_undefined, pack8_ascii, step8};
 use crate::packed::PackedSeq;
 use serde::{Deserialize, Serialize};
 
@@ -240,27 +240,14 @@ impl SoaGroup {
     }
 }
 
-/// Compacts the 2-bit codes of eight ASCII bases (one little-endian `u64`
-/// load) into sixteen LSB-first bits: extract bits 1–2 of every byte, then
-/// fold the byte-stride fields down to 2-bit stride in three halving steps.
-#[inline]
-fn pack8_ascii(bytes: u64) -> u64 {
-    let x = (bytes >> 1) & 0x0303_0303_0303_0303;
-    let x = (x | (x >> 6)) & 0x000F_000F_000F_000F;
-    let x = (x | (x >> 12)) & 0x0000_00FF_0000_00FF;
-    (x | (x >> 24)) & 0xFFFF
-}
-
 /// Packs one ASCII sequence into lane `lane` of the SoA rows, eight bases per
-/// step on the aligned body and byte-at-a-time on the tail.
+/// step ([`pack8_ascii`]) on the aligned body and byte-at-a-time on the tail.
 fn pack_ascii_lane(seq: &[u8], lane: usize, rows: &mut [[u64; SOA_LANES]]) {
     for (row, chunk) in seq.chunks(SOA_BASES_PER_WORD).enumerate() {
         let mut word = 0u64;
         let mut eights = chunk.chunks_exact(8);
         for (i, eight) in eights.by_ref().enumerate() {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(eight);
-            word |= pack8_ascii(u64::from_le_bytes(raw)) << (16 * i);
+            word |= pack8_ascii(u64::from_le_bytes(step8(eight))) << (16 * i);
         }
         let packed = chunk.len() / 8 * 8;
         for (i, &b) in eights.remainder().iter().enumerate() {
