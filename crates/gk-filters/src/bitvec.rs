@@ -17,9 +17,12 @@
 //! `*_reference` walks are per-bit loops, the oracle the differential property
 //! suite checks the lane kernels against and the runtime scalar path
 //! (`GK_SIMD=scalar`). The lane kernels keep their masks in `[u64; 4]` rows
-//! (see `simd`) and share only two whole-word walks from here —
-//! [`count_edits_windowed_in_words`] and [`zero_runs_in_words`] — each
-//! differentially tested against its per-bit twin.
+//! (see `simd`) and share one whole-word walk from here,
+//! [`count_edits_windowed_in_words`], differentially tested against its
+//! per-bit twin. The two per-bit run scans below,
+//! `longest_zero_run_in_words_reference` and
+//! [`zero_run_length_in_words_reference`], serve the MAGNET and SneakySnake
+//! references.
 //!
 //! Invariant: the bits beyond `len` in the last storage word are always zero
 //! (every constructor and mutator restores this), so the word-level walks can
@@ -106,58 +109,6 @@ pub fn zero_run_length_in_words_reference(words: &[u64], pos: usize, end: usize)
         i += 1;
     }
     i - pos.min(i)
-}
-
-/// Appends every maximal zero run within `[0, len)` of LSB-first words to
-/// `out`, in position order, as `(start, len)` pairs.
-///
-/// MAGNET's extraction loop re-queries overlapping sub-intervals of the same
-/// masks every round, so the kernel collects each mask's runs once with this
-/// word-parallel walk and answers the queries from the run list instead of
-/// re-walking mask bits.
-pub fn zero_runs_in_words(words: &[u64], len: usize, out: &mut Vec<(u32, u32)>) {
-    let end = len.min(words.len() * WORD_BITS);
-    let mut i = 0usize;
-    while i < end {
-        let chunk = words[i / WORD_BITS] >> (i % WORD_BITS);
-        let ones = chunk.trailing_ones() as usize;
-        if ones > 0 {
-            i += ones.min(WORD_BITS - i % WORD_BITS);
-            continue;
-        }
-        let run_start = i;
-        loop {
-            if i >= end {
-                break;
-            }
-            let chunk = words[i / WORD_BITS] >> (i % WORD_BITS);
-            if chunk == 0 {
-                i = (i / WORD_BITS + 1) * WORD_BITS;
-            } else {
-                i += chunk.trailing_zeros() as usize;
-                break;
-            }
-        }
-        out.push((run_start as u32, (i.min(end) - run_start) as u32));
-    }
-}
-
-/// Per-bit reference for [`zero_runs_in_words`].
-pub fn zero_runs_in_words_reference(words: &[u64], len: usize, out: &mut Vec<(u32, u32)>) {
-    let end = len.min(words.len() * WORD_BITS);
-    let get = |i: usize| words[i / WORD_BITS] >> (i % WORD_BITS) & 1 != 0;
-    let mut i = 0usize;
-    while i < end {
-        if get(i) {
-            i += 1;
-            continue;
-        }
-        let run_start = i;
-        while i < end && !get(i) {
-            i += 1;
-        }
-        out.push((run_start as u32, (i - run_start) as u32));
-    }
 }
 
 /// A bitmask over base positions (bit `i` describes base `i`; LSB-first layout).
@@ -541,6 +492,30 @@ mod tests {
         assert_eq!(at(3), 1);
     }
 
+    /// Every maximal zero run within `[0, len)` of LSB-first words, as
+    /// `(start, len)` pairs in position order, listed one bit at a time.
+    fn zero_runs(words: &[u64], len: usize) -> Vec<(usize, usize)> {
+        let get = |i: usize| words[i / WORD_BITS] >> (i % WORD_BITS) & 1 != 0;
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < len {
+            if get(i) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < len && !get(i) {
+                i += 1;
+            }
+            runs.push((start, i - start));
+        }
+        runs
+    }
+
+    /// The per-bit run scans the references use agree with a plain run
+    /// list: the longest run (leftmost on ties) is the one
+    /// `longest_zero_run_in_words_reference` reports, and every run is as
+    /// long as the probe from its start.
     #[test]
     fn widened_run_scans_match_their_references_on_random_words() {
         use rand::rngs::StdRng;
@@ -562,29 +537,18 @@ mod tests {
             let total = words.len() * 64;
             let end = rng.gen_range(0..=total + 3);
             let len = end.min(total);
-            let mut runs = Vec::new();
-            let mut runs_ref = Vec::new();
-            zero_runs_in_words(&words, len, &mut runs);
-            zero_runs_in_words_reference(&words, len, &mut runs_ref);
-            assert_eq!(runs, runs_ref, "case {case}: words {words:?}, len {len}");
-            // The collected list is consistent with the single-run scanners:
-            // position-ordered, disjoint, its longest entry is the one
-            // `longest_zero_run_in_words_reference` reports over the same
-            // range, and every run is as long as the probe from its start.
-            for pair in runs.windows(2) {
-                assert!(pair[0].0 + pair[0].1 < pair[1].0, "overlapping runs");
-            }
+            let runs = zero_runs(&words, len);
             let longest = runs
                 .iter()
                 .copied()
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                .map(|(s, l)| (s as usize, l as usize));
-            assert_eq!(longest, longest_zero_run_in_words_reference(&words, 0, len));
+                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
+            assert_eq!(
+                longest,
+                longest_zero_run_in_words_reference(&words, 0, len),
+                "case {case}: words {words:?}, len {len}"
+            );
             for &(start, run) in &runs {
-                assert_eq!(
-                    zero_run_length_in_words_reference(&words, start as usize, len),
-                    run as usize
-                );
+                assert_eq!(zero_run_length_in_words_reference(&words, start, len), run);
             }
         }
     }

@@ -18,17 +18,21 @@
 //! *over*-estimating — MAGNET is the one baseline that produces false rejects, a
 //! behaviour the paper points out in §5.1.2 and which the accuracy harness here
 //! reproduces.
+//!
+//! The per-bit reference ([`magnet_pair_decision_reference`]) keeps the
+//! pending intervals in a list. The lane kernel ([`magnet_kernel_x4`]) runs the
+//! same extraction as bit algebra on every mask's *erosion levels* (bit `p` of
+//! level `k` set when positions `p .. p + 2^k − 1` lie in one zero run).
 
-use crate::bitvec::{zero_runs_in_words, BaseMask};
+use crate::bitvec::BaseMask;
 use crate::simd::{
-    build_mask_rows, filter_block_with, lane_alphabet, lane_words, pair_slices, set_range_rows,
-    shl_rows, shr_rows, LaneMask, LaneRow, SimdMode, WORD_BITS,
+    and_rows, build_mask_rows, filter_block_with, lane_alphabet, pair_slices, set_range_rows,
+    shl_rows, shr_rows, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{shift_left_bases, shift_right_bases, xor_to_base_mask_reference};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
-use std::collections::BinaryHeap;
 
 /// The MAGNET pre-alignment filter.
 #[derive(Debug, Clone)]
@@ -138,100 +142,177 @@ fn best_mask_run(masks: &[BaseMask], start: usize, end: usize) -> Option<(usize,
     best
 }
 
-/// One lane's extraction state for the SoA kernel, driven by the lane's
-/// precollected zero-run list instead of per-interval mask rescans: a lazy
-/// max-heap of `(length, leftmost start)` run pieces plus the list of pending
-/// (not yet extracted) intervals the pieces are clipped against.
+/// Every mask's erosion levels for one lane group, which MAGNET's lane
+/// extraction reads and clears.
 ///
-/// Equivalence with the per-interval rescan of [`Extraction`]: every candidate
-/// the rescan considers is a maximal mask run clipped to a pending interval,
-/// and clipping only ever *shrinks* a piece. The heap therefore holds
-/// over-approximations — when a popped piece still lies wholly inside a
-/// pending interval its key is exact and, being the heap maximum, it is the
-/// global (longest, then leftmost) clipped run the rescan would have picked;
-/// when it does not, its true pieces are re-clipped, pushed back and the pop
-/// repeats. Same candidates, same `(len, start)` order, same extraction.
-struct RunHeap {
-    /// Max-heap over single-`u64` piece keys: length in the high half, the
-    /// bitwise-inverted start in the low half, so the natural `u64` order is
-    /// (longest, then leftmost) with one branchless compare.
-    heap: BinaryHeap<u64>,
-    /// Pending intervals, half-open, position-ordered, non-overlapping.
-    pending: Vec<(u32, u32)>,
-    covered: usize,
+/// Level 0 of a mask marks its free positions, the zero bits inside
+/// `[0, len)`. Level `k + 1` is level `k` AND (level `k` >> 2^k), so bit `p` of
+/// level `k` says that positions `p .. p + 2^k − 1` lie in one zero run. The
+/// masks of a level sit end to end, `stride` words each with at least one
+/// blocked bit past `len`, so no run continues into the next mask and every
+/// shift runs over a whole level. The levels are built on `[u64; 4]` rows,
+/// all four lanes shifting together; each lane then extracts on its own bits.
+struct ErosionLevels {
+    /// Row `w` of mask `j` at level `k` is `rows[k * plane + j * stride + w]`.
+    rows: Vec<LaneRow>,
+    plane: usize,
+    stride: usize,
+    len: usize,
+    /// One lane's surviving run starts while a round lifts, one level wide.
+    cur: Vec<u64>,
+    next: Vec<u64>,
 }
 
-/// Packs a `(start, len)` run piece into its heap key.
-#[inline]
-fn piece_key(start: u32, len: u32) -> u64 {
-    (u64::from(len) << 32) | u64::from(!start)
-}
-
-impl RunHeap {
-    fn new(runs: &[(u32, u32)], len: usize) -> RunHeap {
-        RunHeap {
-            heap: runs.iter().map(|&(s, l)| piece_key(s, l)).collect(),
-            pending: vec![(0, len as u32)],
-            covered: 0,
+impl ErosionLevels {
+    /// Zeroed levels for `masks` masks of `len` bits: write each mask into
+    /// [`ErosionLevels::mask_mut`], then [`ErosionLevels::erode`] them.
+    fn new(len: usize, masks: usize) -> ErosionLevels {
+        let stride = (len + 1).div_ceil(WORD_BITS);
+        let plane = masks * stride;
+        // Levels 0 ..= ⌊log2 len⌋: the longest run a level can hold fits.
+        let levels = (usize::BITS - len.leading_zeros()) as usize;
+        ErosionLevels {
+            rows: vec![[0; SOA_LANES]; levels * plane],
+            plane,
+            stride,
+            len,
+            cur: vec![0; plane],
+            next: vec![0; plane],
         }
     }
 
-    /// One extraction round; returns `false` — retire this lane — once no run
-    /// piece overlaps any pending interval.
-    fn step(&mut self) -> bool {
-        while let Some(key) = self.heap.pop() {
-            let (l, s) = ((key >> 32) as u32, !(key as u32));
-            let end = s + l;
-            let mut extracted = false;
-            for idx in 0..self.pending.len() {
-                let (ps, pe) = self.pending[idx];
-                if pe <= s {
-                    continue;
-                }
-                if ps >= end {
-                    break;
-                }
-                if ps <= s && end <= pe {
-                    // Wholly inside a pending interval — nothing extracted so
-                    // far touched it, so its key is exact: extract it, consume
-                    // a divider position on each side (a run abutting the
-                    // interval boundary consumes no divider there) and keep
-                    // the non-empty remainders pending.
-                    self.covered += l as usize;
-                    let left = (s > ps + 1).then(|| (ps, s - 1));
-                    let right = (end + 1 < pe).then(|| (end + 1, pe));
-                    match (left, right) {
-                        (Some(a), Some(b)) => {
-                            self.pending[idx] = a;
-                            self.pending.insert(idx + 1, b);
-                        }
-                        (Some(a), None) => self.pending[idx] = a,
-                        (None, Some(b)) => self.pending[idx] = b,
-                        (None, None) => {
-                            self.pending.remove(idx);
-                        }
-                    }
-                    extracted = true;
-                    break;
-                }
-                // Stale piece: re-clip against this interval and push the
-                // surviving (strictly shorter) piece back.
-                let cs = s.max(ps);
-                let ce = end.min(pe);
-                if ce > cs {
-                    self.heap.push(piece_key(cs, ce - cs));
-                }
-            }
-            if extracted {
-                return true;
-            }
-        }
-        false
+    /// Mask `j`'s `len.div_ceil(64)` rows at level 0.
+    fn mask_mut(&mut self, j: usize) -> &mut [LaneRow] {
+        &mut self.rows[j * self.stride..][..self.len.div_ceil(WORD_BITS)]
     }
 
-    fn edits(&self, len: usize) -> u32 {
-        (len - self.covered.min(len)) as u32
+    /// Turns every mask into its level 0 and builds the levels above it.
+    fn erode(&mut self) {
+        let plane = self.plane;
+        for mask in self.rows[..plane].chunks_exact_mut(self.stride) {
+            for (w, row) in mask.iter_mut().enumerate() {
+                // The mask rows hold 0 past `len`, which must read as blocked.
+                let inside = !at_or_past(self.len, w);
+                *row = row.map(|mismatch| !mismatch & inside);
+            }
+        }
+        for k in 1..self.rows.len() / plane {
+            let (below, above) = self.rows.split_at_mut(k * plane);
+            let (below, out) = (&below[(k - 1) * plane..], &mut above[..plane]);
+            shr_rows(below, 1 << (k - 1), out);
+            and_rows(out, below);
+            // No lane has a run of 2^k, so no higher level has a bit either.
+            if out.iter().all(|row| *row == [0; SOA_LANES]) {
+                self.rows.truncate(k * plane);
+                break;
+            }
+        }
     }
+
+    /// Runs up to `rounds` extractions on `lane` and returns how many
+    /// positions the extracted runs cover. Each round takes the longest zero
+    /// run left in any mask, leftmost on ties (the pick [`Extraction::step`]
+    /// makes), and blocks it with one divider on each side. The lane stops
+    /// early once no free position is left.
+    fn extract(&mut self, lane: usize, rounds: usize) -> usize {
+        let mut top = self.rows.len() / self.plane - 1;
+        let mut covered = 0;
+        for _ in 0..rounds {
+            // The highest level with a bit left: the longest run is at least
+            // 2^top and less than 2^(top + 1) long. Blocking only shortens
+            // runs, so each round resumes the search where the last stopped.
+            while !self.seed(top, lane) {
+                if top == 0 {
+                    return covered;
+                }
+                top -= 1;
+            }
+            let mut run = 1 << top;
+            for i in (0..top).rev() {
+                if self.lift(i, lane, run) {
+                    run += 1 << i;
+                }
+            }
+            let Some(start) = self.leftmost() else {
+                return covered;
+            };
+            covered += run;
+            // One range covers the run and both dividers. A run that abuts
+            // a blocked position or a sequence end has no divider there, and
+            // blocking that neighbour again is harmless.
+            self.block(lane, top, start.max(1) - 1, (start + run + 1).min(self.len));
+        }
+        covered
+    }
+
+    /// Loads `lane`'s bits of level `k` as the run starts; false when it has
+    /// none.
+    fn seed(&mut self, k: usize, lane: usize) -> bool {
+        let level = &self.rows[k * self.plane..][..self.plane];
+        for (start, row) in self.cur.iter_mut().zip(level) {
+            *start = row[lane];
+        }
+        self.cur.iter().any(|&bits| bits != 0)
+    }
+
+    /// Keeps the run starts `p` whose run of `shift` continues through level
+    /// `i` at `p + shift` (`cur AND (level i >> shift)`), so their runs are
+    /// `shift + 2^i` long. False, with the starts unchanged, when none is left.
+    fn lift(&mut self, i: usize, lane: usize, shift: usize) -> bool {
+        let level = &self.rows[i * self.plane..][..self.plane];
+        let (word_shift, bit_shift) = (shift / WORD_BITS, shift % WORD_BITS);
+        let mut any = 0;
+        for (w, (next, &cur)) in self.next.iter_mut().zip(&self.cur).enumerate() {
+            let lo = level
+                .get(w + word_shift)
+                .map_or(0, |row| row[lane] >> bit_shift);
+            // `<< 1 << (63 − b)` is `<< (64 − b)`, and 0 when b = 0.
+            let hi = level
+                .get(w + word_shift + 1)
+                .map_or(0, |row| row[lane] << 1 << (WORD_BITS - 1 - bit_shift));
+            *next = cur & (lo | hi);
+            any |= *next;
+        }
+        if any == 0 {
+            return false;
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
+        true
+    }
+
+    /// The leftmost run start across the masks: the lowest bit of the first
+    /// word that any mask has a start in.
+    fn leftmost(&self) -> Option<usize> {
+        (0..self.stride).find_map(|w| {
+            let starts = self.cur[w..]
+                .iter()
+                .step_by(self.stride)
+                .fold(0, |acc, &bits| acc | bits);
+            (starts != 0).then(|| w * WORD_BITS + starts.trailing_zeros() as usize)
+        })
+    }
+
+    /// Blocks positions `[from, to)` of `lane` in every mask: clears bit `p`
+    /// of level `k` wherever `p .. p + 2^k − 1` meets the range, that is bits
+    /// `[from − 2^k + 1, to)`. The lane's levels above `top` are already empty.
+    fn block(&mut self, lane: usize, top: usize, from: usize, to: usize) {
+        let levels = self.rows.chunks_exact_mut(self.plane).take(top + 1);
+        for (k, level) in levels.enumerate() {
+            let lo = (from + 1).saturating_sub(1 << k);
+            for w in lo / WORD_BITS..=(to - 1) / WORD_BITS {
+                let keep = !(at_or_past(lo, w) & !at_or_past(to, w));
+                for row in level[w..].iter_mut().step_by(self.stride) {
+                    row[lane] &= keep;
+                }
+            }
+        }
+    }
+}
+
+/// The bits of word `w` that stand at or past position `bit`.
+fn at_or_past(bit: usize, w: usize) -> u64 {
+    let shift = bit.saturating_sub(w * WORD_BITS).min(WORD_BITS);
+    u64::MAX.checked_shl(shift as u32).unwrap_or(0)
 }
 
 /// One pending search interval of the extraction loop, with its best zero run
@@ -246,7 +327,7 @@ struct Interval {
 
 /// One sequence's extraction state (pending intervals in position order plus
 /// the covered-position count). The per-bit reference drives one of these to
-/// completion; the lane kernel steps a [`RunHeap`] per lane instead.
+/// completion; the lane kernel makes the same picks on [`ErosionLevels`].
 ///
 /// Ties between equal-length runs are broken towards the **leftmost** start
 /// position, and the pending intervals are kept in position order, so the
@@ -368,28 +449,27 @@ pub fn magnet_pair_decision_reference(read: &[u8], reference: &[u8], e: u32) -> 
 /// Runs MAGNET on all lanes of a struct-of-arrays group at once. Decisions of
 /// inactive lanes (`lane >= group.lanes`) are meaningless.
 ///
-/// The `2·min(e, len−1) + 1` masks are built lane-parallel with the same row
-/// primitives as the GateKeeper kernel. The extraction loop is where MAGNET
-/// diverges from GateKeeper's uniform algebra: each lane extracts different
-/// runs at different positions, so the epilogue steps all four per-lane
-/// extraction states round-major and retires lanes that run out of zero runs from a
-/// [`LaneMask`] while the group keeps stepping — the bookkeeping a real GPU
-/// warp needs for the same loop.
+/// The `2·min(e, len−1) + 1` masks and their erosion levels are built
+/// lane-parallel with the same row primitives as the GateKeeper kernel. The
+/// extraction diverges: each lane runs its up to `e + 1` rounds in its own
+/// loop, each round bit algebra on the lane's levels — lift down to the
+/// longest run, take its leftmost start, clear one range.
 pub fn magnet_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES] {
     let len = group.len;
     debug_assert!(len > 0, "SoaGroup guarantees a nonzero length");
-    let mask_rows = len.div_ceil(WORD_BITS);
 
-    let mut hamming = vec![[0u64; SOA_LANES]; mask_rows];
-    build_mask_rows(&group.read_words, &group.ref_words, len, &mut hamming);
+    // Same shift clamp as the reference: shifts ≥ len yield all-ones masks
+    // with no zero runs to extract.
+    let max_shift = (e as usize).min(len - 1);
+    let mut levels = ErosionLevels::new(len, 2 * max_shift + 1);
+    let hamming = levels.mask_mut(0);
+    build_mask_rows(&group.read_words, &group.ref_words, len, hamming);
 
     let mut out = [FilterDecision::accept(0); SOA_LANES];
 
     if e == 0 {
-        let mut words: Vec<u64> = Vec::with_capacity(mask_rows);
         for (lane, decision) in out.iter_mut().enumerate().take(group.lanes) {
-            lane_words(&hamming, lane, &mut words);
-            let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
+            let ones: u32 = hamming.iter().map(|row| row[lane].count_ones()).sum();
             *decision = if ones == 0 {
                 FilterDecision::accept(0)
             } else {
@@ -399,70 +479,27 @@ pub fn magnet_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES]
         return out;
     }
 
-    // Same shift clamp as the reference: shifts ≥ len yield all-ones masks
-    // with no zero runs to extract.
-    let max_shift = (e as usize).min(len - 1);
-    let mut masks: Vec<Vec<LaneRow>> = Vec::with_capacity(2 * max_shift + 1);
-    masks.push(hamming);
     let mut shifted = vec![[0u64; SOA_LANES]; group.read_words.len()];
     for k in 1..=max_shift {
         // Deletion mask: read shifted towards higher positions by k bases;
         // MAGNET pads the k vacated positions with 1s.
-        let mut del = vec![[0u64; SOA_LANES]; mask_rows];
         shl_rows(&group.read_words, 2 * k, &mut shifted);
-        build_mask_rows(&shifted, &group.ref_words, len, &mut del);
-        set_range_rows(&mut del, len, 0, k);
-        masks.push(del);
+        let del = levels.mask_mut(2 * k - 1);
+        build_mask_rows(&shifted, &group.ref_words, len, del);
+        set_range_rows(del, len, 0, k);
 
         // Insertion mask: read shifted towards lower positions by k bases.
-        let mut ins = vec![[0u64; SOA_LANES]; mask_rows];
         shr_rows(&group.read_words, 2 * k, &mut shifted);
-        build_mask_rows(&shifted, &group.ref_words, len, &mut ins);
-        set_range_rows(&mut ins, len, len - k, len);
-        masks.push(ins);
+        let ins = levels.mask_mut(2 * k);
+        build_mask_rows(&shifted, &group.ref_words, len, ins);
+        set_range_rows(ins, len, len - k, len);
     }
-
-    // Collect every mask's zero runs once per lane (flat list + bounds, so
-    // the whole group costs three allocations). The extraction loop re-queries
-    // nearly the whole read every round, so answering queries from run lists
-    // beats re-walking mask bits per sub-interval by a wide margin.
-    // A maximal zero run needs a 1 after it, so a mask of `len` bits holds at
-    // most `(len + 1) / 2` runs; reserving that up front keeps the flat list
-    // from regrowing (and re-copying) while it fills.
-    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(group.lanes * masks.len() * (len + 1) / 2);
-    let mut bounds: Vec<usize> = Vec::with_capacity(group.lanes + 1);
-    bounds.push(0);
-    let mut words: Vec<u64> = Vec::with_capacity(mask_rows);
-    for lane in 0..group.lanes {
-        for mask in &masks {
-            lane_words(mask, lane, &mut words);
-            zero_runs_in_words(&words, len, &mut runs);
-        }
-        bounds.push(runs.len());
-    }
+    levels.erode();
 
     let rounds = (e as usize).saturating_add(1).min(len + 1);
-    let mut active = LaneMask::active(group.lanes);
-    let mut states: Vec<RunHeap> = (0..group.lanes)
-        .map(|lane| RunHeap::new(&runs[bounds[lane]..bounds[lane + 1]], len))
-        .collect();
-    for _ in 0..rounds {
-        if !active.any() {
-            break;
-        }
-        for (lane, state) in states.iter_mut().enumerate() {
-            if !active.is_active(lane) {
-                continue;
-            }
-            if !state.step() {
-                active.retire(lane);
-            }
-        }
-    }
-
-    for (lane, state) in states.iter().enumerate() {
-        let edits = state.edits(len);
-        out[lane] = if edits <= e {
+    for (lane, decision) in out.iter_mut().enumerate().take(group.lanes) {
+        let edits = (len - levels.extract(lane, rounds)) as u32;
+        *decision = if edits <= e {
             FilterDecision::accept(edits)
         } else {
             FilterDecision::reject(edits)
@@ -527,38 +564,61 @@ mod tests {
         (0..len).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect()
     }
 
-    /// The kernel's heap-driven extraction over collected run lists must
-    /// produce exactly the edits the interval-rescan [`Extraction`] produces
-    /// over the same masks — including the leftmost tie-break and the
-    /// divider-at-boundary cases (the lazy re-clipping invariant in the
-    /// [`RunHeap`] docs, checked mask-for-mask on random inputs).
-    #[test]
-    fn heap_extraction_matches_interval_rescan_extraction() {
-        let mut rng = StdRng::seed_from_u64(26);
-        for case in 0..5_000 {
-            let len = rng.gen_range(1usize..60);
-            let e = rng.gen_range(0u32..8);
-            let mask_count = rng.gen_range(1usize..4);
-            let masks: Vec<BaseMask> = (0..mask_count)
-                .map(|_| BaseMask::from_bools((0..len).map(|_| rng.gen_bool(0.4))))
-                .collect();
-            let expected = MagnetFilter::estimate_edits(&masks, len, e);
-            let mut runs = Vec::new();
-            for mask in &masks {
-                zero_runs_in_words(mask.words(), len, &mut runs);
+    /// A random mask of `len` bits: all ones, all zeros, or one of several
+    /// densities, down to sparse masks whose runs cross 64-bit words.
+    fn random_mask(len: usize, rng: &mut StdRng) -> BaseMask {
+        match rng.gen_range(0..7) {
+            0 => BaseMask::ones(len),
+            1 => BaseMask::zeros(len),
+            density => {
+                let p = [0.02, 0.1, 0.3, 0.5, 0.8][density - 2];
+                BaseMask::from_bools((0..len).map(|_| rng.gen_bool(p)))
             }
-            let mut heap = RunHeap::new(&runs, len);
-            let rounds = (e as usize).saturating_add(1).min(len + 1);
-            for _ in 0..rounds {
-                if !heap.step() {
-                    break;
+        }
+    }
+
+    /// The lane extraction over erosion levels leaves exactly the edits the
+    /// brute-force reference leaves, on random masks of 1–260 bits, so the
+    /// level clears and the lifting shifts cross 64-bit words. Every lane
+    /// holds different masks, and the thresholds run from 0 to past the
+    /// number of runs.
+    #[test]
+    fn level_extraction_matches_the_brute_force_reference() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for case in 0..600 {
+            let len = rng.gen_range(1usize..=260);
+            let e = match case % 4 {
+                0 => rng.gen_range(0u32..4),
+                1 => rng.gen_range(0u32..16),
+                2 => rng.gen_range(0..=len as u32 + 1),
+                _ => u32::MAX,
+            };
+            let mask_count = rng.gen_range(1usize..=4);
+            let lane_masks: Vec<Vec<BaseMask>> = (0..SOA_LANES)
+                .map(|_| {
+                    (0..mask_count)
+                        .map(|_| random_mask(len, &mut rng))
+                        .collect()
+                })
+                .collect();
+            let mut levels = ErosionLevels::new(len, mask_count);
+            for (lane, masks) in lane_masks.iter().enumerate() {
+                for (j, mask) in masks.iter().enumerate() {
+                    for (row, &word) in levels.mask_mut(j).iter_mut().zip(mask.words()) {
+                        row[lane] = word;
+                    }
                 }
             }
-            assert_eq!(
-                heap.edits(len),
-                expected,
-                "case {case}: len {len}, e {e}, masks {masks:?}"
-            );
+            levels.erode();
+            let rounds = (e as usize).saturating_add(1).min(len + 1);
+            for (lane, masks) in lane_masks.iter().enumerate() {
+                let edits = (len - levels.extract(lane, rounds)) as u32;
+                assert_eq!(
+                    edits,
+                    reference_estimate(masks, len, e),
+                    "case {case}: len {len}, e {e}, lane {lane}, masks {masks:?}"
+                );
+            }
         }
     }
 
@@ -827,7 +887,9 @@ mod tests {
     #[test]
     fn kernel_x4_handles_word_boundary_lengths() {
         let mut rng = StdRng::seed_from_u64(22);
-        for len in [1usize, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129] {
+        for len in [
+            1usize, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 191, 192, 193, 255, 256, 257,
+        ] {
             for e in [0u32, 1, 4, 40] {
                 let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..SOA_LANES)
                     .map(|_| {

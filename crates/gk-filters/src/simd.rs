@@ -162,12 +162,12 @@ pub(crate) fn pair_slices(pairs: &[SequencePair]) -> Vec<(&[u8], &[u8])> {
 
 /// Per-lane active mask for divergent lane-parallel loops.
 ///
-/// GateKeeper's mask algebra is uniform across lanes, but MAGNET's extraction
-/// rounds and SneakySnake's greedy traversal are *data-dependent*: each lane
-/// finishes its extraction/column walk at a different step. Rather than
-/// padding every lane to the slowest one, the kernels keep stepping the group
-/// while retiring finished lanes from this mask — the same bookkeeping a real
-/// GPU warp needs when threads of one warp diverge.
+/// SneakySnake's greedy traversal is *data-dependent*: each lane finishes its
+/// column walk at a different step. Rather than padding every lane to the
+/// slowest one, the kernel keeps stepping the group while retiring finished
+/// lanes from this mask — the bookkeeping a GPU warp needs when its threads
+/// diverge. (MAGNET's lanes diverge too, but each runs its extraction rounds
+/// in its own loop, so it needs no mask.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneMask {
     bits: u8,
