@@ -1,14 +1,10 @@
 //! Dynamic-programming edit distance.
 //!
-//! These are the "traditional practices" the paper sets out to avoid calling too
-//! often (§1): quadratic-time Levenshtein distance, plus the banded (Ukkonen)
-//! variant that mrFAST-style verification actually uses — when only distances up to
-//! a threshold `e` matter, restricting the DP to a band of width `2e + 1` around the
-//! main diagonal reduces the work to `O(e·n)` without changing the answer for pairs
-//! inside the threshold.
-//!
-//! The full DP is also the reference implementation against which the Myers
-//! bit-vector algorithm ([`crate::myers`]) is property-tested.
+//! The quadratic-time Levenshtein distance is one of the "traditional practices"
+//! the paper sets out to avoid calling too often (§1). Here it is the reference
+//! against which the Myers bit-vector kernel ([`crate::myers`]) is tested, both
+//! unbounded and bounded. The mapper's verifier, [`banded_levenshtein`], is named
+//! here but runs that kernel.
 
 /// Full `O(n·m)` Levenshtein (unit-cost edit) distance between two sequences.
 ///
@@ -32,86 +28,11 @@ pub fn levenshtein(a: &[u8], b: &[u8]) -> u32 {
     prev[short.len()]
 }
 
-/// Banded Levenshtein distance (Ukkonen's band): computes the exact edit distance
-/// if it is at most `threshold`, otherwise returns `None`.
-///
-/// This is the verification kernel of a seed-and-extend mapper: a pair is mapped at
-/// a candidate location only if its distance is within the error threshold, so any
-/// distance above the band is irrelevant and the DP never leaves the band.
-pub fn banded_levenshtein(a: &[u8], b: &[u8], threshold: u32) -> Option<u32> {
-    let n = a.len();
-    let m = b.len();
-    let k = threshold as usize;
-    if n.abs_diff(m) > k {
-        return None;
-    }
-    if n == 0 {
-        return Some(m as u32);
-    }
-    if m == 0 {
-        return Some(n as u32);
-    }
-
-    const INF: u32 = u32::MAX / 2;
-    let band = 2 * k + 1;
-    // prev[d] holds D[i-1][j] for j = i-1 - k + d ; curr[d] holds D[i][j] for j = i - k + d.
-    let mut prev = vec![INF; band];
-    let mut curr = vec![INF; band];
-
-    // Row 0: D[0][j] = j for j in [0, k].
-    for (d, slot) in prev.iter_mut().enumerate() {
-        let j = d as isize - k as isize; // j relative offset for i = 0
-        if (0..=m as isize).contains(&j) && j <= k as isize {
-            *slot = j as u32;
-        }
-    }
-
-    for i in 1..=n {
-        for slot in curr.iter_mut() {
-            *slot = INF;
-        }
-        let lo = i.saturating_sub(k);
-        let hi = (i + k).min(m);
-        for j in lo..=hi {
-            let d = j + k - i; // index into curr
-            let mut best = INF;
-            // Deletion from `a` (move down): D[i-1][j] + 1 → prev index j + k - (i-1) = d + 1.
-            if d + 1 < band && prev[d + 1] < INF {
-                best = best.min(prev[d + 1] + 1);
-            }
-            // Insertion (move right): D[i][j-1] + 1 → curr index d - 1.
-            if d > 0 && curr[d - 1] < INF {
-                best = best.min(curr[d - 1] + 1);
-            }
-            // Match / substitution: D[i-1][j-1] + cost → prev index d.
-            if j > 0 && prev[d] < INF {
-                let cost = u32::from(a[i - 1] != b[j - 1]);
-                best = best.min(prev[d] + cost);
-            }
-            if j == 0 {
-                best = i as u32;
-            }
-            curr[d] = best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-
-    let d = m + k - n;
-    if d < band && prev[d] <= threshold {
-        Some(prev[d])
-    } else {
-        None
-    }
-}
-
-/// Hamming distance (mismatch count) between equal-length sequences; `None` when the
-/// lengths differ. Provided for the e = 0 fast path and for tests.
-pub fn hamming(a: &[u8], b: &[u8]) -> Option<u32> {
-    if a.len() != b.len() {
-        return None;
-    }
-    Some(a.iter().zip(b).filter(|(x, y)| x != y).count() as u32)
-}
+/// The mapper's verification kernel: the edit distance of `a` and `b` if it is
+/// at most the threshold, otherwise `None`. It is
+/// [`crate::myers::bounded_edit_distance`], Myers' bit-vector algorithm with a
+/// cut-off at the threshold, under the name the mapper and the benchmark call.
+pub use crate::myers::bounded_edit_distance as banded_levenshtein;
 
 #[cfg(test)]
 mod tests {
@@ -180,13 +101,6 @@ mod tests {
     #[test]
     fn banded_length_difference_short_circuit() {
         assert_eq!(banded_levenshtein(b"ACGTACGTACGT", b"AC", 3), None);
-    }
-
-    #[test]
-    fn hamming_counts_mismatches() {
-        assert_eq!(hamming(b"ACGT", b"ACGA"), Some(1));
-        assert_eq!(hamming(b"ACGT", b"ACG"), None);
-        assert_eq!(hamming(b"", b""), Some(0));
     }
 
     #[test]

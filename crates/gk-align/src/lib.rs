@@ -7,13 +7,14 @@
 //!
 //! * **Edlib** is the ground truth for every accuracy table — its global alignment
 //!   mode computes the exact Levenshtein distance of each pair. Edlib implements
-//!   Myers' bit-vector algorithm; [`myers`] provides the same algorithm (block-based
-//!   for patterns longer than 64 bases), and [`dp`] provides the straightforward
-//!   dynamic-programming computation used to cross-check it.
-//! * **Verification** in mrFAST is a banded edit-distance check against the error
-//!   threshold, followed by alignment for reporting; [`dp::banded_levenshtein`] and
-//!   the global traceback aligner in [`nw`] cover that role, with CIGAR output in
-//!   [`cigar`].
+//!   Myers' bit-vector algorithm; [`myers`] provides the same algorithm (one
+//!   128-bit word, or blocks for longer patterns), and [`dp`] provides the
+//!   straightforward dynamic-programming computation used to cross-check it.
+//! * **Verification** in mrFAST is an edit-distance check against the error
+//!   threshold, followed by alignment for reporting. The same bit-vector kernel
+//!   with a bound, [`dp::banded_levenshtein`], stops as soon as a pair can no
+//!   longer be within the threshold; the global traceback aligner in [`nw`]
+//!   covers reporting, with CIGAR output in [`cigar`].
 //!
 //! Everything operates on plain ASCII `&[u8]` sequences so the crate is usable both
 //! on raw reads and on segments extracted from a reference genome.

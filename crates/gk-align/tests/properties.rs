@@ -5,7 +5,7 @@
 //! the straightforward DP on arbitrary inputs — otherwise every accuracy table
 //! would be measured against a broken reference.
 
-use gk_align::dp::{banded_levenshtein, hamming, levenshtein};
+use gk_align::dp::{banded_levenshtein, levenshtein};
 use gk_align::myers::edit_distance;
 use gk_align::nw::{needleman_wunsch, ScoringScheme};
 use proptest::prelude::*;
@@ -52,12 +52,13 @@ proptest! {
     #[test]
     fn hamming_upper_bounds_edit_distance(a in dna(120), b in dna(120)) {
         if a.len() == b.len() {
-            prop_assert!(edit_distance(&a, &b) <= hamming(&a, &b).unwrap());
+            let mismatches = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+            prop_assert!(edit_distance(&a, &b) as usize <= mismatches);
         }
     }
 
     #[test]
-    fn banded_agrees_with_full_dp(a in dna(120), b in dna(120), k in 0u32..20) {
+    fn banded_agrees_with_full_dp(a in dna(300), b in dna(300), k in 0u32..20) {
         let full = levenshtein(&a, &b);
         match banded_levenshtein(&a, &b, k) {
             Some(d) => {

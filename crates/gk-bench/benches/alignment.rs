@@ -1,7 +1,8 @@
 //! Criterion bench: the cost of verification-style alignment — Myers bit-vector
-//! edit distance (the Edlib ground truth), full Levenshtein DP, banded DP and
-//! Needleman-Wunsch traceback. These are the "expensive sequence alignment" costs
-//! the pre-alignment filter exists to avoid (Table 4's DP model).
+//! edit distance (the Edlib ground truth), full Levenshtein DP, the mapper's
+//! verifier (`banded_verification`: the same bit-vector kernel bounded by the
+//! threshold) and Needleman-Wunsch traceback. These are the "expensive sequence
+//! alignment" costs the pre-alignment filter exists to avoid (Table 4's DP model).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gk_align::dp::{banded_levenshtein, levenshtein};

@@ -3,9 +3,11 @@
 //!
 //! The theoretical speedup assumes verification time is directly proportional to
 //! the number of pairs entering it (a 90% reduction would give 10×); the achieved
-//! speedup is what the measured verification time actually shows, which is lower
-//! because the surviving pairs are the expensive near-threshold ones and because
-//! filtering itself takes time.
+//! speedup is what the measured verification time actually shows. It is lower
+//! because verification stops as soon as a pair can no longer be within the
+//! threshold: the pairs the filter removes, far above it, are the ones
+//! verification rejects most cheaply, so removing them saves less time than their
+//! count suggests.
 //!
 //! Usage: `cargo run --release -p gk-bench --bin table4_verification_speedup [--reads N] [--genome N]`
 

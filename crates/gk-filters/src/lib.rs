@@ -52,7 +52,7 @@ pub use shouji::{
 };
 pub use simd::{
     filter_blocks, gatekeeper_filter_block, gatekeeper_filter_block_packed,
-    gatekeeper_filter_block_slices, gatekeeper_kernel_x4, LaneMask, SimdMode, SIMD_MODE_ENV,
+    gatekeeper_filter_block_slices, gatekeeper_kernel_x4, SimdMode, SIMD_MODE_ENV,
 };
 pub use sneaky_snake::{
     sneaky_snake_filter_block, sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4,

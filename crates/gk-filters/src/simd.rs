@@ -169,13 +169,13 @@ pub(crate) fn pair_slices(pairs: &[SequencePair]) -> Vec<(&[u8], &[u8])> {
 /// diverge. (MAGNET's lanes diverge too, but each runs its extraction rounds
 /// in its own loop, so it needs no mask.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneMask {
+pub(crate) struct LaneMask {
     bits: u8,
 }
 
 impl LaneMask {
     /// A mask with the first `lanes` lanes active.
-    pub fn active(lanes: usize) -> LaneMask {
+    pub(crate) fn active(lanes: usize) -> LaneMask {
         debug_assert!(lanes <= SOA_LANES);
         LaneMask {
             bits: ((1u16 << lanes) - 1) as u8,
@@ -183,23 +183,18 @@ impl LaneMask {
     }
 
     /// Retires one lane; further steps skip it.
-    pub fn retire(&mut self, lane: usize) {
+    pub(crate) fn retire(&mut self, lane: usize) {
         self.bits &= !(1u8 << lane);
     }
 
     /// True while `lane` still participates in the group's steps.
-    pub fn is_active(self, lane: usize) -> bool {
+    pub(crate) fn is_active(self, lane: usize) -> bool {
         self.bits & (1u8 << lane) != 0
     }
 
     /// True while any lane is still active (the group keeps stepping).
-    pub fn any(self) -> bool {
+    pub(crate) fn any(self) -> bool {
         self.bits != 0
-    }
-
-    /// Number of still-active lanes.
-    pub fn count(self) -> u32 {
-        self.bits.count_ones()
     }
 }
 
@@ -767,12 +762,10 @@ mod tests {
     fn lane_mask_retires_lanes_independently() {
         let mut mask = LaneMask::active(3);
         assert!(mask.any());
-        assert_eq!(mask.count(), 3);
         assert!(mask.is_active(0) && mask.is_active(1) && mask.is_active(2));
         assert!(!mask.is_active(3));
         mask.retire(1);
         assert!(mask.is_active(0) && !mask.is_active(1) && mask.is_active(2));
-        assert_eq!(mask.count(), 2);
         mask.retire(0);
         mask.retire(2);
         assert!(!mask.any());

@@ -131,7 +131,7 @@ fn strided_zero_run(rows: &[LaneRow], lane: usize, start: usize, len: usize) -> 
 /// then a whole-word trailing-zeros scan instead of a per-bit walk. The
 /// traversal itself is where lanes diverge — each snake reaches the last
 /// column after a different number of greedy steps — so the group steps
-/// round-major and retires finished lanes from a [`LaneMask`] while the rest
+/// round-major and retires finished lanes from a lane mask while the rest
 /// keep walking.
 pub fn sneaky_snake_kernel_x4(group: &SoaGroup, e: u32) -> [FilterDecision; SOA_LANES] {
     let len = group.len;

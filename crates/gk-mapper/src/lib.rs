@@ -5,7 +5,8 @@
 //!
 //! mrFAST is a *fully sensitive* mapper: seeding enumerates every candidate
 //! location that could possibly align within the error threshold, and verification
-//! (banded edit-distance DP) decides which candidates are real mappings. Because
+//! (a bounded edit distance, Myers' bit-vector algorithm with a cut-off at the
+//! threshold) decides which candidates are real mappings. Because
 //! seeding over-produces candidates by orders of magnitude, the verification stage
 //! dominates the runtime — which is exactly the stage GateKeeper-GPU shields.
 //!

@@ -123,7 +123,7 @@ pub struct MappingStats {
     /// (functional simulation cost; lets reports exclude it when modelling a real
     /// device).
     pub filter_wall_seconds: f64,
-    /// Verification (banded DP) time.
+    /// Verification time: the bounded edit distance of every accepted pair.
     pub verification_seconds: f64,
     /// End-to-end mapping time.
     pub total_seconds: f64,
@@ -279,7 +279,7 @@ impl ReadMapper {
         stats.verification_pairs += accepted.len() as u64;
         stats.rejected_pairs += (pair_set.len() - accepted.len()) as u64;
 
-        // Verification: banded edit distance against the threshold.
+        // Verification: the edit distance, bounded by the threshold.
         let verify_start = Instant::now();
         let threshold = self.config.threshold;
         let verified: Vec<(usize, u32)> = accepted
@@ -331,6 +331,7 @@ impl ReadMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gk_align::dp::levenshtein;
     use gk_core::config::FilterConfig;
     use gk_filters::SneakySnakeFilter;
     use gk_seq::reference::ReferenceBuilder;
@@ -508,6 +509,52 @@ mod tests {
         assert_eq!(outcome.records, expected.records);
         assert_eq!(outcome.stats.reads, reads.len() + 1);
         assert_eq!(outcome.stats.mapped_reads, expected.stats.mapped_reads);
+    }
+
+    #[test]
+    fn mappings_match_an_independent_full_dp() {
+        // The oracle shares no code with the verifier: it enumerates every
+        // candidate again and measures it with the full DP.
+        let reference = reference();
+        let oriented = |read: &[u8], reverse: bool| {
+            if reverse {
+                reverse_complement(read)
+            } else {
+                read.to_vec()
+            }
+        };
+        for profile in [ErrorProfile::illumina(), ErrorProfile::low_indel()] {
+            let reads = simulated_reads(&reference, 60, profile);
+            for threshold in [2, 5] {
+                let mapper = ReadMapper::new(reference.clone(), MapperConfig::new(threshold));
+                let mut within = 0;
+                for read in &reads {
+                    let seq = &read.sequence;
+                    for c in candidates_for_read(seq, &mapper.index, &mapper.config.seeding) {
+                        let segment = reference.segment(c.position as usize, seq.len());
+                        if segment.len() == seq.len()
+                            && levenshtein(&oriented(seq, c.reverse), segment) <= threshold
+                        {
+                            within += 1;
+                        }
+                    }
+                }
+                assert!(within > 0);
+                for filter in [PreFilter::None, gpu_filter(threshold)] {
+                    let outcome = mapper.map_reads(&reads, &filter);
+                    assert_eq!(outcome.stats.mappings, within, "e = {threshold}");
+                    for record in &outcome.records {
+                        let read = reads.iter().find(|r| r.id == record.read_id).unwrap();
+                        let segment =
+                            reference.segment(record.position as usize, read.sequence.len());
+                        let distance =
+                            levenshtein(&oriented(&read.sequence, record.reverse), segment);
+                        assert_eq!(record.edit_distance, distance, "read {}", record.read_id);
+                        assert!(distance <= threshold);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
