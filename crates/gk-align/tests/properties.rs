@@ -7,7 +7,6 @@
 
 use gk_align::dp::{banded_levenshtein, levenshtein};
 use gk_align::myers::edit_distance;
-use gk_align::nw::{needleman_wunsch, ScoringScheme};
 use proptest::prelude::*;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -80,20 +79,6 @@ proptest! {
         prop_assert_eq!(edit_distance(&a, &a), 0);
         prop_assert_eq!(levenshtein(&a, &a), 0);
         prop_assert_eq!(banded_levenshtein(&a, &a, 0), Some(0));
-    }
-
-    #[test]
-    fn nw_cigar_covers_both_sequences(a in dna(80), b in dna(80)) {
-        let aln = needleman_wunsch(&a, &b, ScoringScheme::default());
-        prop_assert_eq!(aln.cigar.read_len() as usize, a.len());
-        prop_assert_eq!(aln.cigar.reference_len() as usize, b.len());
-    }
-
-    #[test]
-    fn nw_edit_path_with_unit_costs_matches_levenshtein(a in dna(60), b in dna(60)) {
-        let scoring = ScoringScheme { match_score: 0, mismatch: -1, gap: -1 };
-        let aln = needleman_wunsch(&a, &b, scoring);
-        prop_assert_eq!(aln.edits, levenshtein(&a, &b));
     }
 
     #[test]

@@ -165,8 +165,9 @@ impl HarnessArgs {
     }
 }
 
-/// Parses the value that follows `flag`.
-fn flag_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
+/// Parses the value that follows `flag`: an error names the flag when the
+/// value is missing, and the flag and the value when it does not parse.
+pub fn flag_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
 where
     T: FromStr,
     T::Err: Display,

@@ -20,7 +20,12 @@
 //!
 //! Writes `BENCH_serve.json` and prints the README table between
 //! `<!-- serve-bench:begin -->` / `<!-- serve-bench:end -->` markers.
+//!
+//! An unknown flag, a missing or unparsable value, an out-of-range count or an
+//! unknown backend prints the error with the flag reference (`--help`) and
+//! exits 2 before any payload, server or client is built.
 
+use gk_bench::args::flag_value;
 use gk_core::backend::{BackendRegistry, FilterBackend, FilterJob, FilterKind};
 use gk_filters::traits::decision_digest;
 use gk_seq::datasets::DatasetProfile;
@@ -29,6 +34,7 @@ use gk_serve::batcher::BatcherConfig;
 use gk_serve::client::{GkClient, Reply};
 use gk_serve::server::GkServer;
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,7 +49,7 @@ struct BenchArgs {
     flush_ms: u64,
     deadline_ms: u64,
     backend: String,
-    connect: Option<String>,
+    connect: Option<SocketAddr>,
     json_path: String,
 }
 
@@ -65,38 +71,68 @@ impl Default for BenchArgs {
     }
 }
 
+const USAGE: &str = "usage: serve_bench [flags]\n\
+\n\
+\x20 --clients N        closed-loop clients (default 8, at least 1)\n\
+\x20 --requests N       requests per client (default 60, at least 1)\n\
+\x20 --req-pairs N      pairs per small request (default 256, 1 to 256)\n\
+\x20 --large-pairs N    pairs per large request of the mixed workload (default 2048)\n\
+\x20 --large-every N    every Nth mixed request is large (default 8, 0 = none)\n\
+\x20 --threshold E      error threshold (default 2)\n\
+\x20 --flush-ms MS      batcher flush interval (default 2)\n\
+\x20 --deadline-ms MS   request deadline (default 75)\n\
+\x20 --backend NAME     cpu-simd or gpu-sim (default gpu-sim)\n\
+\x20 --connect ADDR     also drive a running gk-serve daemon at HOST:PORT\n\
+\x20 --json PATH        result file (default BENCH_serve.json)\n\
+\x20 --help, -h         print this reference and exit";
+
+/// Prints a usage error with the flag reference and exits 2.
+fn usage_error(err: &str) -> ! {
+    eprintln!("error: {err}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> BenchArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    parse_from(args).unwrap_or_else(|err| usage_error(&err))
+}
+
+fn parse_from(args: Vec<String>) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--clients" => parsed.clients = value("--clients").parse().expect("--clients"),
-            "--requests" => parsed.requests = value("--requests").parse().expect("--requests"),
-            "--req-pairs" => parsed.req_pairs = value("--req-pairs").parse().expect("--req-pairs"),
-            "--large-pairs" => {
-                parsed.large_pairs = value("--large-pairs").parse().expect("--large-pairs")
-            }
-            "--large-every" => {
-                parsed.large_every = value("--large-every").parse().expect("--large-every")
-            }
-            "--threshold" => parsed.threshold = value("--threshold").parse().expect("--threshold"),
-            "--flush-ms" => parsed.flush_ms = value("--flush-ms").parse().expect("--flush-ms"),
-            "--deadline-ms" => {
-                parsed.deadline_ms = value("--deadline-ms").parse().expect("--deadline-ms")
-            }
-            "--backend" => parsed.backend = value("--backend"),
-            "--connect" => parsed.connect = Some(value("--connect")),
-            "--json" => parsed.json_path = value("--json"),
-            other => eprintln!("serve_bench: ignoring unknown flag {other:?}"),
+            "--clients" => parsed.clients = flag_value(&arg, iter.next())?,
+            "--requests" => parsed.requests = flag_value(&arg, iter.next())?,
+            "--req-pairs" => parsed.req_pairs = flag_value(&arg, iter.next())?,
+            "--large-pairs" => parsed.large_pairs = flag_value(&arg, iter.next())?,
+            "--large-every" => parsed.large_every = flag_value(&arg, iter.next())?,
+            "--threshold" => parsed.threshold = flag_value(&arg, iter.next())?,
+            "--flush-ms" => parsed.flush_ms = flag_value(&arg, iter.next())?,
+            "--deadline-ms" => parsed.deadline_ms = flag_value(&arg, iter.next())?,
+            "--backend" => parsed.backend = flag_value(&arg, iter.next())?,
+            "--connect" => parsed.connect = Some(flag_value(&arg, iter.next())?),
+            "--json" => parsed.json_path = flag_value(&arg, iter.next())?,
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    assert!(parsed.req_pairs <= 256, "small requests must be ≤256 pairs");
-    assert!(parsed.clients >= 1 && parsed.requests >= 1);
-    parsed
+    if !(1..=256).contains(&parsed.req_pairs) {
+        return Err(format!(
+            "--req-pairs `{}`: a small request holds 1 to 256 pairs",
+            parsed.req_pairs
+        ));
+    }
+    if parsed.clients == 0 {
+        return Err("--clients `0`: at least one client is needed".to_string());
+    }
+    if parsed.requests == 0 {
+        return Err("--requests `0`: at least one request is needed".to_string());
+    }
+    Ok(parsed)
 }
 
 /// Deterministic request payload for (client, round): the digest oracle and
@@ -145,7 +181,7 @@ fn percentile(latencies: &mut [Duration], q: f64) -> Duration {
 /// back-to-back and wait for each reply, digest-checking it on the spot.
 fn closed_loop(
     args: &BenchArgs,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     oracle: &HashMap<(usize, usize, bool), u64>,
     mode: &'static str,
     workload: &'static str,
@@ -384,9 +420,14 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let backend: Arc<dyn FilterBackend> = BackendRegistry::standard(0)
-        .get(&args.backend)
-        .unwrap_or_else(|| panic!("unknown backend {:?}", args.backend));
+    let registry = BackendRegistry::standard(0);
+    let Some(backend) = registry.get(&args.backend) else {
+        usage_error(&format!(
+            "--backend `{}`: unknown backend (available: {})",
+            args.backend,
+            registry.names().join(", ")
+        ));
+    };
 
     println!(
         "serve_bench: backend {}, {} clients × {} requests, {} pairs/request (large {} every {}), \
@@ -454,11 +495,8 @@ fn main() {
     let open = open_loop(&args, backend.clone(), offered);
 
     // Optional external-daemon leg.
-    let external = args.connect.as_ref().map(|addr| {
+    let external = args.connect.map(|addr| {
         println!("external daemon: closed loop against {addr} ...");
-        let addr = addr
-            .parse::<std::net::SocketAddr>()
-            .expect("--connect HOST:PORT");
         closed_loop(&args, addr, &oracle, "external", "small", false)
     });
 

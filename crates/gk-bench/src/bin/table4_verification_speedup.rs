@@ -82,6 +82,6 @@ fn main() {
     table.print();
     println!("Expected shape (paper): ~90% reduction gives a ~10.6x theoretical speedup but a 3.6-3.8x achieved");
     println!(
-        "speedup, because the pairs that survive filtering are the expensive near-threshold ones."
+        "speedup, because the pairs the filter removes are the ones verification rejects most cheaply."
     );
 }

@@ -133,11 +133,6 @@ impl KmerIndex {
         self.reference_len
     }
 
-    /// Total number of indexed positions.
-    pub fn total_positions(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Packs an ASCII k-mer into its 2-bit value; `None` if it contains a non-ACGT
     /// base or has the wrong length.
     fn pack_kmer(&self, kmer: &[u8]) -> Option<u64> {
@@ -242,7 +237,7 @@ mod tests {
     fn indexes_every_position_of_a_small_reference() {
         let reference = Reference::from_ascii("t", b"ACGTACGTACGT");
         let index = KmerIndex::build_with_k(&reference, 4);
-        assert_eq!(index.total_positions(), 12 - 4 + 1);
+        assert_eq!(index.positions.len(), 12 - 4 + 1);
         assert_eq!(index.lookup(b"ACGT"), &[0, 4, 8]);
         assert_eq!(index.lookup(b"CGTA"), &[1, 5]);
         assert_eq!(index.lookup(b"TTTT"), &[] as &[u32]);
@@ -254,7 +249,7 @@ mod tests {
         let index = KmerIndex::build_with_k(&reference, 4);
         // Only positions 0 and 5 host N-free 4-mers.
         assert_eq!(index.lookup(b"ACGT"), &[0, 5]);
-        assert_eq!(index.total_positions(), 2);
+        assert_eq!(index.positions.len(), 2);
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
         let index = KmerIndex::build(&reference);
         // More positions than distinct k-mers: some k-mer has several hits.
         assert!(
-            index.total_positions() > distinct_kmers(&index),
+            index.positions.len() > distinct_kmers(&index),
             "expected repeated k-mers in a repeat-rich genome"
         );
     }
@@ -306,7 +301,7 @@ mod tests {
     fn short_reference_yields_empty_index() {
         let reference = Reference::from_ascii("t", b"ACG");
         let index = KmerIndex::build_with_k(&reference, 5);
-        assert_eq!(index.total_positions(), 0);
+        assert_eq!(index.positions.len(), 0);
         assert_eq!(distinct_kmers(&index), 0);
     }
 
@@ -342,7 +337,7 @@ mod tests {
         let label = format!("k = {k}, reference length {}", reference.len());
         assert_eq!(distinct_kmers(&index), hits.len(), "{label}");
         assert_eq!(
-            index.total_positions(),
+            index.positions.len(),
             hits.values().map(Vec::len).sum::<usize>(),
             "{label}"
         );

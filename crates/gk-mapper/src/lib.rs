@@ -20,7 +20,7 @@
 //!   (none / any host filter / GateKeeper-GPU), verification, and the
 //!   mapping statistics the paper reports (mappings, mapped reads, verification
 //!   pairs, rejected pairs, stage timings);
-//! * [`record`] — mapping records with CIGARs.
+//! * [`record`] — mapping records: read, position, strand and edit distance.
 
 #![warn(missing_docs)]
 

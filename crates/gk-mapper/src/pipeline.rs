@@ -11,9 +11,7 @@
 use crate::index::KmerIndex;
 use crate::record::MappingRecord;
 use crate::seeding::{candidates_for_read, CandidateLocation, SeedingConfig};
-use gk_align::cigar::{Cigar, CigarOp};
 use gk_align::dp::banded_levenshtein;
-use gk_align::nw::{needleman_wunsch, ScoringScheme};
 use gk_core::gpu::GateKeeperGpu;
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
 use gk_seq::alphabet::reverse_complement;
@@ -34,9 +32,6 @@ pub struct MapperConfig {
     /// Maximum number of reads whose candidates are batched before filtering
     /// (100,000 in the paper; Table 1 sweeps this value).
     pub max_reads_per_batch: usize,
-    /// Produce full traceback CIGARs for reported mappings (slower; off for the
-    /// throughput experiments).
-    pub report_alignments: bool,
 }
 
 impl MapperConfig {
@@ -46,7 +41,6 @@ impl MapperConfig {
             threshold,
             seeding: SeedingConfig::new(threshold),
             max_reads_per_batch: 100_000,
-            report_alignments: false,
         }
     }
 
@@ -298,30 +292,12 @@ impl ReadMapper {
             let (read_idx, candidate) = pair_owner[pair_idx];
             read_mapped[read_idx] = true;
             stats.mappings += 1;
-            let pair = &pair_set.pairs[pair_idx];
-            let cigar = if self.config.report_alignments {
-                needleman_wunsch(
-                    &pair.read,
-                    &pair.reference,
-                    ScoringScheme {
-                        match_score: 0,
-                        mismatch: -1,
-                        gap: -1,
-                    },
-                )
-                .cigar
-            } else {
-                let mut cigar = Cigar::new();
-                cigar.push(CigarOp::Match, pair.read.len() as u32);
-                cigar
-            };
             records.push(MappingRecord {
                 read_id: reads[read_idx].id.clone(),
                 reference_name: self.reference.name.clone(),
                 position: candidate.position,
                 reverse: candidate.reverse,
                 edit_distance: distance,
-                cigar,
             });
         }
         stats.mapped_reads += read_mapped.iter().filter(|&&m| m).count() as u64;
@@ -396,6 +372,7 @@ mod tests {
             unfiltered.stats.candidate_pairs,
             filtered.stats.candidate_pairs
         );
+        assert_eq!(unfiltered.records, filtered.records);
         assert!(filtered.stats.verification_pairs <= unfiltered.stats.verification_pairs);
         assert!(filtered.stats.rejected_pairs > 0);
     }
@@ -425,6 +402,7 @@ mod tests {
         let outcome = mapper.map_reads(&reads, &snake);
         let unfiltered = mapper.map_reads(&reads, &PreFilter::None);
         assert_eq!(outcome.stats.mappings, unfiltered.stats.mappings);
+        assert_eq!(outcome.records, unfiltered.records);
         assert!(outcome.stats.verification_pairs <= unfiltered.stats.verification_pairs);
     }
 
@@ -462,22 +440,6 @@ mod tests {
                 .iter()
                 .any(|r| r.read_id == sim.id && r.position as usize == sim.origin);
             assert!(found, "read {} not mapped to its origin", sim.id);
-        }
-    }
-
-    #[test]
-    fn alignment_reporting_produces_traceback_cigars() {
-        let reference = reference();
-        let reads = simulated_reads(&reference, 20, ErrorProfile::low_indel());
-        let config = MapperConfig {
-            report_alignments: true,
-            ..MapperConfig::new(3)
-        };
-        let mapper = ReadMapper::new(reference, config);
-        let outcome = mapper.map_reads(&reads, &PreFilter::None);
-        for record in &outcome.records {
-            assert_eq!(record.cigar.read_len() as usize, 100);
-            assert!(record.cigar.reference_len() > 0);
         }
     }
 

@@ -1,9 +1,8 @@
 //! Mapping records.
 
-use gk_align::cigar::Cigar;
 use serde::{Deserialize, Serialize};
 
-/// One reported alignment of a read at a verified location.
+/// One reported mapping of a read at a verified location.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MappingRecord {
     /// Read identifier.
@@ -16,6 +15,4 @@ pub struct MappingRecord {
     pub reverse: bool,
     /// Edit distance of the verified alignment.
     pub edit_distance: u32,
-    /// Alignment CIGAR.
-    pub cigar: Cigar,
 }

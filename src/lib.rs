@@ -7,8 +7,8 @@
 //! convenience:
 //!
 //! * [`seq`] — DNA sequences, 2-bit packing, FASTA/FASTQ I/O, read & dataset simulators.
-//! * [`align`] — edit-distance and alignment algorithms (Myers bit-vector, with an
-//!   optional bound for verification; DP; Needleman-Wunsch).
+//! * [`align`] — edit-distance algorithms (Myers bit-vector, with an optional
+//!   bound for verification; the DP it is tested against).
 //! * [`filters`] — pre-alignment filters: GateKeeper-GPU and the baselines it is
 //!   compared against (GateKeeper-FPGA/SHD, MAGNET, Shouji, SneakySnake).
 //! * [`gpusim`] — the analytic GPU cost model used as a hardware substitute
