@@ -9,34 +9,44 @@
 //!
 //! # Layout
 //!
-//! Every indexed position is stored once, in one array ordered by (k-mer code,
-//! position), next to a parallel array holding each entry's 2-bit code. A bucket
-//! table of prefix sums over the top `b` bits of the `2k`-bit code maps a code to
-//! a short run of both arrays; a binary search over the run's codes finds the
-//! k-mer, whose positions come back as one ascending slice. `b` is
-//! `min(2k, ⌊log2 n⌋)` for `n` indexed positions, about one bucket per position,
-//! so the input decides it.
+//! The reference is held once, packed two bits per base in GateKeeper's own
+//! representation ([`PackedSeq`]), and every indexed position is stored once,
+//! in one array ordered by (k-mer code, position). A bucket table of prefix
+//! sums over the top `b` bits of the `2k`-bit code maps a code to a short run
+//! of that array; a binary search over the run, which reads each entry's code
+//! from the packed reference, finds the k-mer, whose positions come back as
+//! one ascending slice. `b` is `min(2k, ⌊log2 n⌋)` for `n` indexed positions,
+//! about one bucket per position, so the input decides it. The layout is the
+//! same for every k from 2 to 31.
+//!
+//! A lookup is split in two, `KmerIndex::bucket` and `KmerIndex::hits`,
+//! so that seeding can load the buckets of all of a read's seeds before it
+//! scans any run, and those loads are in flight together.
 //!
 //! # Build
 //!
-//! One pass over the reference collects `(code, position)` in position order.
-//! Stable LSD counting-sort passes, each at most 16 bits wide, sort the `2k − b`
-//! low bits of the code; a last counting pass on the top `b` bits finishes the
-//! sort, and its histogram's prefix sums are the bucket table. Stability keeps
-//! positions ascending within each code. The build is O(n) with a fixed number of
-//! allocations: no hashing and no per-k-mer vector.
+//! The reference is packed once. Every window of `k` bases that holds none of
+//! the packer's undefined positions is indexed, in position order. Stable LSD
+//! counting-sort passes, each at most 16 bits wide, sort the `2k − b` low bits
+//! of the code; a last counting pass on the top `b` bits finishes the sort,
+//! and its histogram's prefix sums are the bucket table. Each pass reads the
+//! codes from the packed reference, so the build holds no code array.
+//! Stability keeps positions ascending within each code. The build is O(n)
+//! with a fixed number of allocations: no hashing and no per-k-mer vector.
 //!
 //! # Memory
 //!
-//! Twelve bytes per indexed position (an 8-byte code, a 4-byte position) plus
-//! four per bucket: about 27 MiB for the 2 Mbp `map-wgs` chromosome's 1,991,967
-//! positions. The build briefly holds a second copy of both arrays as the sort's
-//! scatter target. Positions and offsets are `u32`, so the reference must be
-//! shorter than 2^32 bases.
+//! Four bytes per indexed position, four per bucket and a quarter of a byte
+//! per reference base (plus four per `N`): about 12.1 MiB for the 2 Mbp
+//! `map-wgs` chromosome, which is 7.6 MiB for its 1,991,967 positions, 4 MiB
+//! for its 2^20 buckets and 0.48 MiB of packed reference. The build briefly
+//! holds a second position array as the sort's scatter target. Positions and
+//! offsets are `u32`, so the reference must be shorter than 2^32 bases.
 
-use gk_seq::alphabet::encode_base;
+use gk_seq::packed::PackedSeq;
 use gk_seq::reference::Reference;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Default seed length, matching mrFAST's 12-mer index.
 pub const DEFAULT_KMER_LEN: usize = 12;
@@ -48,14 +58,13 @@ const MAX_PASS_BITS: u32 = 16;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KmerIndex {
     k: usize,
+    /// The reference, two bits per base; an entry's code is read from here.
+    reference: PackedSeq,
     /// Every indexed position once, ordered by (k-mer code, position).
     positions: Vec<u32>,
-    /// Each entry's 2-bit packed k-mer code, parallel to `positions`.
-    codes: Vec<u64>,
     /// Prefix sums over the top `b` bits of the code: bucket `t` is
     /// `buckets[t]..buckets[t + 1]`, and there are `2^b + 1` entries.
     buckets: Vec<u32>,
-    reference_len: usize,
 }
 
 impl KmerIndex {
@@ -81,45 +90,33 @@ impl KmerIndex {
             "reference of {} bases is too long to index: positions are u32, so it must be shorter than 2^32 bases",
             seq.len()
         );
-
-        let mut codes = Vec::with_capacity(seq.len().saturating_sub(k - 1));
-        let mut positions = Vec::with_capacity(codes.capacity());
-        for_each_kmer(seq, k, |code, position| {
-            codes.push(code);
-            positions.push(position);
-        });
+        let packed = PackedSeq::from_ascii(seq);
+        let mut positions = definite_windows(&packed, k);
+        let code = |position: u32| packed.kmer_code(position as usize, k);
 
         let code_bits = 2 * k as u32;
         let bucket_bits = code_bits.min(positions.len().checked_ilog2().unwrap_or(0));
         let low_bits = code_bits - bucket_bits;
-        let mut out_codes = vec![0u64; codes.len()];
-        let mut out_positions = vec![0u32; positions.len()];
+        let mut scattered = vec![0u32; positions.len()];
         let mut shift = 0;
         while shift < low_bits {
             let width = (low_bits - shift).min(MAX_PASS_BITS);
-            counting_pass(
-                (&codes, &positions),
-                (&mut out_codes, &mut out_positions),
-                shift,
-                width,
-            );
-            std::mem::swap(&mut codes, &mut out_codes);
-            std::mem::swap(&mut positions, &mut out_positions);
+            counting_pass(&positions, &mut scattered, |p| code(p) >> shift, width);
+            std::mem::swap(&mut positions, &mut scattered);
             shift += width;
         }
         let buckets = counting_pass(
-            (&codes, &positions),
-            (&mut out_codes, &mut out_positions),
-            low_bits,
+            &positions,
+            &mut scattered,
+            |p| code(p) >> low_bits,
             bucket_bits,
         );
 
         KmerIndex {
             k,
-            positions: out_positions,
-            codes: out_codes,
+            reference: packed,
+            positions: scattered,
             buckets,
-            reference_len: seq.len(),
         }
     }
 
@@ -130,79 +127,61 @@ impl KmerIndex {
 
     /// Length of the indexed reference.
     pub fn reference_len(&self) -> usize {
-        self.reference_len
+        self.reference.len()
     }
 
-    /// Packs an ASCII k-mer into its 2-bit value; `None` if it contains a non-ACGT
-    /// base or has the wrong length.
-    fn pack_kmer(&self, kmer: &[u8]) -> Option<u64> {
-        if kmer.len() != self.k {
-            return None;
-        }
-        let mut value = 0u64;
-        for &base in kmer {
-            value = (value << 2) | encode_base(base)? as u64;
-        }
-        Some(value)
-    }
-
-    /// Reference positions where the k-mer occurs, ascending (empty slice if
-    /// absent or invalid).
-    pub fn lookup(&self, kmer: &[u8]) -> &[u32] {
-        let Some(code) = self.pack_kmer(kmer) else {
-            return &[];
-        };
+    /// The first half of a lookup: the run of entries whose codes share the
+    /// top bucket bits of `code`, a `2k`-bit k-mer code in the layout of
+    /// [`PackedSeq::kmer_code`].
+    #[inline]
+    pub(crate) fn bucket(&self, code: u64) -> Range<usize> {
         let bucket_bits = (self.buckets.len() - 1).trailing_zeros();
         let bucket = (code >> (2 * self.k as u32 - bucket_bits)) as usize;
-        let start = self.buckets[bucket] as usize;
-        let run = &self.codes[start..self.buckets[bucket + 1] as usize];
-        let first = run.partition_point(|&c| c < code);
-        let end = run.partition_point(|&c| c <= code);
-        &self.positions[start + first..start + end]
+        self.buckets[bucket] as usize..self.buckets[bucket + 1] as usize
+    }
+
+    /// The second half of a lookup: the reference positions in `run`, the
+    /// bucket of `code`, where the k-mer `code` occurs, ascending.
+    #[inline]
+    pub(crate) fn hits(&self, code: u64, run: Range<usize>) -> &[u32] {
+        let run = &self.positions[run];
+        let entry = |&position: &u32| self.reference.kmer_code(position as usize, self.k);
+        let first = run.partition_point(|p| entry(p) < code);
+        let len = run[first..].partition_point(|p| entry(p) == code);
+        &run[first..first + len]
     }
 }
 
-/// Calls `visit(code, position)` for every window of `k` definite bases in
-/// `seq`, in position order, with `code` the window's 2-bit packing. A base
-/// outside `ACGT` restarts the rolling code. `seq` must be shorter than 2^32
-/// bases.
-fn for_each_kmer(seq: &[u8], k: usize, mut visit: impl FnMut(u64, u32)) {
-    let mask = (1u64 << (2 * k)) - 1;
-    let mut value = 0u64;
-    let mut valid = 0usize; // number of consecutive definite bases ending here
-    for (i, &base) in seq.iter().enumerate() {
-        match encode_base(base) {
-            Some(code) => {
-                value = ((value << 2) | code as u64) & mask;
-                valid += 1;
-            }
-            None => {
-                valid = 0;
-                value = 0;
-            }
+/// Starts of the windows of `k` bases in `packed` that hold none of its
+/// undefined positions, ascending.
+fn definite_windows(packed: &PackedSeq, k: usize) -> Vec<u32> {
+    let mut starts = Vec::with_capacity(packed.len().saturating_sub(k - 1));
+    let ends = packed.undefined_positions().iter().map(|&p| p as usize);
+    let mut run_start = 0; // first base of the current run of definite bases
+    for run_end in ends.chain([packed.len()]) {
+        if run_end >= run_start + k {
+            starts.extend(run_start as u32..=(run_end - k) as u32);
         }
-        if valid >= k {
-            visit(value, (i + 1 - k) as u32);
-        }
+        run_start = run_end + 1;
     }
+    starts
 }
 
-/// One stable counting-sort pass on the `width`-bit digit at bit `shift` of
-/// each code: scatters `(codes, positions)` into `(out_codes, out_positions)`,
-/// keeping entries with equal digits in input order, and returns the digit
-/// histogram's prefix sums (`2^width + 1` entries; digit `d` lands in
-/// `sums[d]..sums[d + 1]`).
+/// One stable counting-sort pass on the low `width` bits of `key(position)`:
+/// scatters `positions` into `out`, keeping entries with equal digits in
+/// input order, and returns the digit histogram's prefix sums (`2^width + 1`
+/// entries; digit `d` lands in `sums[d]..sums[d + 1]`).
 fn counting_pass(
-    (codes, positions): (&[u64], &[u32]),
-    (out_codes, out_positions): (&mut [u64], &mut [u32]),
-    shift: u32,
+    positions: &[u32],
+    out: &mut [u32],
+    key: impl Fn(u32) -> u64,
     width: u32,
 ) -> Vec<u32> {
     let mask = (1u64 << width) - 1;
-    let digit = |code: u64| ((code >> shift) & mask) as usize;
+    let digit = |position: u32| (key(position) & mask) as usize;
     let mut sums = vec![0u32; (1usize << width) + 1];
-    for &code in codes {
-        sums[digit(code) + 1] += 1;
+    for &position in positions {
+        sums[digit(position) + 1] += 1;
     }
     let mut total = 0;
     for sum in &mut sums {
@@ -210,10 +189,9 @@ fn counting_pass(
         *sum = total;
     }
     let mut next = sums.clone();
-    for (&code, &position) in codes.iter().zip(positions) {
-        let slot = &mut next[digit(code)];
-        out_codes[*slot as usize] = code;
-        out_positions[*slot as usize] = position;
+    for &position in positions {
+        let slot = &mut next[digit(position)];
+        out[*slot as usize] = position;
         *slot += 1;
     }
     sums
@@ -222,15 +200,30 @@ fn counting_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gk_seq::alphabet::encode_base;
     use gk_seq::reference::ReferenceBuilder;
     use std::collections::BTreeMap;
 
-    /// Number of distinct k-mers in `index` (its codes are sorted, so equal
-    /// codes sit next to each other).
+    /// Number of distinct k-mers in `index` (its entries are sorted by code,
+    /// so equal codes sit next to each other).
     fn distinct_kmers(index: &KmerIndex) -> usize {
-        let mut codes = index.codes.clone();
+        let code = |&p: &u32| index.reference.kmer_code(p as usize, index.k);
+        let mut codes: Vec<u64> = index.positions.iter().map(code).collect();
         codes.dedup();
         codes.len()
+    }
+
+    /// Reference positions where the ASCII k-mer occurs, ascending (empty if
+    /// it has the wrong length or a base outside `ACGTacgt`). It packs the
+    /// k-mer a base at a time, apart from `PackedSeq::kmer_code`.
+    fn lookup<'a>(index: &'a KmerIndex, kmer: &[u8]) -> &'a [u32] {
+        let code = kmer.iter().try_fold(0u64, |code, &base| {
+            Some(code << 2 | u64::from(encode_base(base)?))
+        });
+        match code {
+            Some(code) if kmer.len() == index.k() => index.hits(code, index.bucket(code)),
+            _ => &[],
+        }
     }
 
     #[test]
@@ -238,9 +231,9 @@ mod tests {
         let reference = Reference::from_ascii("t", b"ACGTACGTACGT");
         let index = KmerIndex::build_with_k(&reference, 4);
         assert_eq!(index.positions.len(), 12 - 4 + 1);
-        assert_eq!(index.lookup(b"ACGT"), &[0, 4, 8]);
-        assert_eq!(index.lookup(b"CGTA"), &[1, 5]);
-        assert_eq!(index.lookup(b"TTTT"), &[] as &[u32]);
+        assert_eq!(lookup(&index, b"ACGT"), &[0, 4, 8]);
+        assert_eq!(lookup(&index, b"CGTA"), &[1, 5]);
+        assert_eq!(lookup(&index, b"TTTT"), &[] as &[u32]);
     }
 
     #[test]
@@ -248,7 +241,7 @@ mod tests {
         let reference = Reference::from_ascii("t", b"ACGTNACGT");
         let index = KmerIndex::build_with_k(&reference, 4);
         // Only positions 0 and 5 host N-free 4-mers.
-        assert_eq!(index.lookup(b"ACGT"), &[0, 5]);
+        assert_eq!(lookup(&index, b"ACGT"), &[0, 5]);
         assert_eq!(index.positions.len(), 2);
     }
 
@@ -256,8 +249,8 @@ mod tests {
     fn lookup_of_invalid_kmer_is_empty() {
         let reference = Reference::from_ascii("t", b"ACGTACGT");
         let index = KmerIndex::build_with_k(&reference, 4);
-        assert_eq!(index.lookup(b"ACGN"), &[] as &[u32]);
-        assert_eq!(index.lookup(b"ACG"), &[] as &[u32]);
+        assert_eq!(lookup(&index, b"ACGN"), &[] as &[u32]);
+        assert_eq!(lookup(&index, b"ACG"), &[] as &[u32]);
     }
 
     #[test]
@@ -268,7 +261,7 @@ mod tests {
         for start in [0usize, 1_000, 25_000, 49_900 - DEFAULT_KMER_LEN] {
             let kmer = &reference.sequence[start..start + DEFAULT_KMER_LEN];
             assert!(
-                index.lookup(kmer).contains(&(start as u32)),
+                lookup(&index, kmer).contains(&(start as u32)),
                 "position {start} missing"
             );
         }
@@ -342,18 +335,18 @@ mod tests {
             "{label}"
         );
         for (i, (kmer, positions)) in hits.iter().enumerate() {
-            assert_eq!(index.lookup(kmer), &positions[..], "{label}");
+            assert_eq!(lookup(&index, kmer), &positions[..], "{label}");
             if i % stride != 0 {
                 continue;
             }
             let lowercase = kmer.to_ascii_lowercase();
-            assert_eq!(index.lookup(&lowercase), &positions[..], "{label}");
+            assert_eq!(lookup(&index, &lowercase), &positions[..], "{label}");
             let mut with_n = kmer.to_vec();
             with_n[i % k] = b'N';
-            assert_eq!(index.lookup(&with_n), &[] as &[u32], "{label}");
-            assert_eq!(index.lookup(&kmer[..k - 1]), &[] as &[u32], "{label}");
+            assert_eq!(lookup(&index, &with_n), &[] as &[u32], "{label}");
+            assert_eq!(lookup(&index, &kmer[..k - 1]), &[] as &[u32], "{label}");
             let longer = [&kmer[..], &b"A"[..]].concat();
-            assert_eq!(index.lookup(&longer), &[] as &[u32], "{label}");
+            assert_eq!(lookup(&index, &longer), &[] as &[u32], "{label}");
         }
         let mut state = ((reference.len() as u64) << 8) | k as u64;
         for _ in 0..64 {
@@ -365,7 +358,7 @@ mod tests {
                     b"ACGT"[(state >> 62) as usize]
                 })
                 .collect();
-            assert_eq!(index.lookup(&query), expected(&query), "{label}");
+            assert_eq!(lookup(&index, &query), expected(&query), "{label}");
         }
     }
 

@@ -6,16 +6,18 @@
 //! mrFAST is a *fully sensitive* mapper: seeding enumerates every candidate
 //! location that could possibly align within the error threshold, and verification
 //! (a bounded edit distance, Myers' bit-vector algorithm with a cut-off at the
-//! threshold) decides which candidates are real mappings. Because
-//! seeding over-produces candidates by orders of magnitude, the verification stage
-//! dominates the runtime — which is exactly the stage GateKeeper-GPU shields.
+//! threshold) decides which candidates are real mappings. Seeding over-produces
+//! candidates by orders of magnitude, and in mrFAST verifying them dominates the
+//! runtime — the stage GateKeeper-GPU shields. Here the bit-vector verifier
+//! bounded by the threshold is cheap enough that seeding is the largest stage
+//! of a mapping pass.
 //!
 //! The crate provides:
 //!
-//! * [`index`] — a flat k-mer index over the reference (counting-sorted
-//!   positions behind a bucket table);
+//! * [`index`] — a flat k-mer index over the 2-bit packed reference
+//!   (counting-sorted positions behind a bucket table);
 //! * [`seeding`] — candidate generation by non-overlapping k-mer seeds on both
-//!   strands (the e+1 partition strategy);
+//!   strands (the e+1 partition strategy), cut from each read's packed words;
 //! * [`pipeline`] — the full mapper: batching, the pre-alignment-filter hook
 //!   (none / any host filter / GateKeeper-GPU), verification, and the
 //!   mapping statistics the paper reports (mappings, mapped reads, verification

@@ -449,11 +449,14 @@ mod tests {
         let reads = simulated_reads(&reference, 90, ErrorProfile::illumina());
         let single = ReadMapper::new(reference.clone(), MapperConfig::new(2));
         let batched = ReadMapper::new(reference, MapperConfig::new(2).with_max_reads_per_batch(10));
-        let a = single.map_reads(&reads, &PreFilter::None);
-        let b = batched.map_reads(&reads, &PreFilter::None);
-        assert_eq!(a.stats.mappings, b.stats.mappings);
-        assert_eq!(a.stats.candidate_pairs, b.stats.candidate_pairs);
-        assert_eq!(a.stats.mapped_reads, b.stats.mapped_reads);
+        for filter in [PreFilter::None, gpu_filter(2)] {
+            let a = single.map_reads(&reads, &filter);
+            let b = batched.map_reads(&reads, &filter);
+            assert_eq!(a.records, b.records, "{}", filter.name());
+            assert_eq!(a.stats.mappings, b.stats.mappings);
+            assert_eq!(a.stats.candidate_pairs, b.stats.candidate_pairs);
+            assert_eq!(a.stats.mapped_reads, b.stats.mapped_reads);
+        }
     }
 
     #[test]

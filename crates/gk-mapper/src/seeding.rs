@@ -8,10 +8,16 @@
 //! [`crate::index::KmerIndex`]. Because genomic repeats make seeds hit many places,
 //! the number of candidates per read is large — the over-production that makes
 //! pre-alignment filtering worthwhile (§1).
+//!
+//! Seeds are cut from the read's 2-bit packed words, GateKeeper's own sequence
+//! representation. A reverse-strand seed is the reverse complement of a
+//! forward window, computed on its code as minimap2 does, so the read is
+//! never reverse-complemented as bytes.
 
 use crate::index::KmerIndex;
-use gk_seq::alphabet::reverse_complement;
+use gk_seq::packed::{reverse_complement_code, PackedSeq};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A candidate mapping location produced by seeding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,76 +52,116 @@ impl SeedingConfig {
     }
 }
 
+/// One seed of a read: where it sits in the oriented read, its k-mer code
+/// and the index bucket that code falls in.
+struct Seed {
+    offset: usize,
+    reverse: bool,
+    code: u64,
+    bucket: Range<usize>,
+}
+
 /// Generates candidate locations for one read.
 ///
 /// The read is partitioned into non-overlapping k-mers; the first `e + 1` of them
 /// (or all, when the read is short) are looked up in the index, and every hit is
-/// translated back to the position where the *read* would start. The result is
-/// sorted by strand, then position, with exact duplicates (the same start on the
-/// same strand, e.g. hit by two seeds of one read) collapsed into one; distinct
-/// starts are kept however close they are.
+/// translated back to the position where the *read* would start. On the reverse
+/// strand the seeds are those of the reverse-complemented read. A seed holding
+/// a byte outside `ACGTacgt` is skipped. The result is sorted by strand, then
+/// position, with exact duplicates (the same start on the same strand, e.g. hit
+/// by two seeds of one read) collapsed into one; distinct starts are kept however
+/// close they are.
 pub fn candidates_for_read(
     read: &[u8],
     index: &KmerIndex,
     config: &SeedingConfig,
 ) -> Vec<CandidateLocation> {
-    let mut candidates = Vec::new();
-    collect_candidates(read, index, config, false, &mut candidates);
-    if config.both_strands {
-        let rc = reverse_complement(read);
-        collect_candidates(&rc, index, config, true, &mut candidates);
-    }
-    dedupe(candidates)
-}
-
-fn collect_candidates(
-    read: &[u8],
-    index: &KmerIndex,
-    config: &SeedingConfig,
-    reverse: bool,
-    out: &mut Vec<CandidateLocation>,
-) {
     let k = index.k();
     if read.len() < k {
-        return;
+        return Vec::new();
     }
-    let available_seeds = read.len() / k;
-    let seeds_to_use = (config.threshold as usize + 1).min(available_seeds).max(1);
-    for seed_idx in 0..seeds_to_use {
-        let offset = seed_idx * k;
-        let seed = &read[offset..offset + k];
-        let hits = index.lookup(seed);
+    let packed = PackedSeq::from_ascii(read);
+    let seeds_per_strand = (config.threshold as usize + 1).min(read.len() / k);
+
+    // Every seed's code and bucket first, so that their bucket loads are in
+    // flight together. Seed `i` of the reverse-complemented read is the
+    // reverse complement of the window ending `i * k` bases before the end.
+    let strands: &[bool] = if config.both_strands {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    let mut seeds = Vec::with_capacity(strands.len() * seeds_per_strand);
+    for &reverse in strands {
+        for offset in (0..seeds_per_strand).map(|i| i * k) {
+            let start = if reverse {
+                read.len() - offset - k
+            } else {
+                offset
+            };
+            if !is_definite(&packed, start, k) {
+                continue;
+            }
+            let code = packed.kmer_code(start, k);
+            let code = if reverse {
+                reverse_complement_code(code, k)
+            } else {
+                code
+            };
+            let bucket = index.bucket(code);
+            seeds.push(Seed {
+                offset,
+                reverse,
+                code,
+                bucket,
+            });
+        }
+    }
+
+    // Then each seed's hits, as one (strand, start) key per candidate.
+    let limit = index.reference_len() + config.threshold as usize;
+    let mut keys = Vec::new();
+    for seed in seeds {
+        let hits = index.hits(seed.code, seed.bucket);
         if config.max_hits_per_seed > 0 && hits.len() > config.max_hits_per_seed {
             continue;
         }
         for &hit in hits {
-            let position = hit as i64 - offset as i64;
-            if position < 0 {
+            let Some(position) = (hit as usize).checked_sub(seed.offset) else {
                 continue;
+            };
+            if position + read.len() <= limit {
+                keys.push(u64::from(seed.reverse) << 32 | position as u64);
             }
-            let position = position as u32;
-            if (position as usize + read.len()) > index.reference_len() + config.threshold as usize
-            {
-                continue;
-            }
-            out.push(CandidateLocation { position, reverse });
         }
     }
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter()
+        .map(|key| CandidateLocation {
+            position: key as u32,
+            reverse: key >> 32 != 0,
+        })
+        .collect()
 }
 
-/// Sorts candidates by (strand, position) and removes exact duplicates only;
-/// nearby but distinct starts stay separate candidates.
-fn dedupe(mut candidates: Vec<CandidateLocation>) -> Vec<CandidateLocation> {
-    candidates.sort_by_key(|c| (c.reverse, c.position));
-    candidates.dedup_by(|a, b| a.reverse == b.reverse && a.position == b.position);
-    candidates
+/// True when bases `[start, start + k)` of `packed` hold none of its
+/// undefined positions.
+fn is_definite(packed: &PackedSeq, start: usize, k: usize) -> bool {
+    let undefined = packed.undefined_positions();
+    let after = undefined.partition_point(|&p| (p as usize) < start);
+    undefined
+        .get(after)
+        .is_none_or(|&p| p as usize >= start + k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gk_seq::alphabet::{is_valid_base, reverse_complement};
     use gk_seq::reference::{Reference, ReferenceBuilder};
     use gk_seq::simulate::{ErrorProfile, ReadSimulator};
+    use std::collections::BTreeMap;
 
     fn indexed_reference() -> (Reference, KmerIndex) {
         let reference = ReferenceBuilder::new(60_000).seed(5).n_gaps(0, 0).build();
@@ -234,5 +280,145 @@ mod tests {
         config.both_strands = false;
         let candidates = candidates_for_read(&read, &index, &config);
         assert!(candidates.iter().all(|c| !c.reverse));
+    }
+
+    /// Where each k-mer of `reference` starts, found by scanning every window:
+    /// case is folded and windows with a byte outside `ACGTacgt` are left out.
+    fn kmer_starts(reference: &[u8], k: usize) -> BTreeMap<Vec<u8>, Vec<usize>> {
+        let mut starts: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
+        for (start, window) in reference.windows(k).enumerate() {
+            if window.iter().all(|&b| is_valid_base(b)) {
+                starts
+                    .entry(window.to_ascii_uppercase())
+                    .or_default()
+                    .push(start);
+            }
+        }
+        starts
+    }
+
+    /// Seeding by its ASCII definition: the reverse strand's seeds are cut
+    /// from the read reverse-complemented as bytes, and each seed's hits come
+    /// from [`kmer_starts`], not from an index.
+    fn seeding_oracle(
+        read: &[u8],
+        reference_len: usize,
+        starts: &BTreeMap<Vec<u8>, Vec<usize>>,
+        k: usize,
+        config: &SeedingConfig,
+    ) -> Vec<CandidateLocation> {
+        let mut strands = vec![(false, read.to_vec())];
+        if config.both_strands {
+            strands.push((true, reverse_complement(read)));
+        }
+        let seeds = (config.threshold as usize + 1).min(read.len() / k);
+        let mut out = Vec::new();
+        for (reverse, oriented) in strands {
+            for offset in (0..seeds).map(|i| i * k) {
+                let seed = &oriented[offset..offset + k];
+                if !seed.iter().all(|&b| is_valid_base(b)) {
+                    continue;
+                }
+                let hits = starts
+                    .get(&seed.to_ascii_uppercase())
+                    .map_or(&[][..], Vec::as_slice);
+                if config.max_hits_per_seed > 0 && hits.len() > config.max_hits_per_seed {
+                    continue;
+                }
+                for &hit in hits {
+                    if hit >= offset
+                        && hit - offset + read.len() <= reference_len + config.threshold as usize
+                    {
+                        let position = (hit - offset) as u32;
+                        out.push(CandidateLocation { position, reverse });
+                    }
+                }
+            }
+        }
+        out.sort_by_key(|c| (c.reverse, c.position));
+        out.dedup();
+        out
+    }
+
+    /// Reads of the lengths seeding's edge cases turn on (none, `k − 1`, `k`,
+    /// `k + 1`, 100 and 250 bases): copied from both ends of the reference,
+    /// across its first `N` gap and from inside it, on either strand, as they
+    /// are, lowercased, with an `N` or with substitutions, plus random bases.
+    fn edge_reads(reference: &Reference, k: usize, state: &mut u64) -> Vec<Vec<u8>> {
+        let mut next = |bound: usize| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) as usize % bound
+        };
+        let seq = &reference.sequence;
+        let (gap_start, _) = reference.n_intervals[0];
+        let mut reads = Vec::new();
+        for len in [0, k - 1, k, k + 1, 100, 250] {
+            let last = seq.len() - len;
+            for start in [0, last, gap_start.saturating_sub(len / 2), next(last + 1)] {
+                let copy = &seq[start..start + len];
+                let mut with_n = copy.to_vec();
+                let mut substituted = reverse_complement(copy);
+                if len > 0 {
+                    with_n[next(len)] = b'N';
+                    for _ in 0..=len / 16 {
+                        substituted[next(len)] = b"ACGT"[next(4)];
+                    }
+                }
+                reads.extend([
+                    copy.to_vec(),
+                    reverse_complement(copy),
+                    copy.to_ascii_lowercase(),
+                    with_n,
+                    substituted,
+                ]);
+            }
+            reads.push((0..len).map(|_| b"ACGTacgtN"[next(9)]).collect());
+        }
+        reads
+    }
+
+    #[test]
+    fn seeding_matches_its_ascii_definition() {
+        let mut reference = ReferenceBuilder::new(2_000)
+            .seed(41)
+            .repeat_unit_len(60)
+            .repeat_fraction(0.5)
+            .repeat_family_copies(4)
+            .repeat_divergence(0.0)
+            .n_gaps(3, 40)
+            .build();
+        // Soft-masked and ambiguous bytes, as a hand-built reference may hold.
+        reference.sequence[100..160].make_ascii_lowercase();
+        reference.sequence[300] = b'R';
+        let mut state = 0x5EED;
+        for k in [2, 3, 4, 11, 12, 16, 17, 31] {
+            let index = KmerIndex::build_with_k(&reference, k);
+            let starts = kmer_starts(&reference.sequence, k);
+            for read in edge_reads(&reference, k, &mut state) {
+                let per_read = read.len() / k;
+                let thresholds = [0, 1, 2, per_read.saturating_sub(1), per_read, per_read + 1];
+                for threshold in thresholds {
+                    let both = SeedingConfig::new(threshold as u32);
+                    let forward = SeedingConfig {
+                        both_strands: false,
+                        ..both
+                    };
+                    let capped = SeedingConfig {
+                        max_hits_per_seed: 3,
+                        ..both
+                    };
+                    for config in [both, forward, capped] {
+                        assert_eq!(
+                            candidates_for_read(&read, &index, &config),
+                            seeding_oracle(&read, reference.len(), &starts, k, &config),
+                            "k = {k}, {config:?}, read {:?}",
+                            String::from_utf8_lossy(&read)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

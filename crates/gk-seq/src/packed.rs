@@ -16,6 +16,9 @@
 //! [`PackedSeq::from_ascii`] is the host-encode packer (§3.3, Figure 6). It
 //! packs eight bases per step with the SWAR classifier and MSB-first packer of
 //! [`crate::alphabet`]; the tests pin it to a one-base-per-step reference.
+//! [`PackedSeq::kmer_code`] cuts a k-mer's code out of the words, and
+//! [`reverse_complement_code`] turns it into the reverse strand's code; the
+//! mapper seeds with both.
 
 use crate::alphabet::{self, Base};
 use serde::{Deserialize, Serialize};
@@ -146,6 +149,37 @@ impl PackedSeq {
         ((word >> shift) & 0b11) as u8
     }
 
+    /// Returns the `2k`-bit code of bases `[start, start + k)`, first base in
+    /// the most significant bits: the window cut from the packed words in one
+    /// step, not packed a base at a time. Undefined input bases read as `A`,
+    /// their packed placeholder; check the window against
+    /// [`PackedSeq::undefined_positions`] where that matters.
+    ///
+    /// # Panics
+    /// Panics if `k` is outside 1–31 or the window does not lie within the
+    /// sequence.
+    #[inline]
+    pub fn kmer_code(&self, start: usize, k: usize) -> u64 {
+        assert!(
+            (1..=31).contains(&k),
+            "k-mer length {k} out of range 1..=31"
+        );
+        assert!(
+            k <= self.len && start <= self.len - k,
+            "k-mer [{start}, {}) out of range (len {})",
+            start + k,
+            self.len
+        );
+        // A window of at most 31 bases spans at most three words from any
+        // slot: the 64 bits from the window's first base are the first two
+        // words shifted up, with the head of the third shifted in below.
+        let first = start / BASES_PER_WORD;
+        let skip = start % BASES_PER_WORD * BITS_PER_BASE;
+        let word = |i| u64::from(self.words.get(first + i).copied().unwrap_or(0));
+        let bits = (word(0) << 32 | word(1)) << skip | word(2) >> (32 - skip);
+        bits >> (64 - k * BITS_PER_BASE)
+    }
+
     /// Returns the base at `pos`. Undefined input bases decode as [`Base::A`]
     /// (their packed placeholder); use [`PackedSeq::undefined_positions`] to
     /// recover where the `N`s were.
@@ -200,6 +234,26 @@ impl PackedSeq {
         }
         Some(total)
     }
+}
+
+/// Returns the code of the reverse complement of the `k` bases that `code`
+/// holds in the layout of [`PackedSeq::kmer_code`]. In the paper's codes the
+/// complement of a base is its bitwise NOT (`A=00` ↔ `T=11`, `C=01` ↔
+/// `G=10`); the 2-bit groups are then reversed in two mask-and-shift steps
+/// and a byte swap, and the `k` bases shifted down from the top.
+///
+/// # Panics
+/// Panics if `k` is outside 1–32.
+#[inline]
+pub fn reverse_complement_code(code: u64, k: usize) -> u64 {
+    assert!(
+        (1..=32).contains(&k),
+        "k-mer length {k} out of range 1..=32"
+    );
+    let x = !code;
+    let x = (x >> 2 & 0x3333_3333_3333_3333) | (x & 0x3333_3333_3333_3333) << 2;
+    let x = (x >> 4 & 0x0F0F_0F0F_0F0F_0F0F) | (x & 0x0F0F_0F0F_0F0F_0F0F) << 4;
+    x.swap_bytes() >> (64 - k * BITS_PER_BASE)
 }
 
 /// Packs one word of up to sixteen bases, given as its first eight (`high`)
@@ -380,6 +434,57 @@ mod tests {
         assert_eq!(packed.code_at(1), 0b01);
         assert_eq!(packed.code_at(2), 0b10);
         assert_eq!(packed.code_at(3), 0b11);
+    }
+
+    /// The per-base definition of a k-mer code: each base's 2-bit code
+    /// (`A` for an undefined byte), first base in the high bits.
+    fn ascii_code(kmer: &[u8]) -> u64 {
+        kmer.iter().fold(0, |code, &ch| {
+            code << 2 | u64::from(Base::from_ascii(ch).code().unwrap_or(0))
+        })
+    }
+
+    /// Every `k` from 1 to 31 at every start, across four word boundaries,
+    /// with `N` and lowercase bases in the sequence.
+    #[test]
+    fn kmer_code_matches_per_base_packing_at_every_start() {
+        let mut rng = StdRng::seed_from_u64(0x6B3E);
+        for dirt in [0.0, 0.1] {
+            let seq = random_mix(5 * BASES_PER_WORD + 3, dirt, &mut rng);
+            let packed = PackedSeq::from_ascii(&seq);
+            for k in 1..=31 {
+                for start in 0..=seq.len() - k {
+                    assert_eq!(
+                        packed.kmer_code(start, k),
+                        ascii_code(&seq[start..start + k]),
+                        "k = {k}, start = {start}, {seq:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn kmer_code_past_the_end_panics() {
+        PackedSeq::from_ascii(b"ACGTACGT").kmer_code(5, 4);
+    }
+
+    /// The code arithmetic against `reverse_complement` followed by packing,
+    /// for every `k` from 1 to 32.
+    #[test]
+    fn reverse_complement_code_matches_packing_the_reverse_complement() {
+        let mut rng = StdRng::seed_from_u64(0x7C0D);
+        for k in 1..=32 {
+            for _ in 0..64 {
+                let kmer = random_mix(k, 0.0, &mut rng);
+                assert_eq!(
+                    reverse_complement_code(ascii_code(&kmer), k),
+                    ascii_code(&alphabet::reverse_complement(&kmer)),
+                    "{kmer:?}"
+                );
+            }
+        }
     }
 
     #[test]

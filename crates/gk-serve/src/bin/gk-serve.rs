@@ -23,13 +23,14 @@ use gk_serve::server::GkServer;
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: gk-serve [--addr HOST:PORT] [--backend cpu-simd|gpu-sim] \
+                     [--threads N] [--devices N] [--topology KIND] [--flush-ms MS] [--idle-us US] \
+                     [--max-batch-pairs N] [--queue-pairs N] [--executors N] [--weight TENANT=W]... \
+                     [--no-coalesce]";
+
+/// Prints the usage to stderr and exits 2, the status of a usage error.
 fn usage() -> ! {
-    eprintln!(
-        "usage: gk-serve [--addr HOST:PORT] [--backend cpu-simd|gpu-sim] \
-         [--threads N] [--devices N] [--topology KIND] [--flush-ms MS] [--idle-us US] \
-         [--max-batch-pairs N] [--queue-pairs N] [--executors N] [--weight TENANT=W]... \
-         [--no-coalesce]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -91,7 +92,10 @@ fn main() {
                 config = config.with_tenant_weight(tenant, weight);
             }
             "--no-coalesce" => config = config.with_coalesce(false),
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             other => {
                 eprintln!("gk-serve: unknown flag {other:?}");
                 usage();
