@@ -11,7 +11,7 @@
 //! | `orphan-pub`    | non-test library code              | every `pub fn` is named in the code of some other `.rs` file |
 //!
 //! "Non-test" excludes `#[cfg(test)]` regions (any `cfg` predicate naming
-//! `test`, so `#[cfg(any(test, gk_schedules))]` layers count as test code),
+//! `test`, so `#[cfg(any(test, audit_layer))]` layers count as test code),
 //! integration `tests/`, `benches/`, `examples/`, and `src/bin/` harness
 //! binaries. Those files still count as *users* for `orphan-pub`: a `pub fn`
 //! that only a test, bench, example or `bench/` workload names is kept.
@@ -500,7 +500,7 @@ mod tests {
     fn cfg_any_with_test_counts_as_test_layer() {
         let f = file(
             "crates/x/src/lib.rs",
-            "#[cfg(any(test, gk_schedules))]\nfn x() { y.unwrap(); }\nfn z() {}\n",
+            "#[cfg(any(test, audit_layer))]\nfn x() { y.unwrap(); }\nfn z() {}\n",
         );
         let mut v = Vec::new();
         check_unwrap(&f, &mut v);

@@ -192,7 +192,7 @@ fn run_cpu_block(
 }
 
 /// Multicore SIMD-lane backend: all four filters on the 4-lane
-/// struct-of-arrays kernels over the shared work-stealing pool.
+/// struct-of-arrays kernels over the shared thread pool.
 pub struct CpuSimdBackend {
     /// `None` runs on the caller's current pool (the fallback when a
     /// dedicated pool cannot be built — real rayon's builder can fail on

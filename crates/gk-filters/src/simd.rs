@@ -14,7 +14,7 @@
 //! function (`*_filter_block*`): it puts lane-eligible pairs on the lanes and
 //! runs the reference for everything else (ragged, empty or undefined
 //! pairs); a single pair is a one-pair block. [`filter_blocks`] is the one
-//! fan-out of a batch into blocks across the work-stealing pool, and the
+//! fan-out of a batch into blocks across the thread pool, and the
 //! block size is private to this module. [`SimdMode`] selects between the
 //! lane path and the all-reference path at runtime (`GK_SIMD=scalar` forces
 //! the latter; the CI matrix keeps both green). Decisions are byte-identical
@@ -135,10 +135,10 @@ const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Pairs handed to one lane-parallel block task by [`filter_blocks`]: large
 /// enough to amortise the struct-of-arrays transpose, small enough to keep
-/// the work-stealing queue full.
+/// every worker of the pool busy.
 const LANE_BLOCK_PAIRS: usize = 256;
 
-/// Splits a batch into lane blocks across the work-stealing pool: `block`
+/// Splits a batch into lane blocks across the thread pool: `block`
 /// decides one block of items, and the decisions come back in input order,
 /// identical to one sequential pass at any pool size. Every batch path — the
 /// [`crate::PreAlignmentFilter`] provided `filter_batch`, the CPU backends

@@ -84,7 +84,7 @@ pub trait PreAlignmentFilter: Sync {
     }
 
     /// Filters a batch of pairs in parallel: lane blocks across the
-    /// work-stealing pool, order-preserving, so the decisions vector is
+    /// thread pool, order-preserving, so the decisions vector is
     /// identical to a sequential pass — also how the multicore GateKeeper-CPU
     /// baseline of the paper is organised.
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {

@@ -303,16 +303,6 @@ impl fmt::Display for PackedSeq {
     }
 }
 
-/// Encodes a batch of ASCII sequences across the worker pool. This is the
-/// "encoding in host" path of the paper (§3.3): the CPU packs the reads before they
-/// are copied to the device. Output order matches input order, so the result is
-/// identical to a sequential `seqs.iter().map(PackedSeq::from_ascii)` pass;
-/// set `RAYON_NUM_THREADS=1` to force that sequential fallback.
-pub fn encode_batch_parallel(seqs: &[&[u8]]) -> Vec<PackedSeq> {
-    use rayon::prelude::*;
-    seqs.par_iter().map(|s| PackedSeq::from_ascii(s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,22 +528,6 @@ mod tests {
         // Only the first 8 bits (4 bases) should survive.
         assert_eq!(packed.words()[0], 0xFF00_0000);
         assert_eq!(packed.to_ascii(), b"TTTT".to_vec());
-    }
-
-    #[test]
-    fn parallel_batch_encoding_matches_serial() {
-        let seqs: Vec<Vec<u8>> = (0..64)
-            .map(|i| {
-                (0..100)
-                    .map(|j| b"ACGT"[(i * 7 + j * 3) % 4])
-                    .collect::<Vec<u8>>()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let batch = encode_batch_parallel(&refs);
-        for (seq, packed) in seqs.iter().zip(batch.iter()) {
-            assert_eq!(&packed.to_ascii(), seq);
-        }
     }
 
     #[test]

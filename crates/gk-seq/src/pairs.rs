@@ -100,13 +100,6 @@ impl PairSet {
         let batch_size = batch_size.max(1);
         self.pairs.chunks(batch_size)
     }
-
-    /// Borrow the pairs as parallel slices of (read, reference) for bulk encoding.
-    pub fn as_slices(&self) -> (Vec<&[u8]>, Vec<&[u8]>) {
-        let reads = self.pairs.iter().map(|p| p.read.as_slice()).collect();
-        let refs = self.pairs.iter().map(|p| p.reference.as_slice()).collect();
-        (reads, refs)
-    }
 }
 
 /// Struct-of-arrays transpose of up to [`SOA_LANES`] equal-length, fully
@@ -374,17 +367,5 @@ mod tests {
     fn batches_with_zero_size_does_not_panic() {
         let set = PairSet::new("test", 4, vec![pair(b"ACGT", b"ACGT")]);
         assert_eq!(set.batches(0).count(), 1);
-    }
-
-    #[test]
-    fn as_slices_preserves_order() {
-        let set = PairSet::new(
-            "test",
-            4,
-            vec![pair(b"AAAA", b"CCCC"), pair(b"GGGG", b"TTTT")],
-        );
-        let (reads, refs) = set.as_slices();
-        assert_eq!(reads, vec![b"AAAA".as_slice(), b"GGGG".as_slice()]);
-        assert_eq!(refs, vec![b"CCCC".as_slice(), b"TTTT".as_slice()]);
     }
 }

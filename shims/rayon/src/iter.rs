@@ -3,31 +3,30 @@
 //! Unlike real rayon, which builds a lazy producer/consumer pipeline, this
 //! shim materializes the source items into a `Vec` and then executes each
 //! combinator **eagerly** across the pool: the items are split into ordered
-//! chunks (a few per worker), each chunk is processed as one stealable task,
-//! and the per-chunk outputs are reassembled in order. That keeps every output
+//! chunks (a few per worker), each chunk is one index of a pool job, and the
+//! per-chunk outputs are reassembled in order. That keeps every output
 //! byte-identical to a sequential run — the workspace only uses
 //! order-preserving combinators — while the expensive per-item closures
 //! (filter kernels, 2-bit encoding, edit-distance verification) genuinely fan
 //! out across worker threads.
 //!
 //! Closure bounds are `Fn + Sync` and items are `Send`, exactly as a real
-//! parallel backend requires (the sequential shim used to accept `FnMut`).
+//! parallel backend requires.
 
 use crate::pool;
 use std::sync::Mutex;
 
-/// Tasks created per pool thread by one combinator: a little oversubscription
-/// so work-stealing can rebalance uneven chunks.
+/// Chunks created per pool thread by one combinator: a little
+/// oversubscription so the claim counter can rebalance uneven chunks.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// One input chunk, taken by the task that processes it.
+/// One input chunk, taken by the index that processes it.
 type ChunkSlot<T> = Mutex<Option<Vec<T>>>;
 
 /// Rayon-style parallel iterator over an already-materialized item set.
 ///
 /// Inherent methods reproduce the rayon signatures the workspace uses
-/// (notably `reduce(identity, op)`); [`IntoIterator`] is implemented so the
-/// items can also be drained sequentially.
+/// (notably `reduce(identity, op)`).
 pub struct ParIter<T: Send> {
     items: Vec<T>,
 }
@@ -37,16 +36,6 @@ impl<T: Send> ParIter<T> {
         ParIter { items }
     }
 
-    /// Number of items currently in the pipeline.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if the pipeline holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     pub fn map<R, F>(self, f: F) -> ParIter<R>
     where
         R: Send,
@@ -54,15 +43,6 @@ impl<T: Send> ParIter<T> {
     {
         ParIter::from_vec(process_chunks(self.items, |chunk| {
             chunk.into_iter().map(&f).collect()
-        }))
-    }
-
-    pub fn filter<F>(self, f: F) -> ParIter<T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        ParIter::from_vec(process_chunks(self.items, |chunk| {
-            chunk.into_iter().filter(|item| f(item)).collect()
         }))
     }
 
@@ -92,19 +72,9 @@ impl<T: Send> ParIter<T> {
         ParIter::from_vec(self.items.into_iter().enumerate().collect())
     }
 
-    /// Pairs items with another parallel source, truncating to the shorter.
-    pub fn zip<Z>(self, other: Z) -> ParIter<(T, Z::Item)>
-    where
-        Z: IntoParallelIterator,
-    {
-        ParIter::from_vec(self.items.into_iter().zip(other.into_par_iter()).collect())
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Sync,
-    {
-        let _ = self.map(f);
+    /// Pairs items with another parallel iterator, truncating to the shorter.
+    pub fn zip<U: Send>(self, other: ParIter<U>) -> ParIter<(T, U)> {
+        ParIter::from_vec(self.items.into_iter().zip(other.items).collect())
     }
 
     /// Drains the (already parallel-processed) items into any collection.
@@ -144,17 +114,8 @@ impl<T: Send> ParIter<T> {
     }
 }
 
-impl<T: Send> IntoIterator for ParIter<T> {
-    type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
-/// Splits `items` into ordered chunks, runs `process` over every chunk as a
-/// stealable pool task, and reassembles the per-chunk outputs in input order.
+/// Splits `items` into ordered chunks, runs `process` over every chunk as one
+/// index of a pool job, and reassembles the per-chunk outputs in input order.
 /// Sequential-fallback pools (and trivially small inputs) process inline,
 /// producing byte-identical output by construction.
 pub(crate) fn process_chunks<T, R, F>(items: Vec<T>, process: F) -> Vec<R>
@@ -204,29 +165,10 @@ where
     reassembled
 }
 
-/// By-value conversion, mirroring `rayon::iter::IntoParallelIterator`.
-pub trait IntoParallelIterator {
-    type Item: Send;
-    type Iter: IntoIterator<Item = Self::Item>;
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<I> IntoParallelIterator for I
-where
-    I: IntoIterator,
-    I::Item: Send,
-{
-    type Item = I::Item;
-    type Iter = ParIter<I::Item>;
-    fn into_par_iter(self) -> ParIter<I::Item> {
-        ParIter::from_vec(self.into_iter().collect())
-    }
-}
-
 /// Shared-reference conversion, mirroring `rayon::iter::IntoParallelRefIterator`.
 pub trait IntoParallelRefIterator<'data> {
     type Item: Send + 'data;
-    type Iter: IntoIterator<Item = Self::Item>;
+    type Iter;
     fn par_iter(&'data self) -> Self::Iter;
 }
 
@@ -239,26 +181,6 @@ where
     type Item = <&'data C as IntoIterator>::Item;
     type Iter = ParIter<Self::Item>;
     fn par_iter(&'data self) -> ParIter<Self::Item> {
-        ParIter::from_vec(self.into_iter().collect())
-    }
-}
-
-/// Mutable-reference conversion, mirroring `rayon::iter::IntoParallelRefMutIterator`.
-pub trait IntoParallelRefMutIterator<'data> {
-    type Item: Send + 'data;
-    type Iter: IntoIterator<Item = Self::Item>;
-    fn par_iter_mut(&'data mut self) -> Self::Iter;
-}
-
-impl<'data, C: ?Sized> IntoParallelRefMutIterator<'data> for C
-where
-    C: 'data,
-    &'data mut C: IntoIterator,
-    <&'data mut C as IntoIterator>::Item: Send + 'data,
-{
-    type Item = <&'data mut C as IntoIterator>::Item;
-    type Iter = ParIter<Self::Item>;
-    fn par_iter_mut(&'data mut self) -> ParIter<Self::Item> {
         ParIter::from_vec(self.into_iter().collect())
     }
 }

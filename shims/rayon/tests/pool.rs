@@ -1,5 +1,5 @@
-//! Unit and stress tests for the work-stealing pool behind the rayon shim:
-//! real-worker introspection, panic propagation, nested `join`/`scope`,
+//! Unit and stress tests for the thread pool behind the rayon shim:
+//! real-worker introspection, panic propagation, nested parallel iterators,
 //! degenerate inputs, oversubscription, and a repeated-run flakiness loop.
 
 use rayon::prelude::*;
@@ -7,7 +7,6 @@ use rayon::slice::ParallelSlice;
 use std::collections::HashSet;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -15,6 +14,11 @@ use std::time::{Duration, Instant};
 /// override and more than one core available).
 fn expect_parallel() -> bool {
     rayon::current_num_threads() > 1
+}
+
+/// `0..n` as a vector, the input most tests iterate over with `par_iter`.
+fn indices(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -50,33 +54,26 @@ fn work_executes_on_spawned_worker_threads() {
     // Two tasks rendezvous: each waits until both have started, which is only
     // possible if they run concurrently on distinct threads.
     let arrived = AtomicUsize::new(0);
-    let names: Mutex<Vec<Option<String>>> = Mutex::new(Vec::new());
-    rayon::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|_| {
-                names
-                    .lock()
-                    .unwrap()
-                    .push(thread::current().name().map(String::from));
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < 2 {
-                    assert!(Instant::now() < deadline, "tasks never ran concurrently");
-                    thread::yield_now();
-                }
-            });
-        }
-    });
+    let names: Vec<Option<String>> = indices(2)
+        .par_iter()
+        .map(|_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                assert!(Instant::now() < deadline, "tasks never ran concurrently");
+                thread::yield_now();
+            }
+            thread::current().name().map(String::from)
+        })
+        .collect();
     assert_eq!(arrived.load(Ordering::SeqCst), 2);
-    // Non-worker callers do not steal work, so both tasks must have run on
-    // named pool workers; assert at least one to stay robust.
-    let names = names.lock().unwrap();
+    // The caller blocks and claims nothing, so both tasks ran on named pool
+    // workers.
     assert!(
-        names
-            .iter()
-            .flatten()
-            .any(|name| name.starts_with("rayon-worker")),
-        "no task ran on a pool worker thread: {names:?}"
+        names.iter().all(|name| name
+            .as_deref()
+            .is_some_and(|n| n.starts_with("rayon-worker"))),
+        "a task ran off the pool's workers: {names:?}"
     );
 }
 
@@ -85,33 +82,16 @@ fn distinct_threads_observed_under_load() {
     if !expect_parallel() {
         return;
     }
-    let ids = Mutex::new(HashSet::new());
-    (0..64).into_par_iter().for_each(|_| {
-        ids.lock().unwrap().insert(thread::current().id());
-        thread::sleep(Duration::from_millis(2));
-    });
+    let ids: HashSet<thread::ThreadId> = indices(64)
+        .par_iter()
+        .map(|_| {
+            thread::sleep(Duration::from_millis(2));
+            thread::current().id()
+        })
+        .collect();
     assert!(
-        ids.lock().unwrap().len() > 1,
+        ids.len() > 1,
         "64 sleepy tasks should spread over more than one thread"
-    );
-}
-
-#[test]
-fn current_thread_index_is_none_off_pool() {
-    assert_eq!(rayon::current_thread_index(), None);
-    if !expect_parallel() {
-        return;
-    }
-    let saw_worker_index = Mutex::new(false);
-    (0..64).into_par_iter().for_each(|_| {
-        if rayon::current_thread_index().is_some() {
-            *saw_worker_index.lock().unwrap() = true;
-        }
-        thread::sleep(Duration::from_millis(1));
-    });
-    assert!(
-        *saw_worker_index.lock().unwrap(),
-        "no task observed a worker thread index"
     );
 }
 
@@ -122,11 +102,14 @@ fn current_thread_index_is_none_off_pool() {
 #[test]
 fn panic_in_parallel_task_propagates_to_caller() {
     let result = panic::catch_unwind(|| {
-        (0..1000usize).into_par_iter().for_each(|i| {
-            if i == 537 {
-                panic!("boom at {i}");
-            }
-        });
+        indices(1000)
+            .par_iter()
+            .map(|&i| {
+                if i == 537 {
+                    panic!("boom at {i}");
+                }
+            })
+            .count()
     });
     let payload = result.expect_err("panic must propagate");
     let message = payload.downcast_ref::<String>().expect("string payload");
@@ -136,101 +119,28 @@ fn panic_in_parallel_task_propagates_to_caller() {
 #[test]
 fn pool_remains_usable_after_a_panicked_operation() {
     let _ = panic::catch_unwind(|| {
-        (0..100usize)
-            .into_par_iter()
-            .for_each(|_| panic!("every task panics"));
+        indices(100)
+            .par_iter()
+            .map(|_| panic!("every task panics"))
+            .count()
     });
-    let doubled: Vec<usize> = (0..100usize).into_par_iter().map(|i| i * 2).collect();
+    let doubled: Vec<usize> = indices(100).par_iter().map(|i| i * 2).collect();
     assert_eq!(doubled, (0..100).map(|i| i * 2).collect::<Vec<_>>());
 }
 
-#[test]
-fn join_propagates_panic_from_either_side() {
-    let a_panics = panic::catch_unwind(|| rayon::join(|| panic!("left"), || 1));
-    assert!(a_panics.is_err());
-    let b_panics = panic::catch_unwind(|| rayon::join(|| 1, || panic!("right")));
-    assert!(b_panics.is_err());
-    let both_panic =
-        panic::catch_unwind(|| rayon::join(|| panic!("left of both"), || panic!("right of both")));
-    assert!(both_panic.is_err());
-    // And the pool still works.
-    assert_eq!(rayon::join(|| 6 * 7, || 6 + 7), (42, 13));
-}
-
-#[test]
-fn scope_waits_for_tasks_before_propagating_panic() {
-    let finished = AtomicUsize::new(0);
-    let result = panic::catch_unwind(|| {
-        rayon::scope(|s| {
-            for i in 0..16 {
-                s.spawn(|_| {
-                    thread::sleep(Duration::from_millis(1));
-                    finished.fetch_add(1, Ordering::SeqCst);
-                });
-                if i == 7 {
-                    // Body panics while tasks are still queued/running.
-                    panic!("scope body panic");
-                }
-            }
-        });
-    });
-    assert!(result.is_err());
-    // Every task spawned before the panic still ran to completion.
-    assert_eq!(finished.load(Ordering::SeqCst), 8);
-}
-
 // ---------------------------------------------------------------------------
-// join / scope semantics, including nesting.
+// Nesting.
 // ---------------------------------------------------------------------------
-
-/// Parallel divide-and-conquer sum via nested joins.
-fn join_sum(values: &[u64]) -> u64 {
-    if values.len() <= 8 {
-        return values.iter().sum();
-    }
-    let mid = values.len() / 2;
-    let (left, right) = values.split_at(mid);
-    let (a, b) = rayon::join(|| join_sum(left), || join_sum(right));
-    a + b
-}
-
-#[test]
-fn nested_joins_compute_the_sequential_answer() {
-    let values: Vec<u64> = (0..10_000).collect();
-    assert_eq!(join_sum(&values), values.iter().sum::<u64>());
-}
-
-#[test]
-fn join_returns_both_closure_results() {
-    let (a, b) = rayon::join(|| "left".to_string(), || vec![1, 2, 3]);
-    assert_eq!(a, "left");
-    assert_eq!(b, vec![1, 2, 3]);
-}
-
-#[test]
-fn nested_scopes_and_spawn_from_spawn() {
-    let counter = AtomicUsize::new(0);
-    rayon::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|s| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                // Tasks may spawn siblings onto the same scope.
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            });
-        }
-    });
-    assert_eq!(counter.load(Ordering::SeqCst), 8);
-}
 
 #[test]
 fn parallel_iterator_nested_inside_parallel_iterator() {
-    // Exercises help-while-waiting: workers that hit the inner par_iter must
-    // keep executing queued tasks instead of deadlocking.
-    let totals: Vec<u64> = (0..16u64)
-        .into_par_iter()
-        .map(|i| (0..1_000u64).into_par_iter().map(|j| i + j).sum::<u64>())
+    // Workers that hit the inner par_iter run it inline instead of queueing
+    // work behind themselves and deadlocking.
+    let outer: Vec<u64> = (0..16).collect();
+    let inner: Vec<u64> = (0..1_000).collect();
+    let totals: Vec<u64> = outer
+        .par_iter()
+        .map(|&i| inner.par_iter().map(|&j| i + j).sum::<u64>())
         .collect();
     let expected: Vec<u64> = (0..16u64)
         .map(|i| (0..1_000u64).map(|j| i + j).sum::<u64>())
@@ -247,12 +157,9 @@ fn empty_and_single_element_inputs() {
     let empty: Vec<u32> = Vec::new();
     let collected: Vec<u32> = empty.par_iter().map(|&x| x + 1).collect();
     assert!(collected.is_empty());
-    assert_eq!(Vec::<u32>::new().into_par_iter().count(), 0);
-    assert_eq!(Vec::<u32>::new().into_par_iter().sum::<u32>(), 0);
-    assert_eq!(
-        Vec::<u32>::new().into_par_iter().reduce(|| 7, |a, b| a + b),
-        7
-    );
+    assert_eq!(empty.par_iter().count(), 0);
+    assert_eq!(empty.par_iter().sum::<u32>(), 0);
+    assert_eq!(empty.par_iter().map(|&x| x).reduce(|| 7, |a, b| a + b), 7);
 
     let one = [41u32];
     let collected: Vec<u32> = one.par_iter().map(|&x| x + 1).collect();
@@ -261,30 +168,30 @@ fn empty_and_single_element_inputs() {
 }
 
 #[test]
-fn par_iter_mut_updates_in_place() {
-    let mut values: Vec<u64> = (0..4096).collect();
-    values
-        .par_iter_mut()
-        .for_each(|v| *v = v.wrapping_mul(3) + 1);
-    let expected: Vec<u64> = (0..4096u64).map(|v| v.wrapping_mul(3) + 1).collect();
-    assert_eq!(values, expected);
-}
-
-#[test]
 fn combinators_match_sequential_semantics() {
     let input: Vec<i64> = (-500..500).collect();
     let par: Vec<i64> = input
         .par_iter()
         .map(|&x| x * 3)
-        .filter(|&x| x % 2 == 0)
-        .filter_map(|x| if x >= 0 { Some(x / 2) } else { None })
+        .filter_map(|x| {
+            if x >= 0 && x % 2 == 0 {
+                Some(x / 2)
+            } else {
+                None
+            }
+        })
         .flat_map(|x| [x, x + 1])
         .collect();
     let seq: Vec<i64> = input
         .iter()
         .map(|&x| x * 3)
-        .filter(|&x| x % 2 == 0)
-        .filter_map(|x| if x >= 0 { Some(x / 2) } else { None })
+        .filter_map(|x| {
+            if x >= 0 && x % 2 == 0 {
+                Some(x / 2)
+            } else {
+                None
+            }
+        })
         .flat_map(|x| [x, x + 1])
         .collect();
     assert_eq!(par, seq);
@@ -353,8 +260,8 @@ fn single_thread_pool_runs_inline_on_the_caller() {
         .unwrap();
     let caller = thread::current().id();
     let ids: Vec<_> = pool.install(|| {
-        (0..256usize)
-            .into_par_iter()
+        indices(256)
+            .par_iter()
             .map(|_| thread::current().id())
             .collect()
     });
@@ -367,8 +274,8 @@ fn single_thread_pool_runs_inline_on_the_caller() {
 #[test]
 fn install_on_own_pool_from_its_workers_does_not_deadlock() {
     // Tasks running on the pool's workers re-install the same pool and start
-    // nested operations; the workers must keep their identity (and help)
-    // instead of blocking, or the pool wedges with all workers waiting.
+    // nested operations; those must run inline on the worker instead of
+    // blocking, or the pool wedges with all workers waiting.
     let pool = std::sync::Arc::new(
         rayon::ThreadPoolBuilder::new()
             .num_threads(2)
@@ -376,22 +283,25 @@ fn install_on_own_pool_from_its_workers_does_not_deadlock() {
             .unwrap(),
     );
     let nested_pool = pool.clone();
-    pool.install(|| {
-        (0..8).into_par_iter().for_each(|_| {
-            let sum: u64 = nested_pool.install(|| (0..1_000u64).into_par_iter().sum());
-            assert_eq!(sum, 1_000 * 999 / 2);
-        });
+    let inner: Vec<u64> = (0..1_000).collect();
+    let sums: Vec<u64> = pool.install(|| {
+        indices(8)
+            .par_iter()
+            .map(|_| nested_pool.install(|| inner.par_iter().sum()))
+            .collect()
     });
+    assert_eq!(sums, vec![1_000 * 999 / 2; 8]);
 }
 
 #[test]
 fn dropping_a_pool_joins_its_workers() {
+    let values: Vec<u64> = (0..10_000).collect();
     for _ in 0..8 {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
             .unwrap();
-        let sum: u64 = pool.install(|| (0..10_000u64).into_par_iter().sum());
+        let sum: u64 = pool.install(|| values.par_iter().sum());
         assert_eq!(sum, 10_000 * 9_999 / 2);
         drop(pool); // must not hang or leak panics
     }
@@ -403,27 +313,26 @@ fn dropping_a_pool_joins_its_workers() {
 
 #[test]
 fn oversubscription_tasks_far_exceeding_workers() {
-    // Thousands of scope tasks against a handful of workers.
+    // Thousands of tiny tasks against a handful of workers.
     let counter = AtomicUsize::new(0);
-    rayon::scope(|s| {
-        for _ in 0..4_000 {
-            s.spawn(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
+    let ran = indices(4_000)
+        .par_iter()
+        .map(|_| counter.fetch_add(1, Ordering::Relaxed))
+        .count();
+    assert_eq!(ran, 4_000);
     assert_eq!(counter.load(Ordering::Relaxed), 4_000);
 
     // And a wide data-parallel op: far more items than threads.
-    let n = 200_000usize;
-    let sum: u64 = (0..n as u64).into_par_iter().map(|x| x % 17).sum();
-    assert_eq!(sum, (0..n as u64).map(|x| x % 17).sum::<u64>());
+    let n = 200_000u64;
+    let values: Vec<u64> = (0..n).collect();
+    let sum: u64 = values.par_iter().map(|x| x % 17).sum();
+    assert_eq!(sum, (0..n).map(|x| x % 17).sum::<u64>());
 }
 
 #[test]
 fn repeated_runs_are_flake_free() {
-    // x100 loop shaking out races: every iteration mixes map/collect, join and
-    // reduce, and compares against the sequential answer.
+    // x100 loop shaking out races: every iteration mixes map/collect, split
+    // sums and reduce, and compares against the sequential answer.
     for round in 0..100u64 {
         let len = 64 + (round as usize * 37) % 1024;
         let input: Vec<u64> = (0..len as u64).map(|i| i * round).collect();
@@ -432,14 +341,12 @@ fn repeated_runs_are_flake_free() {
         let expected: Vec<u64> = input.iter().map(|&x| x ^ round).collect();
         assert_eq!(mapped, expected, "round {round}");
 
-        let (left, right) = rayon::join(
-            || input.iter().take(len / 2).sum::<u64>(),
-            || input.iter().skip(len / 2).sum::<u64>(),
-        );
+        let (left, right) = input.split_at(len / 2);
+        let halves = left.par_iter().sum::<u64>() + right.par_iter().sum::<u64>();
         let total = input
             .par_iter()
             .map(|&x| x)
             .reduce(|| 0, |a, b| a.wrapping_add(b));
-        assert_eq!(left + right, total, "round {round}");
+        assert_eq!(halves, total, "round {round}");
     }
 }
